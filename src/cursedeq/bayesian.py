@@ -15,11 +15,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from scipy import optimize
-
-from .bestresponse import _floor_dist
 from .partition import coarsest_valid_partition
-from .solvers import NonConvergenceError, SolverConfig, solve_sce
+from .solvers import SolverConfig, _homotopy, solve_sce
 from .tree import GameBuilder, GameError, GameTree
 
 
@@ -59,15 +56,6 @@ class BayesianGame:
 
 
 TypeStrategy = dict  # (player, type index) -> action distribution
-
-
-def uniform_type_strategy(game: BayesianGame) -> TypeStrategy:
-    out = {}
-    for pl in game.players:
-        for k in range(len(game.types[pl])):
-            acts = game.actions[pl]
-            out[(pl, k)] = {a: 1.0 / len(acts) for a in acts}
-    return out
 
 
 def _opponent_beliefs(game: BayesianGame, sigma: TypeStrategy, player: str,
@@ -130,199 +118,37 @@ def type_action_values(game: BayesianGame, sigma: TypeStrategy, player: str,
 
 
 def _solve_static(game: BayesianGame, config: SolverConfig, independent: bool,
-                  frozen: dict | None, concept: str):
-    """Floor homotopy with damped iteration and support polish, mirroring
-    the tree solver step for step so the embedded comparisons line up."""
+                  frozen: dict | None, concept: str) -> TypeStrategy:
+    """CE/ICE on the shared homotopy driver: the type-wise action values
+    serve as stage, trial and final values alike."""
     frozen = frozen or {}
     cells = sorted((pl, k) for pl in game.players
                    for k in range(len(game.types[pl])))
     free = [c for c in cells if c not in frozen]
-    rng = random.Random(config.seed)
 
-    def q_all(sigma):
+    def q_trial(sigma, owners):
         return {c: type_action_values(game, sigma, c[0], c[1], independent)
-                for c in free}
+                for c in owners}
 
-    def floored(sigma, eps):
-        out = {}
-        for c in cells:
-            base = frozen.get(c, sigma[c])
-            k = len(base)
-            out[c] = {a: eps + (1.0 - eps * k) * p for a, p in base.items()}
-        return out
-
-    best_gap, best_gaps = float("inf"), {}
-    max_actions = max(len(game.actions[pl]) for pl in game.players)
-    iterations = 0
-    for attempt in range(config.restarts + 1):
-        if attempt == 0:
-            sigma = uniform_type_strategy(game)
-            sigma.update({c: dict(d) for c, d in frozen.items()})
-        else:
-            sigma = {}
-            for c in cells:
-                if c in frozen:
-                    sigma[c] = dict(frozen[c])
-                    continue
-                acts = game.actions[c[0]]
-                raw = [rng.random() + 1e-3 for _ in acts]
-                s = sum(raw)
-                sigma[c] = {a: w / s for a, w in zip(acts, raw)}
-
-        for eps in config.schedule(max_actions):
-            sigma = floored(sigma, eps)
-            avg = {c: dict(d) for c, d in sigma.items()}
-            count = 1
-            converged = False
-            for _ in range(config.max_iters):
-                iterations += 1
-                q = q_all(sigma)
-                target = {c: dict(d) for c, d in sigma.items()}
-                for c in free:
-                    target[c] = _floor_dist(game.actions[c[0]], q[c], eps,
-                                            config.tie_tol, incumbent=sigma[c])
-                resid = max(abs(target[c][a] - sigma[c][a])
-                            for c in cells for a in sigma[c])
-                sigma = {c: {a: (1 - config.damping) * sigma[c][a]
-                             + config.damping * target[c][a]
-                             for a in sigma[c]} for c in cells}
-                count += 1
-                for c in cells:
-                    for a in sigma[c]:
-                        avg[c][a] += (sigma[c][a] - avg[c][a]) / count
-                if resid <= max(config.fp_tol, eps * 1e-3):
-                    converged = True
-                    break
-            if not converged:
-                sigma = {c: dict(d) for c, d in avg.items()}
-
-        candidate = {}
-        for c in cells:
-            if c in frozen:
-                candidate[c] = dict(frozen[c])
-                continue
-            kept = {a: p for a, p in sigma[c].items() if p > 5.0 * config.eps_floor}
-            total = sum(kept.values())
-            candidate[c] = {a: kept.get(a, 0.0) / total for a in sigma[c]}
-
-        candidate = _polish_static(game, candidate, free, independent, config)
-        q = {c: type_action_values(game, candidate, c[0], c[1], independent)
-             for c in free}
-        gaps, ok = {}, True
-        for c in free:
-            support = [a for a, p in candidate[c].items() if p > 0.0]
-            best = max(q[c].values())
-            gaps[c] = max(best - q[c][a] for a in support)
-            if gaps[c] > config.gap_tol:
-                ok = False
-        if ok:
-            return candidate, gaps, iterations
-        worst = max(gaps.values(), default=0.0)
-        if worst < best_gap:
-            best_gap, best_gaps = worst, gaps
-
-    from .solvers import enumerate_support_equilibrium
-
-    if not config.polish:
-        raise NonConvergenceError(
-            f"{concept} solve failed after {config.restarts + 1} starts "
-            f"(best gap {best_gap:.3g})", best_gap, best_gaps)
-
-    def q_fn(assignment):
-        sigma = {c: dict(d) for c, d in assignment.items()}
-        sigma.update({c: dict(d) for c, d in frozen.items()})
-        return {c: type_action_values(game, sigma, c[0], c[1], independent)
-                for c in free}
-
-    found = enumerate_support_equilibrium(
-        free, lambda c: game.actions[c[0]], q_fn, config.gap_tol)
-    if found is not None:
-        sigma = {c: dict(d) for c, d in found.items()}
-        sigma.update({c: dict(d) for c, d in frozen.items()})
-        q = {c: type_action_values(game, sigma, c[0], c[1], independent)
-             for c in free}
-        gaps = {c: max(max(q[c].values()) - q[c][a]
-                       for a, p in sigma[c].items() if p > 0.0) for c in free}
-        if all(g <= config.gap_tol for g in gaps.values()):
-            return sigma, gaps, iterations
-
-    raise NonConvergenceError(
-        f"{concept} solve failed after {config.restarts + 1} starts "
-        f"(best gap {best_gap:.3g})", best_gap, best_gaps)
-
-
-def _polish_static(game, candidate, free, independent, config):
-    if not config.polish:
-        return candidate
-    q0 = {c: type_action_values(game, candidate, c[0], c[1], independent)
-          for c in free}
-    for prune in (None, 1e-3, 1e-6):
-        mixing = []
-        for c in free:
-            support = [a for a, p in candidate[c].items() if p > 0.0]
-            if prune is not None:
-                best = max(q0[c].values())
-                kept = [a for a in support if q0[c][a] >= best - prune]
-                support = kept or support
-            if len(support) > 1:
-                mixing.append((c, support))
-        if not mixing:
-            return candidate
-        trial, ok = _polish_static_once(game, candidate, mixing, independent)
-        if ok:
-            return trial
-    return candidate
-
-
-def _polish_static_once(game, candidate, mixing, independent):
-    variables = [(c, a) for c, sup in mixing for a in sup[1:]]
-
-    def unpack(x):
-        sigma = {c: dict(d) for c, d in candidate.items()}
-        idx = 0
-        for c, sup in mixing:
-            vals = []
-            for a in sup[1:]:
-                vals.append(float(min(1.0, max(0.0, x[idx]))))
-                idx += 1
-            dist = {a: 0.0 for a in candidate[c]}
-            dist[sup[0]] = max(0.0, 1.0 - sum(vals))
-            for a, v in zip(sup[1:], vals):
-                dist[a] = v
-            total = sum(dist.values())
-            sigma[c] = {a: v / total for a, v in dist.items()}
-        return sigma
-
-    def equations(x):
-        sigma = unpack(x)
-        out = []
-        for c, sup in mixing:
-            q = type_action_values(game, sigma, c[0], c[1], independent)
-            out.extend(q[a] - q[sup[0]] for a in sup[1:])
-        return out
-
-    x0 = [candidate[c][a] for c, a in variables]
-    sol = optimize.root(equations, x0, method="hybr", tol=1e-12)
-    trial = unpack(sol.x)
-    in_bounds = all(-1e-9 <= x <= 1.0 + 1e-9 for x in sol.x)
-    residual = max((abs(v) for v in sol.fun), default=0.0)
-    return trial, bool(in_bounds and residual <= 1e-7)
+    sigma, _, _, _, _ = _homotopy(
+        concept, config, cells, lambda c: game.actions[c[0]], frozen, free,
+        lambda sigma, eps: q_trial(sigma, free), q_trial,
+        lambda sigma: (q_trial(sigma, free), True, None))
+    return sigma
 
 
 def solve_ice(game: BayesianGame, config: SolverConfig | None = None,
               frozen: dict | None = None) -> TypeStrategy:
     """Fixed point of type-wise best response against per-opponent marginal
     beliefs treated as mutually independent and independent of the state."""
-    sigma, _, _ = _solve_static(game, config or SolverConfig(), True, frozen, "ice")
-    return sigma
+    return _solve_static(game, config or SolverConfig(), True, frozen, "ice")
 
 
 def solve_ce(game: BayesianGame, config: SolverConfig | None = None,
              frozen: dict | None = None) -> TypeStrategy:
     """Fixed point against the joint opponent action-profile distribution
     conditional on own type, treated as independent of the state."""
-    sigma, _, _ = _solve_static(game, config or SolverConfig(), False, frozen, "ce")
-    return sigma
+    return _solve_static(game, config or SolverConfig(), False, frozen, "ce")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ found, 2 usage error, 3 solver non-convergence.  Tables are plain text;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -62,24 +63,37 @@ def _load_game(path):
     return parse_game(_read(path))
 
 
+def _config_value(key, kind, text):
+    if kind is bool:
+        if text.lower() in ("1", "true", "yes"):
+            return True
+        if text.lower() in ("0", "false", "no"):
+            return False
+    else:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise GameError(f"config key {key!r}: expected {kind.__name__}, got {text!r}")
+
+
 def _config_from(args):
+    """SolverConfig from ``--config``: one ``key value`` pair per line, with
+    each key's type taken from the SolverConfig field of that name."""
     cfg = SolverConfig()
     if getattr(args, "config", None):
-        fields = {}
+        kinds = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
+        kwargs = {}
         for raw in _read(args.config).split("\n"):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            k, v = line.split(None, 1)
-            fields[k.replace("-", "_")] = v
-        kwargs = {}
-        for k, v in fields.items():
-            if k in ("max_iters", "restarts", "seed", "limit_steps"):
-                kwargs[k] = int(v)
-            elif k == "polish":
-                kwargs[k] = v.lower() in ("1", "true", "yes")
-            else:
-                kwargs[k] = float(v)
+            key, *rest = line.split(None, 1)
+            name = key.replace("-", "_")
+            if name not in kinds:
+                raise GameError(f"unknown config key {key!r}; known keys: "
+                                + ", ".join(kinds))
+            kwargs[name] = _config_value(key, kinds[name], "".join(rest))
         cfg = SolverConfig(**kwargs)
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed

@@ -93,12 +93,6 @@ def _owner_geometry(tree: GameTree, reach: dict[str, float], owner_nodes):
     return mass, below_flag, ancestors
 
 
-def _mass_through(tree: GameTree, reach: dict[str, float], owner_nodes) -> dict[str, float]:
-    """Probability mass below each node restricted to paths through the owner set."""
-    mass, _, _ = _owner_geometry(tree, reach, owner_nodes)
-    return mass
-
-
 def cursed_conjecture(tree: GameTree, partition: CoarsePartition,
                       profile: BehaviorProfile, owner: str,
                       require_mixed: bool = True) -> Conjecture:
@@ -229,7 +223,7 @@ def check_cursed_plausible(tree: GameTree, partition: CoarsePartition,
         for p in accords_with(tree, conj, profile, tol):
             issues.append(PlausibilityIssue(owner, 1, p.split(":")[0], p))
 
-        mass = _mass_through(tree, reach, oset.nodes)
+        mass, _, _ = _owner_geometry(tree, reach, oset.nodes)
         for iid, dist in conj.dists.items():
             iset = tree.info_sets[iid]
             if iset.player == oset.player:
@@ -251,11 +245,6 @@ def check_cursed_plausible(tree: GameTree, partition: CoarsePartition,
             issues.append(PlausibilityIssue(owner, 3, "-",
                                             "opponent partial strategy is not coarse"))
     return PlausibilityReport(tuple(issues))
-
-
-def conjecture_reach(tree: GameTree, conjecture: Conjecture) -> dict[str, float]:
-    """Node reach probabilities under the conjecture's own measure."""
-    return node_reach(tree, conjecture.dists, strict=False)
 
 
 def _upward_reach(tree: GameTree, dists, node: str) -> float:
@@ -339,7 +328,8 @@ def limit_conjecture_system(tree: GameTree, partition: CoarsePartition,
             runs = runs + 1 if dist < cauchy_tol else 0
         converged[o] = runs >= cauchy_runs
         residuals[o] = dist
-        system[o] = _extrapolate(seq[-2], seq[-1]) if len(seq) > 1 else seq[-1]
+        prev = seq[-2] if len(seq) > 1 else seq[-1]
+        system[o] = Conjecture(o, _richardson(prev.dists, seq[-1].dists))
 
     owner_reach = {}
     for o, conj in system.items():
@@ -349,13 +339,10 @@ def limit_conjecture_system(tree: GameTree, partition: CoarsePartition,
     return system, LimitDiagnostics(converged, residuals, owner_reach)
 
 
-def _extrapolate(prev: Conjecture, last: Conjecture) -> Conjecture:
-    """Richardson step for a geometrically halving tremble: 2*last - prev."""
-    dists = {}
-    for iid, d in last.dists.items():
-        p = prev.dists.get(iid)
-        if p is None:
-            dists[iid] = dict(d)
-            continue
-        dists[iid] = {a: min(1.0, max(0.0, 2.0 * v - p[a])) for a, v in d.items()}
-    return Conjecture(last.owner, dists)
+def _richardson(prev: dict, last: dict) -> dict:
+    """Two-point Richardson step for a geometrically halving tremble,
+    2*last - prev entrywise on ``{key: {entry: probability}}`` and clamped to
+    [0, 1]; entries missing from ``prev`` keep their last value."""
+    return {k: {a: min(1.0, max(0.0, 2.0 * v - prev.get(k, d).get(a, v)))
+                for a, v in d.items()}
+            for k, d in last.items()}

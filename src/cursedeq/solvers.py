@@ -7,18 +7,20 @@ restarts.  Interior mixing defeats plain damped iteration, so after the
 floor schedule the solver detects the support and solves the exact
 indifference conditions of the limit conjectures with a Newton-type root
 finder, then certifies local best responses under the extrapolated limits.
+The same driver solves static CE/ICE (``bayesian``) with its own oracles.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
 from scipy import optimize
 
 from .bestresponse import Scenario, _floor_dist, check_local_best_response, optimize_plan
-from .conjectures import (Conjecture, belief, check_cursed_plausible, cursed_conjecture,
-                          limit_conjecture_system, tremble_path)
+from .conjectures import (Conjecture, _richardson, belief, check_cursed_plausible,
+                          cursed_conjecture, limit_conjecture_system, tremble_path)
 from .games import ComputerPlayerSet
 from .partition import CoarsePartition
 from .tree import BehaviorProfile, GameError, GameTree, node_reach
@@ -49,8 +51,10 @@ class SolverConfig:
     limit_steps: int = 40
 
     def __post_init__(self):
-        if not self.eps_floor > 0:
-            raise GameError("eps floor must be positive")
+        if not (self.eps_start > 0 and self.eps_floor > 0):
+            raise GameError("eps start and eps floor must be positive")
+        if not 0 < self.eps_decay < 1:
+            raise GameError("eps decay must lie in (0, 1)")
         if not 0 < self.damping <= 1:
             raise GameError("damping must lie in (0, 1]")
         if min(self.fp_tol, self.gap_tol, self.tie_tol) <= 0:
@@ -169,22 +173,20 @@ def _q_causal_stage(tree, partition, profile, owners, floor, tie_tol):
 # Limit artifacts: conjectures, beliefs and Q values as trembles vanish
 # ---------------------------------------------------------------------------
 
-def _richardson(prev, last):
-    return {k: 2.0 * v - prev[k] for k, v in last.items()}
-
-
 def _limit_bayes_beliefs(tree, path, owners):
-    out = {}
-    seqs = {o: [] for o in owners}
-    for prof in path:
+    """Bayes beliefs at each owner set, extrapolated from the last two
+    profiles of the tremble path and renormalized."""
+    seq = []
+    for prof in path[-2:]:
         reach = node_reach(tree, prof.full(tree))
+        beliefs = {}
         for o in owners:
             nodes = tree.info_sets[o].nodes
             total = sum(reach[h] for h in nodes)
-            seqs[o].append({h: reach[h] / total for h in nodes})
-    for o, seq in seqs.items():
-        lim = _richardson(seq[-2], seq[-1]) if len(seq) > 1 else seq[-1]
-        lim = {h: min(1.0, max(0.0, v)) for h, v in lim.items()}
+            beliefs[o] = {h: reach[h] / total for h in nodes}
+        seq.append(beliefs)
+    out = {}
+    for o, lim in _richardson(seq[0], seq[-1]).items():
         total = sum(lim.values())
         out[o] = {h: v / total for h, v in lim.items()}
     return out
@@ -218,10 +220,10 @@ class LimitOracle:
                 player = tree.info_sets[o].player
                 qo = {}
                 for a in tree.info_sets[o].actions:
-                    mod_path = [_force_action(p, o, a) for p in path]
-                    seq = [cursed_conjecture(tree, partition, p, o, require_mixed=False)
-                           for p in mod_path[-2:]]
-                    conj = _extrapolate_conjecture(*seq)
+                    prev, last = [cursed_conjecture(tree, partition, _force_action(p, o, a), o,
+                                                    require_mixed=False)
+                                  for p in path[-2:]]
+                    conj = Conjecture(o, _richardson(prev.dists, last.dists))
                     conjs[(o, a)] = conj
                     sc = Scenario(1.0, belief(tree, conj).probs, conj.dists)
                     res = optimize_plan(tree, o, [sc], player, tie_tol=tie, forced=a)
@@ -251,199 +253,189 @@ class LimitOracle:
         return q, system, {"limit_diag": diag, "bayes_beliefs": bayes}
 
 
-def _extrapolate_conjecture(prev: Conjecture, last: Conjecture) -> Conjecture:
-    dists = {}
-    for iid, d in last.dists.items():
-        p = prev.dists.get(iid, d)
-        dists[iid] = {a: min(1.0, max(0.0, 2.0 * v - p.get(a, v))) for a, v in d.items()}
-    return Conjecture(last.owner, dists)
-
-
 # ---------------------------------------------------------------------------
-# The homotopy driver
+# The homotopy driver, shared by the tree concepts and static CE/ICE
 # ---------------------------------------------------------------------------
 
-def _floored(profile, tree, eps, frozen_dists):
-    """Clamp a profile into the eps-constrained simplex, frozen players
-    included (their prescribed strategy is floored, not re-optimized)."""
-    out = {}
-    for iid, dist in profile.dists.items():
-        base = frozen_dists.get(iid, dist)
-        k = len(base)
-        out[iid] = {a: eps + (1.0 - eps * k) * p for a, p in base.items()}
-    return BehaviorProfile(out)
+def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_trial, certify):
+    """Floor homotopy over strategies ``{key: {action: probability}}``.
 
+    ``keys`` lists every strategy key in the order random starts draw them;
+    ``frozen`` fixes the strategy at some keys and ``free`` lists the others.
+    The oracles return action values per free key: ``q_stage(dists, eps)``
+    at a floor stage, ``q_trial(dists, owners)`` in the limit for the keys
+    ``owners`` (used by the polish and support enumeration), and
+    ``certify(dists)`` gives ``(values, sound, payload)`` for a final
+    candidate, which passes when ``sound`` holds and every free support is
+    optimal within ``gap_tol``.
 
-def _project(profile, tree, eps, frozen_dists):
-    """Strip floor-level mass and renormalize; frozen entries stay exact."""
-    out = {}
-    for iid, dist in profile.dists.items():
-        if iid in frozen_dists:
-            out[iid] = dict(frozen_dists[iid])
-            continue
-        kept = {a: p for a, p in dist.items() if p > 5.0 * eps}
-        total = sum(kept.values())
-        out[iid] = {a: (kept.get(a, 0.0) / total) for a in dist}
-    return BehaviorProfile(out)
-
-
-def _random_profile(tree, rng, frozen_dists):
-    dists = {}
-    for iid in tree.player_info_sets():
-        if iid in frozen_dists:
-            dists[iid] = dict(frozen_dists[iid])
-            continue
-        acts = tree.info_sets[iid].actions
-        raw = [rng.random() + 1e-3 for _ in acts]
-        s = sum(raw)
-        dists[iid] = {a: w / s for a, w in zip(acts, raw)}
-    return BehaviorProfile(dists)
-
-
-def _solve(tree: GameTree, partition: CoarsePartition, config: SolverConfig,
-           frozen: ComputerPlayerSet | None, concept: str, chi: float = 1.0):
-    frozen_dists = frozen.info_set_dists() if frozen else {}
-    owners = sorted(tree.player_info_sets())
-    free = [o for o in owners if o not in frozen_dists]
-
-    def q_stage(profile, eps):
-        if concept == "chi-sce":
-            return _q_chi_stage(tree, partition, profile, free, eps, config.tie_tol, chi)
-        if concept == "causal-sce":
-            return _q_causal_stage(tree, partition, profile, free, eps, config.tie_tol)
-        return _q_sce_stage(tree, partition, profile, free, eps, config.tie_tol)
-
-    oracle = LimitOracle(tree, partition, concept, chi, config, frozen_dists)
-    max_actions = max((len(tree.info_sets[o].actions) for o in owners), default=2)
+    Returns ``(dists, gaps, payload, stages, iterations)``, where ``stages``
+    lists ``(eps, dists)`` after each floor stage, or is None when support
+    enumeration found the answer.
+    """
     rng = random.Random(config.seed)
-    best_gap, best_gaps = float("inf"), {}
+    max_actions = max((len(actions_of(k)) for k in keys), default=2)
+    best_gap, best_gaps, unsound = float("inf"), {}, 0
     iterations = 0
 
-    for attempt in range(config.restarts + 1):
-        if attempt == 0:
-            profile = BehaviorProfile.uniform(tree)
-            for iid, d in frozen_dists.items():
-                profile.dists[iid] = dict(d)
-        else:
-            profile = _random_profile(tree, rng, frozen_dists)
-
-        eps_path = []
-        for eps in config.schedule(max_actions):
-            profile = _floored(profile, tree, eps, frozen_dists)
-            avg = {iid: dict(d) for iid, d in profile.dists.items()}
-            count = 1
-            converged_stage = False
-            for _ in range(config.max_iters):
-                iterations += 1
-                q = q_stage(profile, eps)
-                target = profile.copy()
-                for o in free:
-                    acts = tree.info_sets[o].actions
-                    target.dists[o] = _floor_dist(acts, q[o], eps, config.tie_tol,
-                                                  incumbent=profile.dists[o])
-                resid = profile.distance(target)
-                profile = profile.mix(target, config.damping)
-                count += 1
-                for iid, d in profile.dists.items():
-                    acc = avg[iid]
-                    for a, p in d.items():
-                        acc[a] += (p - acc[a]) / count
-                if resid <= max(config.fp_tol, eps * 1e-3):
-                    converged_stage = True
-                    break
-            if not converged_stage:
-                # cycling around interior mixing: carry the stage average
-                profile = BehaviorProfile({i: dict(d) for i, d in avg.items()})
-            eps_path.append((eps, profile.copy()))
-
-        candidate = _project(profile, tree, config.eps_floor, frozen_dists)
-        candidate, q_lim, conjs, extras = _finalize(tree, config, oracle, candidate,
-                                                    free, frozen_dists)
+    def judge(dists):
+        nonlocal best_gap, best_gaps, unsound
+        q, sound, payload = certify(dists)
         gaps = {}
-        ok = True
-        for o in free:
-            support = [a for a, p in candidate.dists[o].items() if p > 0.0]
-            best = max(q_lim[o].values())
-            gap = max(best - q_lim[o][a] for a in support)
-            gaps[o] = gap
-            if gap > config.gap_tol:
-                ok = False
-        if ok:
-            return EquilibriumResult(concept, candidate, conjs, eps_path, gaps,
-                                     True, iterations, config.seed, extras)
+        for k in free:
+            best = max(q[k].values())
+            gaps[k] = max(best - q[k][a] for a, p in dists[k].items() if p > 0.0)
+        if sound and all(g <= config.gap_tol for g in gaps.values()):
+            return gaps, payload
+        unsound += not sound
         worst = max(gaps.values(), default=0.0)
         if worst < best_gap:
             best_gap, best_gaps = worst, gaps
+        return None, None
+
+    for attempt in range(config.restarts + 1):
+        dists = {}
+        for k in keys:
+            acts = actions_of(k)
+            if k in frozen:
+                dists[k] = dict(frozen[k])
+            elif attempt == 0:
+                dists[k] = {a: 1.0 / len(acts) for a in acts}
+            else:
+                raw = [rng.random() + 1e-3 for _ in acts]
+                s = sum(raw)
+                dists[k] = {a: w / s for a, w in zip(acts, raw)}
+
+        stages = []
+        for eps in config.schedule(max_actions):
+            # clamp into the eps-constrained simplex, frozen strategies included
+            dists = {k: {a: eps + (1.0 - eps * len(d)) * p
+                         for a, p in frozen.get(k, d).items()}
+                     for k, d in dists.items()}
+            avg = {k: dict(d) for k, d in dists.items()}
+            count = 1
+            for _ in range(config.max_iters):
+                iterations += 1
+                q = q_stage(dists, eps)
+                target = dict(dists)
+                for k in free:
+                    target[k] = _floor_dist(actions_of(k), q[k], eps, config.tie_tol,
+                                            incumbent=dists[k])
+                resid = max((abs(p - target[k][a]) for k, d in dists.items()
+                             for a, p in d.items()), default=0.0)
+                dists = {k: {a: (1 - config.damping) * p + config.damping * target[k][a]
+                             for a, p in d.items()}
+                         for k, d in dists.items()}
+                count += 1
+                for k, d in dists.items():
+                    acc = avg[k]
+                    for a, p in d.items():
+                        acc[a] += (p - acc[a]) / count
+                if resid <= max(config.fp_tol, eps * 1e-3):
+                    break
+            else:
+                # cycling around interior mixing: carry the stage average
+                dists = avg
+            stages.append((eps, {k: dict(d) for k, d in dists.items()}))
+
+        # strip floor-level mass and renormalize; frozen entries stay exact
+        candidate = {}
+        for k, d in dists.items():
+            if k in frozen:
+                candidate[k] = dict(frozen[k])
+                continue
+            kept = {a: p for a, p in d.items() if p > 5.0 * config.eps_floor}
+            total = sum(kept.values())
+            candidate[k] = {a: kept.get(a, 0.0) / total for a in d}
+        if config.polish:
+            candidate = _polish(candidate, free, q_trial)
+        gaps, payload = judge(candidate)
+        if gaps is not None:
+            return candidate, gaps, payload, stages, iterations
 
     # last resort for stubborn cycles: enumerate supports outright
-    if not config.polish:
-        raise NonConvergenceError(
-            f"{concept} solve failed after {config.restarts + 1} starts "
-            f"(best gap {best_gap:.3g})", best_gap, best_gaps)
+    if config.polish:
+        found = enumerate_support_equilibrium(
+            free, actions_of, lambda assignment: q_trial({**assignment, **frozen}, free),
+            config.gap_tol)
+        if found is not None:
+            candidate = {k: dict(d) for k, d in found.items()}
+            candidate.update((k, dict(d)) for k, d in frozen.items())
+            gaps, payload = judge(candidate)
+            if gaps is not None:
+                return candidate, gaps, payload, None, iterations
 
-    def q_fn(assignment):
-        prof = BehaviorProfile({iid: dict(d) for iid, d in assignment.items()})
-        for iid, d in frozen_dists.items():
-            prof.dists[iid] = dict(d)
-        q, _, _ = oracle.artifacts(prof, free, steps=20)
-        return q
-
-    found = enumerate_support_equilibrium(
-        free, lambda o: tree.info_sets[o].actions, q_fn, config.gap_tol)
-    if found is not None:
-        candidate = BehaviorProfile({iid: dict(d) for iid, d in found.items()})
-        for iid, d in frozen_dists.items():
-            candidate.dists[iid] = dict(d)
-        q_lim, conjs, extras = oracle.artifacts(candidate, free)
-        gaps = {}
-        for o in free:
-            support = [a for a, p in candidate.dists[o].items() if p > 0.0]
-            best = max(q_lim[o].values())
-            gaps[o] = max(best - q_lim[o][a] for a in support)
-        if all(g <= config.gap_tol for g in gaps.values()):
-            extras["support_enumeration"] = True
-            return EquilibriumResult(concept, candidate, conjs, [], gaps,
-                                     True, iterations, config.seed, extras)
-
+    detail = f"best gap {best_gap:.3g}"
+    if unsound:
+        detail += f"; {unsound} candidate(s) failed the limit certification"
     raise NonConvergenceError(
-        f"{concept} solve failed after {config.restarts + 1} starts "
-        f"(best gap {best_gap:.3g})", best_gap, best_gaps)
+        f"{concept} solve failed after {config.restarts + 1} starts ({detail})",
+        best_gap, best_gaps)
 
 
-def _detect_mixing(dists, q, free, prune):
-    """Info sets still mixing after dropping support actions whose value gap
-    at the candidate exceeds the pruning threshold."""
-    mixing = []
-    for o in free:
-        support = [a for a, p in dists[o].items() if p > 0.0]
-        if prune is not None and o in q:
-            best = max(q[o].values())
-            kept = [a for a in support if q[o][a] >= best - prune]
-            support = kept or support
-        if len(support) > 1:
-            mixing.append((o, support))
-    return mixing
-
-
-def _finalize(tree, config, oracle, candidate, free, frozen_dists):
+def _polish(dists, free, q_trial):
     """Support polish: solve the exact indifference conditions of the limit
-    conjectures on the detected support, then recompute limit artifacts.
+    values on the detected support.
 
     Damped-iteration averages can leave stray mass on dominated actions;
     failed polishes retry with the support pruned by the value gaps."""
-    if config.polish:
-        q0, _, _ = oracle.artifacts(candidate, free, steps=20)
-        for prune in (None, 1e-3, 1e-6):
-            mixing = _detect_mixing(candidate.dists, q0, free, prune)
-            if not mixing:
-                break
-            trial, ok = _polish_once(candidate, mixing, oracle)
-            if ok:
-                candidate = trial
-                break
+    q0 = q_trial(dists, free)
+    for prune in (None, 1e-3, 1e-6):
+        mixing = []
+        for k in free:
+            support = [a for a, p in dists[k].items() if p > 0.0]
+            if prune is not None:
+                best = max(q0[k].values())
+                support = [a for a in support if q0[k][a] >= best - prune] or support
+            if len(support) > 1:
+                mixing.append((k, support))
+        if not mixing:
+            break
+        owners = [k for k, _ in mixing]
+        x0 = [dists[k][a] for k, sup in mixing for a in sup[1:]]
+        trial = _root_support(dists, mixing, x0, lambda d: q_trial(d, owners), 1e-7)
+        if trial is not None:
+            return trial
+    return dists
 
-    q_lim, conjs, extras = oracle.artifacts(candidate, free)
-    return candidate, q_lim, conjs, extras
+
+def _fill(base, supports, x):
+    """``base`` with the strategy at each key of ``supports`` (pairs of key
+    and support) rebuilt from the support variables ``x``: each support
+    action after the first takes the next variable, clipped to [0, 1], and
+    the first takes the remaining mass."""
+    out = dict(base)
+    idx = 0
+    for k, sup in supports:
+        vals = []
+        for _ in sup[1:]:
+            vals.append(float(min(1.0, max(0.0, x[idx]))))
+            idx += 1
+        dist = dict.fromkeys(base[k], 0.0)
+        dist[sup[0]] = max(0.0, 1.0 - sum(vals))
+        for a, v in zip(sup[1:], vals):
+            dist[a] = v
+        total = sum(dist.values())
+        out[k] = {a: v / total for a, v in dist.items()}
+    return out
+
+
+def _root_support(base, supports, x0, q_of, tol):
+    """Root the indifference conditions of ``supports`` with a Newton-type
+    solver.  Returns the filled strategy, or None when the root leaves
+    [0, 1] or its residual exceeds ``tol``."""
+    mixing = [(k, sup) for k, sup in supports if len(sup) > 1]
+
+    def equations(x):
+        q = q_of(_fill(base, supports, x))
+        return [q[k][a] - q[k][sup[0]] for k, sup in mixing for a in sup[1:]]
+
+    sol = optimize.root(equations, x0, method="hybr", tol=1e-12)
+    if not all(-1e-9 <= v <= 1.0 + 1e-9 for v in sol.x):
+        return None
+    if max((abs(v) for v in sol.fun), default=0.0) > tol:
+        return None
+    return _fill(base, supports, sol.x)
 
 
 def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol,
@@ -455,10 +447,6 @@ def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol,
     the optimal action set.  Returns an assignment dict or None when the
     combination count exceeds the budget.
     """
-    import itertools
-
-    from scipy import optimize as _opt
-
     per_key = []
     for key in keys:
         acts = actions_of(key)
@@ -472,100 +460,57 @@ def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol,
         if total > budget:
             return None
 
+    base = {k: dict.fromkeys(actions_of(k), 0.0) for k in keys}
     combos = sorted(itertools.product(*per_key),
                     key=lambda c: (sum(len(s) for s in c), c))
     for combo in combos:
-        supports = dict(zip(keys, combo))
-        mixing = [(k, list(s)) for k, s in supports.items() if len(s) > 1]
-        variables = [(k, a) for k, sup in mixing for a in sup[1:]]
-
-        def assemble(x):
-            out = {}
-            idx = 0
-            for k in keys:
-                sup = supports[k]
-                acts = actions_of(k)
-                if len(sup) == 1:
-                    out[k] = {a: (1.0 if a == sup[0] else 0.0) for a in acts}
-                    continue
-                vals = []
-                for _ in sup[1:]:
-                    vals.append(float(min(1.0, max(0.0, x[idx]))))
-                    idx += 1
-                dist = {a: 0.0 for a in acts}
-                dist[sup[0]] = max(0.0, 1.0 - sum(vals))
-                for a, v in zip(sup[1:], vals):
-                    dist[a] = v
-                t = sum(dist.values())
-                out[k] = {a: v / t for a, v in dist.items()}
-            return out
-
-        if variables:
-            def equations(x):
-                q = q_fn(assemble(x))
-                out = []
-                for k, sup in mixing:
-                    base = q[k][sup[0]]
-                    out.extend(q[k][a] - base for a in sup[1:])
-                return out
-
-            x0 = [1.0 / len(sup) for k, sup in mixing for _ in sup[1:]]
-            sol = _opt.root(equations, x0, method="hybr", tol=1e-12)
-            if not all(-1e-9 <= v <= 1.0 + 1e-9 for v in sol.x):
+        supports = list(zip(keys, combo))
+        if any(len(s) > 1 for s in combo):
+            x0 = [1.0 / len(sup) for sup in combo for _ in sup[1:]]
+            assignment = _root_support(base, supports, x0, q_fn, 1e-8)
+            if assignment is None:
                 continue
-            if max((abs(v) for v in sol.fun), default=0.0) > 1e-8:
-                continue
-            assignment = assemble(sol.x)
         else:
-            assignment = assemble([])
+            assignment = _fill(base, supports, [])
         q = q_fn(assignment)
-        ok = True
-        for k in keys:
-            best = max(q[k].values())
-            for a in supports[k]:
-                if q[k][a] < best - gap_tol:
-                    ok = False
-        if ok:
+        if all(q[k][a] >= max(q[k].values()) - gap_tol for k, sup in supports for a in sup):
             return assignment
     return None
 
 
-def _polish_once(candidate, mixing, oracle):
-    variables = [(o, a) for o, sup in mixing for a in sup[1:]]
+def _solve(tree: GameTree, partition: CoarsePartition, config: SolverConfig,
+           frozen: ComputerPlayerSet | None, concept: str, chi: float = 1.0):
+    """The tree concepts on the homotopy driver: stage values from the
+    floored cursed best response, limit values from the tremble-path
+    oracle, whose diagnostics must pass for a candidate to count."""
+    frozen_dists = frozen.info_set_dists() if frozen else {}
+    free = [o for o in sorted(tree.player_info_sets()) if o not in frozen_dists]
+    oracle = LimitOracle(tree, partition, concept, chi, config, frozen_dists)
 
-    def unpack(x):
-        prof = candidate.copy()
-        idx = 0
-        for o, sup in mixing:
-            vals = []
-            for a in sup[1:]:
-                vals.append(float(min(1.0, max(0.0, x[idx]))))
-                idx += 1
-            dist = {a: 0.0 for a in candidate.dists[o]}
-            dist[sup[0]] = max(0.0, 1.0 - sum(vals))
-            for a, v in zip(sup[1:], vals):
-                dist[a] = v
-            total = sum(dist.values())
-            prof.dists[o] = {a: v / total for a, v in dist.items()}
-        return prof
+    def q_stage(dists, eps):
+        profile = BehaviorProfile(dists)
+        if concept == "chi-sce":
+            return _q_chi_stage(tree, partition, profile, free, eps, config.tie_tol, chi)
+        if concept == "causal-sce":
+            return _q_causal_stage(tree, partition, profile, free, eps, config.tie_tol)
+        return _q_sce_stage(tree, partition, profile, free, eps, config.tie_tol)
 
-    owners_mix = [o for o, _ in mixing]
+    def q_trial(dists, owners):
+        return oracle.artifacts(BehaviorProfile(dists), owners, steps=20)[0]
 
-    def equations(x):
-        prof = unpack(x)
-        q, _, _ = oracle.artifacts(prof, owners_mix, steps=20)
-        out = []
-        for o, sup in mixing:
-            base = q[o][sup[0]]
-            out.extend(q[o][a] - base for a in sup[1:])
-        return out
+    def certify(dists):
+        q, conjs, extras = oracle.artifacts(BehaviorProfile(dists), free)
+        diag = extras.get("limit_diag")
+        return q, diag is None or diag.ok, (conjs, extras)
 
-    x0 = [candidate.dists[o][a] for o, a in variables]
-    sol = optimize.root(equations, x0, method="hybr", tol=1e-12)
-    trial = unpack(sol.x)
-    in_bounds = all(-1e-9 <= x <= 1.0 + 1e-9 for x in sol.x)
-    residual = max((abs(v) for v in sol.fun), default=0.0)
-    return trial, bool(in_bounds and residual <= 1e-7)
+    dists, gaps, (conjs, extras), stages, iterations = _homotopy(
+        concept, config, tree.player_info_sets(), lambda o: tree.info_sets[o].actions,
+        frozen_dists, free, q_stage, q_trial, certify)
+    if stages is None:
+        extras["support_enumeration"] = True
+    eps_path = [(eps, BehaviorProfile(d)) for eps, d in stages or []]
+    return EquilibriumResult(concept, BehaviorProfile(dists), conjs, eps_path, gaps,
+                             True, iterations, config.seed, extras)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,31 @@ def test_solve_nonconvergent_exit_three(seqtrading, tmp_path):
                      "--config", str(cfg)]) == 3
 
 
+@pytest.mark.parametrize("text, message", [
+    ("bogus 3\n", "unknown config key 'bogus'"),
+    ("restarts x\n", "config key 'restarts': expected int"),
+    ("eps_floor tiny\n", "config key 'eps_floor': expected float"),
+    ("polish maybe\n", "config key 'polish': expected bool"),
+    ("seed\n", "config key 'seed': expected int"),
+    ("eps-decay 1.0\n", "eps decay must lie in (0, 1)"),
+])
+def test_bad_config_is_a_usage_error(seqtrading, tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert cli_main(["solve", str(seqtrading), "--concept", "sce",
+                     "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_keys_follow_solver_config(seqtrading, tmp_path, capsys):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("# comment\nrestarts 0\nmax-iters\t80\npolish yes\ngap_tol 1e-8\n",
+                   encoding="utf-8")
+    assert cli_main(["solve", str(seqtrading), "--concept", "sce", "--seed", "7",
+                     "--config", str(cfg)]) == 0
+    assert "2:hi\ta:0.0 d:1.0" in capsys.readouterr().out
+
+
 def test_check_wpce_pass(tmp_path, capsys):
     game = tmp_path / "running.game"
     game.write_text(bundled_game_text("running-example"), encoding="utf-8")

@@ -1,0 +1,56 @@
+"""Pinned solver outputs: the exact bytes a fixed config and seed produce
+(``to_text()`` and the iteration count of tree solves, ``repr`` of static
+CE/ICE strategies).
+
+The determinism tests compare two calls of the same code; this one compares
+against outputs recorded earlier, so a refactor of the solver driver that
+changes any result, draw order or fallback path shows up here.  The static
+game 121 at ``restarts=2`` fails all three starts and is settled by support
+enumeration.
+
+Regenerate the data file only for a deliberate change of results:
+``PYTHONPATH=src python tests/test_pinned.py``.
+"""
+
+import json
+import random
+from pathlib import Path
+
+from cursedeq import games
+from cursedeq.bayesian import random_bayesian_game, solve_ce, solve_ice
+from cursedeq.partition import coarsest_valid_partition
+from cursedeq.solvers import SolverConfig, solve_causal_sce, solve_chi_sce, solve_sce
+
+DATA = Path(__file__).parent / "data" / "pinned_outputs.json"
+
+
+def pinned_outputs():
+    out = {}
+    config = SolverConfig(seed=7)
+    for name, maker in games.EXAMPLE_GAMES.items():
+        tree = maker()
+        part = coarsest_valid_partition(tree)
+        for concept, res in (("sce", solve_sce(tree, part, config)),
+                             ("chi-sce", solve_chi_sce(tree, part, 0.5, config)),
+                             ("causal-sce", solve_causal_sce(tree, part, config))):
+            out[f"{concept}:{name}"] = f"{res.to_text()}iterations {res.iterations}\n"
+    runs = [(s, 0) for s in range(12)] + [(121, 2)]
+    for s, restarts in runs:
+        game = random_bayesian_game(random.Random(s))
+        config = SolverConfig(restarts=restarts)
+        out[f"ce:{s}:{restarts}"] = repr(solve_ce(game, config))
+        out[f"ice:{s}:{restarts}"] = repr(solve_ice(game, config))
+    return out
+
+
+def test_pinned_outputs():
+    expected = json.loads(DATA.read_text(encoding="utf-8"))
+    got = pinned_outputs()
+    assert list(got) == list(expected)
+    for key, text in expected.items():
+        assert got[key] == text, key
+
+
+if __name__ == "__main__":
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps(pinned_outputs(), indent=1) + "\n", encoding="utf-8")

@@ -206,6 +206,24 @@ def test_solver_nonconvergence_exit(paper):
         solve_sce(tree, part, cfg)
 
 
+def test_failed_limit_diagnostics_are_not_an_equilibrium(paper):
+    """Twenty tremble steps are too few for the Cauchy test on the limit
+    conjectures, so no candidate, whether from a start or from support
+    enumeration, may be reported as converged."""
+    tree, part = paper["leader-follower"]
+    with pytest.raises(NonConvergenceError, match="limit certification"):
+        solve_sce(tree, part, SolverConfig(limit_steps=20, restarts=0))
+
+
+@pytest.mark.parametrize("bad", [{"eps_decay": 1.0}, {"eps_decay": 0.0},
+                                 {"eps_decay": 1.5}, {"eps_start": 0.0},
+                                 {"eps_start": -0.1}, {"eps_floor": 0.0},
+                                 {"damping": 0.0}, {"gap_tol": 0.0}])
+def test_solver_config_rejects_bad_values(bad):
+    with pytest.raises(GameError):
+        SolverConfig(**bad)
+
+
 def test_every_solve_passes_wpce_on_random_games():
     solved = 0
     for seed in range(12):
