@@ -5,7 +5,7 @@ from .bayesian import (BayesianGame, crosscheck_equivalence, embed_bayesian, sol
                        solve_ice, trading_bayesian)
 from .bestresponse import check_local_best_response, local_best_response_value
 from .conjectures import (Belief, Conjecture, belief, check_cursed_plausible, compatible,
-                          cursed_conjecture, limit_conjecture_system, tremble_path)
+                          cursed_conjecture, limit_conjecture_system)
 from .gamefile import ParseError, parse_game, serialize_game
 from .games import ComputerPlayerSet, ExperimentSpec, generate_experiment
 from .golden import run_golden_predictions

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .conjectures import cursed_conjecture, tremble_path
+from .conjectures import limit_conjecture_system
 from .gamefile import (ParseError, parse_assessment, parse_experiment, parse_game,
                        parse_model, parse_profile_lines)
 from .golden import run_golden_predictions
@@ -134,14 +134,9 @@ def cmd_conjecture(args):
     if args.at not in tree.info_sets:
         print(f"unknown info set {args.at!r}", file=sys.stderr)
         return EXIT_USAGE
-    if profile.is_fully_mixed():
-        conj = cursed_conjecture(tree, part, profile, args.at)
-    else:
-        path = tremble_path(profile, tree)
-        from .conjectures import limit_conjecture_system
-        system, diag = limit_conjecture_system(tree, part, path, profile,
-                                               owners=[args.at])
-        conj = system[args.at]
+    # the exact limit of a fully mixed profile is its own conjecture
+    system, _ = limit_conjecture_system(tree, part, profile, owners=[args.at])
+    conj = system[args.at]
     recs = [{"infoset": iid, **{a: round(p, 12) for a, p in d.items()}}
             for iid, d in sorted(conj.dists.items())]
     _emit(args, recs, header=f"conjecture at {args.at}")
@@ -190,9 +185,7 @@ def cmd_check(args):
     doc = parse_assessment(_read(args.assessment), tree)
     cfg = _config_from(args)
     if args.concept == "wpce":
-        from .conjectures import limit_conjecture_system
-        path = tremble_path(doc.profile, tree)
-        system, diag = limit_conjecture_system(tree, part, path, doc.profile)
+        system, _ = limit_conjecture_system(tree, part, doc.profile)
         for owner, over in doc.overrides.items():
             for iid, dist in over.items():
                 system[owner].dists[iid] = dict(dist)

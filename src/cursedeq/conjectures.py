@@ -7,7 +7,12 @@ strategy, opponent parts are coarse, and each opponent action probability
 matches its empirical frequency conditional on jointly reaching I and the
 opponent's coarse cell, whenever that event has positive probability.
 Cursed-consistent conjectures arise as limits of the unique cursed-plausible
-conjectures along a vanishing tremble path of fully mixed profiles.
+conjectures along a vanishing tremble path of fully mixed profiles.  The
+path here is sigma_t = (1 - t) sigma + t uniform, and its limit is exact:
+along it every node's reach is a polynomial in t with a positive lowest-order
+coefficient, so reaches carried as leading terms (:class:`LeadingTerm`)
+through the same conjecture code give each limiting frequency as a ratio of
+leading coefficients.
 """
 
 from __future__ import annotations
@@ -95,22 +100,25 @@ def _owner_geometry(tree: GameTree, reach: dict[str, float], owner_nodes):
 
 def cursed_conjecture(tree: GameTree, partition: CoarsePartition,
                       profile: BehaviorProfile, owner: str,
-                      require_mixed: bool = True) -> Conjecture:
+                      require_mixed: bool = True, reach=None) -> Conjecture:
     """The unique cursed-plausible conjecture at ``owner`` for a fully mixed
     profile: own play accords with the profile, every other participant's
     play at a compatible set equals the empirical action frequency of its
     coarse cell conditional on jointly reaching the owner set and the cell.
 
     ``require_mixed=False`` admits profiles with pure entries, as needed for
-    per-action conjectures; cells whose joint event then has probability
-    zero simply drop out of the domain.
+    per-action conjectures and limits; cells whose joint event then has
+    probability zero simply drop out of the domain.  ``reach`` supplies the
+    node reaches so that one tree walk serves every owner: floats from
+    ``node_reach``, or the leading terms of :func:`limit_reach`, which give
+    the limit conjecture along the tremble path of ``profile``.
     """
     if require_mixed and not profile.is_fully_mixed():
         raise GameError("cursed conjecture requires a fully mixed profile")
+    if reach is None:
+        reach = node_reach(tree, profile.full(tree))
     oset = tree.info_sets[owner]
     player = oset.player
-    full = profile.full(tree)
-    reach = node_reach(tree, full)
     mass, below, ancestors = _owner_geometry(tree, reach, oset.nodes)
 
     def touches(nodes):
@@ -274,75 +282,98 @@ def belief(tree: GameTree, conjecture: Conjecture) -> Belief:
     return Belief(conjecture.owner, {h: w / total for h, w in weights.items()})
 
 
-def tremble_path(profile: BehaviorProfile, tree: GameTree, steps: int = 40,
-                 scale: float = 0.1):
-    """Default vanishing tremble path: geometric mixtures with uniform."""
-    uni = BehaviorProfile.uniform(tree)
-    return [profile.mix(uni, scale * 0.5 ** k) for k in range(1, steps + 1)]
+class LeadingTerm:
+    """The leading term c * t**k of a polynomial in t whose lowest-order
+    coefficient is positive; c == 0 is the exact zero.
+
+    Sums of such terms never cancel, so the leading term of a sum is the
+    sum of the lowest-order terms, and a ratio of two of them has the
+    limit c / c' at equal orders and 0 when the numerator's order is
+    higher.  Plain numbers count as terms of order 0.
+    """
+
+    __slots__ = ("c", "k")
+
+    def __init__(self, c: float, k: int = 0):
+        self.c = c
+        self.k = k
+
+    def __mul__(self, other):
+        if isinstance(other, LeadingTerm):
+            return LeadingTerm(self.c * other.c, self.k + other.k)
+        return LeadingTerm(self.c * other, self.k)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if not isinstance(other, LeadingTerm):
+            other = LeadingTerm(other)
+        if not other.c or (self.c and self.k < other.k):
+            return self
+        if not self.c or other.k < self.k:
+            return other
+        return LeadingTerm(self.c + other.c, self.k)
+
+    __radd__ = __add__
+
+    def __gt__(self, zero):
+        return self.c > zero
+
+    def __le__(self, zero):
+        return self.c <= zero
+
+    def __truediv__(self, other):
+        """The limit of the ratio as t vanishes."""
+        if not self.c or self.k > other.k:
+            return 0.0
+        if self.k < other.k:
+            raise ZeroDivisionError("ratio diverges as the tremble vanishes")
+        return self.c / other.c
+
+    def __rtruediv__(self, zero):
+        return LeadingTerm(zero) / self
+
+
+def limit_reach(tree: GameTree, profile: BehaviorProfile, exact=()) -> dict:
+    """Leading terms of every node's reach along the tremble path
+    sigma_t = (1 - t) sigma + t uniform as t vanishes.
+
+    An action keeps sigma(a) at order 0, or trembles to t / |A| at order 1
+    when sigma(a) = 0.  Nature and the info sets in ``exact`` do not
+    tremble, so their zeros stay exact.
+    """
+    dists = {iid: {a: LeadingTerm(p) for a, p in d.items()}
+             for iid, d in tree.nature_dists().items()}
+    for iid, d in profile.dists.items():
+        tremble = LeadingTerm(0.0 if iid in exact else 1.0 / len(d), 1)
+        dists[iid] = {a: LeadingTerm(p) if p > 0.0 else tremble for a, p in d.items()}
+    return node_reach(tree, dists)
 
 
 @dataclass
 class LimitDiagnostics:
-    converged: dict[str, bool]
-    residuals: dict[str, float]
     owner_reach: dict[str, float]
 
     @property
     def ok(self) -> bool:
-        return all(self.converged.values()) and all(r > 0 for r in self.owner_reach.values())
+        return all(r > 0 for r in self.owner_reach.values())
 
 
 def limit_conjecture_system(tree: GameTree, partition: CoarsePartition,
-                            path, target: BehaviorProfile,
-                            cauchy_tol: float = 1e-10, cauchy_runs: int = 3,
-                            owners=None):
-    """Limit of the cursed conjectures along one tremble path.
+                            profile: BehaviorProfile, owners=None):
+    """Exact limits of the cursed conjectures along the tremble path of
+    ``profile``, from one walk of leading-term reaches.
 
-    The same path justifies every conjecture.  Convergence is certified by a
-    Cauchy criterion on successive iterates; the reported limit is the
-    two-point Richardson extrapolation of the last two iterates, which is
-    exact up to second order for geometrically vanishing trembles.
+    The same path justifies every conjecture.  The diagnostics record each
+    owner set's reach under its own limit conjecture, which must be positive.
     """
-    path = list(path)
-    if not path:
-        raise GameError("empty tremble path")
-    if path[-1].distance(target) > 1e-6:
-        raise GameError("tremble path does not converge to the target profile")
     if owners is None:
         owners = tree.player_info_sets()
-
-    histories = {o: [] for o in owners}
-    for prof in path:
-        for o in owners:
-            histories[o].append(cursed_conjecture(tree, partition, prof, o))
-
-    system = {}
-    converged = {}
-    residuals = {}
-    for o in owners:
-        seq = histories[o]
-        runs = 0
-        dist = float("inf")
-        for a, b in zip(seq, seq[1:]):
-            dist = a.distance(b)
-            runs = runs + 1 if dist < cauchy_tol else 0
-        converged[o] = runs >= cauchy_runs
-        residuals[o] = dist
-        prev = seq[-2] if len(seq) > 1 else seq[-1]
-        system[o] = Conjecture(o, _richardson(prev.dists, seq[-1].dists))
-
-    owner_reach = {}
-    for o, conj in system.items():
-        owner_reach[o] = sum(_upward_reach(tree, conj.dists, h)
-                             for h in tree.info_sets[o].nodes)
-
-    return system, LimitDiagnostics(converged, residuals, owner_reach)
-
-
-def _richardson(prev: dict, last: dict) -> dict:
-    """Two-point Richardson step for a geometrically halving tremble,
-    2*last - prev entrywise on ``{key: {entry: probability}}`` and clamped to
-    [0, 1]; entries missing from ``prev`` keep their last value."""
-    return {k: {a: min(1.0, max(0.0, 2.0 * v - prev.get(k, d).get(a, v)))
-                for a, v in d.items()}
-            for k, d in last.items()}
+    reach = limit_reach(tree, profile)
+    system = {o: cursed_conjecture(tree, partition, profile, o, require_mixed=False,
+                                   reach=reach)
+              for o in owners}
+    owner_reach = {o: sum(_upward_reach(tree, conj.dists, h)
+                          for h in tree.info_sets[o].nodes)
+                   for o, conj in system.items()}
+    return system, LimitDiagnostics(owner_reach)

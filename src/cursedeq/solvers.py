@@ -6,8 +6,11 @@ best-response map, found by damped simultaneous iteration with seeded
 restarts.  Interior mixing defeats plain damped iteration, so after the
 floor schedule the solver detects the support and solves the exact
 indifference conditions of the limit conjectures with a Newton-type root
-finder, then certifies local best responses under the extrapolated limits.
-The same driver solves static CE/ICE (``bayesian``) with its own oracles.
+finder, then certifies local best responses under the limit conjectures.
+Every limit is exact: conjectures and beliefs along the tremble path
+(1 - t) sigma + t uniform are taken to t -> 0 from leading-term reaches
+(``conjectures.limit_reach``).  The same driver solves static CE/ICE
+(``bayesian``) with its own oracles.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass, field
 from scipy import optimize
 
 from .bestresponse import Scenario, _floor_dist, check_local_best_response, optimize_plan
-from .conjectures import (Conjecture, _richardson, belief, check_cursed_plausible,
-                          cursed_conjecture, limit_conjecture_system, tremble_path)
+from .conjectures import (belief, check_cursed_plausible, cursed_conjecture,
+                          limit_conjecture_system, limit_reach)
 from .games import ComputerPlayerSet
 from .partition import CoarsePartition
 from .tree import BehaviorProfile, GameError, GameTree, node_reach
@@ -48,7 +51,6 @@ class SolverConfig:
     restarts: int = 20
     seed: int = 0
     polish: bool = True
-    limit_steps: int = 40
 
     def __post_init__(self):
         if not (self.eps_start > 0 and self.eps_floor > 0):
@@ -107,20 +109,9 @@ class EquilibriumResult:
 # Q-value oracles (stage versions work on fully mixed iterates)
 # ---------------------------------------------------------------------------
 
-def _q_sce_stage(tree, partition, profile, owners, floor, tie_tol):
-    out = {}
-    for o in owners:
-        conj = cursed_conjecture(tree, partition, profile, o)
-        b = belief(tree, conj)
-        sc = Scenario(1.0, b.probs, conj.dists)
-        res = optimize_plan(tree, o, [sc], tree.info_sets[o].player,
-                            floor=floor, tie_tol=tie_tol)
-        out[o] = res.action_values
-    return out
-
-
-def _bayes_belief(tree, profile, owner):
-    reach = node_reach(tree, profile.full(tree))
+def _bayes_belief(tree, reach, owner):
+    """Bayes distribution over the owner's nodes from the node reaches
+    (floats, or leading terms for the limit)."""
     nodes = tree.info_sets[owner].nodes
     total = sum(reach[h] for h in nodes)
     if total <= 0.0:
@@ -128,16 +119,19 @@ def _bayes_belief(tree, profile, owner):
     return {h: reach[h] / total for h in nodes}
 
 
-def _q_chi_stage(tree, partition, profile, owners, floor, tie_tol, chi):
+def _q_stage(tree, partition, profile, owners, floor, tie_tol, chi=1.0):
+    """Floored values under the chi-weighted mixture of the cursed
+    conjecture and the Bayes belief (chi = 1 is SCE)."""
     out = {}
     full = profile.full(tree)
+    reach = node_reach(tree, full)
     for o in owners:
         scenarios = []
         if chi > 0.0:
-            conj = cursed_conjecture(tree, partition, profile, o)
+            conj = cursed_conjecture(tree, partition, profile, o, reach=reach)
             scenarios.append(Scenario(chi, belief(tree, conj).probs, conj.dists))
         if chi < 1.0:
-            scenarios.append(Scenario(1.0 - chi, _bayes_belief(tree, profile, o), full))
+            scenarios.append(Scenario(1.0 - chi, _bayes_belief(tree, reach, o), full))
         res = optimize_plan(tree, o, scenarios, tree.info_sets[o].player,
                             floor=floor, tie_tol=tie_tol)
         out[o] = res.action_values
@@ -151,92 +145,64 @@ def _force_action(profile: BehaviorProfile, owner: str, action: str) -> Behavior
     return mod
 
 
-def _q_causal_stage(tree, partition, profile, owners, floor, tie_tol):
+def _q_causal(tree, partition, profile, owners, floor, tie_tol, limit=False):
     """One conjecture per available action: the owner evaluates each action
-    under the cursed conjecture of the profile modified to play it surely."""
-    out = {}
+    under the cursed conjecture of the profile modified to play it surely
+    (with ``limit``, the exact limit along the tremble path, in which the
+    forced action does not tremble).  Returns the values and the
+    conjectures keyed by (owner, action)."""
+    out, conjs = {}, {}
     for o in owners:
         player = tree.info_sets[o].player
         q = {}
         for a in tree.info_sets[o].actions:
-            conj = cursed_conjecture(tree, partition, _force_action(profile, o, a), o,
-                                     require_mixed=False)
+            forced = _force_action(profile, o, a)
+            reach = limit_reach(tree, forced, exact=(o,)) if limit else None
+            conj = cursed_conjecture(tree, partition, forced, o, require_mixed=False,
+                                     reach=reach)
+            conjs[(o, a)] = conj
             sc = Scenario(1.0, belief(tree, conj).probs, conj.dists)
             res = optimize_plan(tree, o, [sc], player, floor=floor,
                                 tie_tol=tie_tol, forced=a)
             q[a] = res.action_values[a]
         out[o] = q
-    return out
+    return out, conjs
 
 
 # ---------------------------------------------------------------------------
 # Limit artifacts: conjectures, beliefs and Q values as trembles vanish
 # ---------------------------------------------------------------------------
 
-def _limit_bayes_beliefs(tree, path, owners):
-    """Bayes beliefs at each owner set, extrapolated from the last two
-    profiles of the tremble path and renormalized."""
-    seq = []
-    for prof in path[-2:]:
-        reach = node_reach(tree, prof.full(tree))
-        beliefs = {}
-        for o in owners:
-            nodes = tree.info_sets[o].nodes
-            total = sum(reach[h] for h in nodes)
-            beliefs[o] = {h: reach[h] / total for h in nodes}
-        seq.append(beliefs)
-    out = {}
-    for o, lim in _richardson(seq[0], seq[-1]).items():
-        total = sum(lim.values())
-        out[o] = {h: v / total for h, v in lim.items()}
-    return out
-
-
 class LimitOracle:
     """Q values, conjectures and beliefs in the vanishing-tremble limit.
 
-    All limits come from one geometric tremble path of the candidate profile
-    with two-point extrapolation, so the same path justifies every
-    conjecture in the reported system.
+    Every limit is exact and taken along one tremble path of the candidate
+    profile, so the same path justifies every conjecture in the reported
+    system.  Causal SCE evaluates each owner action under the limit
+    conjecture of the profile that plays it surely, untrembled.
     """
 
-    def __init__(self, tree, partition, concept, chi, config, frozen_dists):
+    def __init__(self, tree, partition, concept, chi, config):
         self.tree = tree
         self.partition = partition
         self.concept = concept
         self.chi = chi
         self.config = config
-        self.frozen_dists = frozen_dists
 
-    def artifacts(self, profile, owners, steps=None):
-        steps = steps or self.config.limit_steps
+    def artifacts(self, profile, owners):
         tree, partition = self.tree, self.partition
-        path = tremble_path(profile, tree, steps)
         tie = self.config.tie_tol
-        q = {}
         if self.concept == "causal-sce":
-            conjs = {}
-            for o in owners:
-                player = tree.info_sets[o].player
-                qo = {}
-                for a in tree.info_sets[o].actions:
-                    prev, last = [cursed_conjecture(tree, partition, _force_action(p, o, a), o,
-                                                    require_mixed=False)
-                                  for p in path[-2:]]
-                    conj = Conjecture(o, _richardson(prev.dists, last.dists))
-                    conjs[(o, a)] = conj
-                    sc = Scenario(1.0, belief(tree, conj).probs, conj.dists)
-                    res = optimize_plan(tree, o, [sc], player, tie_tol=tie, forced=a)
-                    qo[a] = res.action_values[a]
-                q[o] = qo
+            q, conjs = _q_causal(tree, partition, profile, owners, 0.0, tie, limit=True)
             return q, conjs, {}
 
-        system, diag = limit_conjecture_system(tree, partition, path, profile,
-                                               owners=owners)
+        system, diag = limit_conjecture_system(tree, partition, profile, owners)
         bayes = {}
         if self.concept == "chi-sce" and self.chi < 1.0:
-            bayes = _limit_bayes_beliefs(tree, path, owners)
+            reach = limit_reach(tree, profile)
+            bayes = {o: _bayes_belief(tree, reach, o) for o in owners}
         full = profile.full(tree)
+        q = {}
         for o in owners:
             conj = system[o]
             player = tree.info_sets[o].player
@@ -438,8 +404,7 @@ def _root_support(base, supports, x0, q_of, tol):
     return _fill(base, supports, sol.x)
 
 
-def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol,
-                                  tie_tol=1e-9, budget=1000):
+def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol, budget=1000):
     """Deterministic support enumeration for small games.
 
     Tries support combinations smallest-first; mixing supports are solved by
@@ -485,18 +450,16 @@ def _solve(tree: GameTree, partition: CoarsePartition, config: SolverConfig,
     oracle, whose diagnostics must pass for a candidate to count."""
     frozen_dists = frozen.info_set_dists() if frozen else {}
     free = [o for o in sorted(tree.player_info_sets()) if o not in frozen_dists]
-    oracle = LimitOracle(tree, partition, concept, chi, config, frozen_dists)
+    oracle = LimitOracle(tree, partition, concept, chi, config)
 
     def q_stage(dists, eps):
         profile = BehaviorProfile(dists)
-        if concept == "chi-sce":
-            return _q_chi_stage(tree, partition, profile, free, eps, config.tie_tol, chi)
         if concept == "causal-sce":
-            return _q_causal_stage(tree, partition, profile, free, eps, config.tie_tol)
-        return _q_sce_stage(tree, partition, profile, free, eps, config.tie_tol)
+            return _q_causal(tree, partition, profile, free, eps, config.tie_tol)[0]
+        return _q_stage(tree, partition, profile, free, eps, config.tie_tol, chi)
 
     def q_trial(dists, owners):
-        return oracle.artifacts(BehaviorProfile(dists), owners, steps=20)[0]
+        return oracle.artifacts(BehaviorProfile(dists), owners)[0]
 
     def certify(dists):
         q, conjs, extras = oracle.artifacts(BehaviorProfile(dists), free)
@@ -530,7 +493,7 @@ def epsilon_best_response(tree: GameTree, partition: CoarsePartition,
         if any(p < eps - 1e-12 for p in profile.dists[iid].values()):
             raise GameError(f"profile violates the floor at {iid!r}")
     free = [o for o in tree.player_info_sets() if o not in frozen_dists]
-    q = _q_sce_stage(tree, partition, profile, free, eps, tie_tol)
+    q = _q_stage(tree, partition, profile, free, eps, tie_tol)
     out = profile.copy()
     for o in free:
         acts = tree.info_sets[o].actions
@@ -598,14 +561,15 @@ def solve_wpce(tree: GameTree, partition: CoarsePartition,
 def sce_witness_check(tree: GameTree, partition: CoarsePartition,
                       profile: BehaviorProfile, config: SolverConfig | None = None,
                       concept: str = "sce", chi: float = 1.0):
-    """Certify a supplied profile: derive the limit conjecture system along
-    the default tremble path and test local best responses against it.
+    """Certify a supplied profile: derive the exact limit conjecture system
+    along the tremble path (1 - t) profile + t uniform and test local best
+    responses against it.
 
     Returns (ok, gaps, conjectures).  This is witness-based certification,
     not a search over all paths.
     """
     config = config or SolverConfig()
-    oracle = LimitOracle(tree, partition, concept, chi, config, {})
+    oracle = LimitOracle(tree, partition, concept, chi, config)
     owners = sorted(tree.player_info_sets())
     q, conjs, extras = oracle.artifacts(profile, owners)
     gaps = {}

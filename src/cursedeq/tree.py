@@ -102,9 +102,6 @@ class GameTree:
     def is_terminal(self, node: str) -> bool:
         return node not in self.children or not self.children[node]
 
-    def actions_at(self, node: str) -> tuple[str, ...]:
-        return tuple(self.children[node].keys())
-
     def depth(self, node: str) -> int:
         return self._depth[node]
 

@@ -14,8 +14,7 @@ import pytest
 from cursedeq import games
 from cursedeq.bayesian import crosscheck_equivalence, random_bayesian_game, solve_ice
 from cursedeq.bestresponse import local_best_response_value
-from cursedeq.conjectures import (check_cursed_plausible, limit_conjecture_system,
-                                  tremble_path)
+from cursedeq.conjectures import check_cursed_plausible, limit_conjecture_system
 from cursedeq.partition import coarsest_valid_partition
 from cursedeq.solvers import (NonConvergenceError, SolverConfig, check_wpce,
                               sce_witness_check, solve_sce)
@@ -67,8 +66,7 @@ def test_criterion_2_conjecture_goldens(paper):
     with criterion(2, "conjecture goldens at 1e-6"):
         tree, part = paper["running-example"]
         prof = games.running_profile_y()
-        system, diag = limit_conjecture_system(
-            tree, part, tremble_path(prof, tree), prof)
+        system, diag = limit_conjecture_system(tree, part, prof)
         assert diag.ok
         conj = system["1:I"]
         nat = conj.dists["is:r"]
@@ -82,8 +80,7 @@ def test_criterion_2_conjecture_goldens(paper):
         seq, seq_part = paper["sequential-trading"]
         deviate = BehaviorProfile.pure(seq, {"1:lo": "d", "1:hi": "d",
                                              "2:w1": "d", "2:hi": "a"})
-        system, diag = limit_conjecture_system(
-            seq, seq_part, tremble_path(deviate, seq), deviate)
+        system, diag = limit_conjecture_system(seq, seq_part, deviate)
         assert diag.ok
         conj = system["1:lo"]
         assert abs(conj.dists["2:w1"]["a"] - 0.5) <= 1e-6
@@ -173,8 +170,7 @@ def test_criterion_4_theorem_property_suites():
             tree = random_game(rng, 30)
             part = coarsest_valid_partition(tree)
             target = random_profile(rng, tree)
-            system, diag = limit_conjecture_system(
-                tree, part, tremble_path(target, tree), target)
+            system, diag = limit_conjecture_system(tree, part, target)
             report = check_cursed_plausible(tree, part, target, system, tol=1e-6)
             assert report.ok, f"theorem-2 seed {seed}: {report}"
 

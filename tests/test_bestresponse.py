@@ -2,12 +2,12 @@ import pytest
 
 from cursedeq import games
 from cursedeq.bestresponse import check_local_best_response, local_best_response_value
-from cursedeq.conjectures import limit_conjecture_system, tremble_path
+from cursedeq.conjectures import limit_conjecture_system
 from cursedeq.tree import BehaviorProfile, GameBuilder
 
 
 def limit_system(tree, part, prof):
-    system, _ = limit_conjecture_system(tree, part, tremble_path(prof, tree), prof)
+    system, _ = limit_conjecture_system(tree, part, prof)
     return system
 
 

@@ -75,6 +75,7 @@ def test_solve_nonconvergent_exit_three(seqtrading, tmp_path):
     ("polish maybe\n", "config key 'polish': expected bool"),
     ("seed\n", "config key 'seed': expected int"),
     ("eps-decay 1.0\n", "eps decay must lie in (0, 1)"),
+    ("limit_steps 40\n", "unknown config key 'limit_steps'"),
 ])
 def test_bad_config_is_a_usage_error(seqtrading, tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
@@ -124,17 +125,35 @@ def test_check_chi_zero_flags_deviation(tmp_path):
                      "--concept", "chi-sce", "--chi", "0"]) == 1
 
 
+CONJECTURE_RUNNING_UNIFORM = """conjecture at 1:I
+infoset=1:I\tx=0.5\ty=0.5
+infoset=2:w2y\tl=0.5\tr=0.5
+infoset=2:w3y\tl=0.5\tr=0.5
+infoset=is:r\tw1=0.0\tw2=0.333333333333\tw3=0.666666666667
+"""
+
+CONJECTURE_RUNNING_PURE = """conjecture at 1:I
+infoset=1:I\tx=0.0\ty=1.0
+infoset=2:w2y\tl=0.333333333333\tr=0.666666666667
+infoset=2:w3y\tl=0.333333333333\tr=0.666666666667
+infoset=is:r\tw1=0.0\tw2=0.333333333333\tw3=0.666666666667
+"""
+
+
 def test_conjecture_command(tmp_path, capsys):
+    """The uniform profile prints its own conjecture; the pure profile
+    prints the limit along its tremble path."""
     game = tmp_path / "running.game"
     game.write_text(bundled_game_text("running-example"), encoding="utf-8")
+    assert cli_main(["conjecture", str(game), "--at", "1:I"]) == 0
+    assert capsys.readouterr().out == CONJECTURE_RUNNING_UNIFORM
     prof = tmp_path / "profile.txt"
     prof.write_text(
         "play 1:I x:0 y:1\nplay 2:w1 l:1 r:0\n"
         "play 2:w2y l:1 r:0\nplay 2:w3y l:0 r:1\n", encoding="utf-8")
     assert cli_main(["conjecture", str(game), "--at", "1:I",
                      "--profile", str(prof)]) == 0
-    out = capsys.readouterr().out
-    assert "2:w2y" in out
+    assert capsys.readouterr().out == CONJECTURE_RUNNING_PURE
 
 
 def test_experiment_command(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from cursedeq import games
 from cursedeq.conjectures import (belief, check_cursed_plausible, compatible,
-                                  cursed_conjecture, limit_conjecture_system, tremble_path)
+                                  cursed_conjecture, limit_conjecture_system)
 from cursedeq.tree import BehaviorProfile
 from randgames import random_game, random_profile
 
@@ -63,8 +63,7 @@ def test_cursed_conjecture_pennies(paper):
 def test_check_cursed_plausible_pass_and_fail(paper):
     tree, part = paper["running-example"]
     prof = games.running_profile_y()
-    path = tremble_path(prof, tree)
-    system, diag = limit_conjecture_system(tree, part, path, prof)
+    system, diag = limit_conjecture_system(tree, part, prof)
     assert diag.ok
     report = check_cursed_plausible(tree, part, prof, system)
     assert report.ok, str(report)
@@ -80,8 +79,7 @@ def test_check_cursed_plausible_pass_and_fail(paper):
 def test_plausibility_zero_probability_clause_vacuous(paper):
     tree, part = paper["running-example"]
     prof = games.running_profile_x()
-    path = tremble_path(prof, tree)
-    system, _ = limit_conjecture_system(tree, part, path, prof)
+    system, _ = limit_conjecture_system(tree, part, prof)
     # overriding with the far-fetched conjecture (2 plays l surely) is still
     # cursed-plausible because the joint event has probability zero
     system["1:I"].dists["2:w2y"] = {"l": 1.0, "r": 0.0}
@@ -94,8 +92,7 @@ def test_accords_violation_trips_clause_one(paper):
     tree, part = paper["club-membership"]
     prof = BehaviorProfile.pure(tree, {"G:1": "a", "C:w1": "a",
                                        "C:w2": "d", "G:2": "resign"})
-    path = tremble_path(prof, tree)
-    system, _ = limit_conjecture_system(tree, part, path, prof)
+    system, _ = limit_conjecture_system(tree, part, prof)
     # the later set's own part at the earlier own set must force the move
     # toward the owner; pointing it elsewhere breaks the first clause
     system["G:2"].dists["G:1"] = {"a": 0.0, "d": 1.0}
@@ -107,8 +104,7 @@ def test_accords_violation_trips_clause_one(paper):
 def test_belief_running(paper):
     tree, part = paper["running-example"]
     prof = games.running_profile_y()
-    path = tremble_path(prof, tree)
-    system, _ = limit_conjecture_system(tree, part, path, prof)
+    system, _ = limit_conjecture_system(tree, part, prof)
     b = belief(tree, system["1:I"])
     assert b.probs["w2"] == pytest.approx(1 / 3, abs=1e-9)
     assert b.probs["w3"] == pytest.approx(2 / 3, abs=1e-9)
@@ -119,8 +115,7 @@ def test_belief_point_mass_club(paper):
     tree, part = paper["club-membership"]
     prof = BehaviorProfile.pure(tree, {"G:1": "a", "C:w1": "a",
                                        "C:w2": "d", "G:2": "resign"})
-    path = tremble_path(prof, tree)
-    system, _ = limit_conjecture_system(tree, part, path, prof)
+    system, _ = limit_conjecture_system(tree, part, prof)
     b = belief(tree, system["G:2"])
     assert b.probs["w1aa"] == pytest.approx(1.0, abs=1e-9)
 
@@ -133,29 +128,20 @@ def test_limit_sequential_trading_footnote():
     part = coarsest_valid_partition(tree)
     prof = BehaviorProfile.pure(tree, {"1:lo": "d", "1:hi": "d",
                                        "2:w1": "d", "2:hi": "a"})
-    path = tremble_path(prof, tree)
-    system, diag = limit_conjecture_system(tree, part, path, prof)
+    system, diag = limit_conjecture_system(tree, part, prof)
     conj = system["1:lo"]
     assert conj.dists["2:w1"]["a"] == pytest.approx(0.5, abs=1e-9)
     assert conj.dists["2:hi"]["a"] == pytest.approx(0.5, abs=1e-9)
     assert diag.ok
 
 
-def test_constant_path_returns_exact_conjecture(paper):
+def test_limit_of_fully_mixed_profile_is_its_conjecture(paper):
     tree, part = paper["running-example"]
     prof = BehaviorProfile.uniform(tree)
-    system, diag = limit_conjecture_system(tree, part, [prof] * 5, prof)
+    system, diag = limit_conjecture_system(tree, part, prof)
     direct = cursed_conjecture(tree, part, prof, "1:I")
-    assert system["1:I"].distance(direct) < 1e-12
+    assert system["1:I"].distance(direct) == 0.0
     assert diag.ok
-
-
-def test_path_must_converge_to_target(paper):
-    tree, part = paper["running-example"]
-    prof = games.running_profile_y()
-    other = games.running_profile_x()
-    with pytest.raises(Exception):
-        limit_conjecture_system(tree, part, tremble_path(other, tree), prof)
 
 
 def test_theorem2_random_games():
@@ -166,10 +152,13 @@ def test_theorem2_random_games():
         from cursedeq.partition import coarsest_valid_partition
         part = coarsest_valid_partition(tree)
         target = random_profile(game_rng, tree)
-        system, diag = limit_conjecture_system(
-            tree, part, tremble_path(target, tree), target)
+        system, diag = limit_conjecture_system(tree, part, target)
         report = check_cursed_plausible(tree, part, target, system, tol=1e-6)
         assert report.ok, f"seed {seed}: {report}"
+        for conj in system.values():
+            for iid, dist in conj.dists.items():
+                assert all(0.0 <= p <= 1.0 for p in dist.values()), (seed, iid, dist)
+                assert abs(sum(dist.values()) - 1.0) <= 1e-15, (seed, iid, dist)
 
 
 def test_uniqueness_for_fully_mixed(paper):

@@ -105,13 +105,13 @@ def test_chi_half_mixture_value(paper):
     from cursedeq.solvers import LimitOracle
     prof = BehaviorProfile.pure(tree, {"1:lo": "a", "1:hi": "d",
                                        "2:t2": "d", "2:t2p": "a"})
-    oracle = LimitOracle(tree, part, "chi-sce", 0.5, SolverConfig(), {})
+    oracle = LimitOracle(tree, part, "chi-sce", 0.5, SolverConfig())
     q, _, _ = oracle.artifacts(prof, ["2:t2p"])
     assert q["2:t2p"]["a"] == pytest.approx(0.0, abs=1e-9)
-    oracle1 = LimitOracle(tree, part, "chi-sce", 1.0, SolverConfig(), {})
+    oracle1 = LimitOracle(tree, part, "chi-sce", 1.0, SolverConfig())
     q1, _, _ = oracle1.artifacts(prof, ["2:t2p"])
     assert q1["2:t2p"]["a"] == pytest.approx(0.5, abs=1e-9)
-    oracle0 = LimitOracle(tree, part, "chi-sce", 0.0, SolverConfig(), {})
+    oracle0 = LimitOracle(tree, part, "chi-sce", 0.0, SolverConfig())
     q0, _, _ = oracle0.artifacts(prof, ["2:t2p"])
     assert q0["2:t2p"]["a"] == pytest.approx(-0.5, abs=1e-9)
 
@@ -206,13 +206,38 @@ def test_solver_nonconvergence_exit(paper):
         solve_sce(tree, part, cfg)
 
 
-def test_failed_limit_diagnostics_are_not_an_equilibrium(paper):
-    """Twenty tremble steps are too few for the Cauchy test on the limit
-    conjectures, so no candidate, whether from a start or from support
+def test_failed_limit_diagnostics_are_not_an_equilibrium(paper, monkeypatch):
+    """A limit system that reaches its owner set with probability zero fails
+    the certification, so no candidate, whether from a start or from support
     enumeration, may be reported as converged."""
+    from cursedeq import solvers
+    from cursedeq.conjectures import LimitDiagnostics
+
+    exact = solvers.limit_conjecture_system
+
+    def zero_owner_reach(*args, **kwargs):
+        system, diag = exact(*args, **kwargs)
+        return system, LimitDiagnostics(dict.fromkeys(diag.owner_reach, 0.0))
+
+    monkeypatch.setattr(solvers, "limit_conjecture_system", zero_owner_reach)
     tree, part = paper["leader-follower"]
     with pytest.raises(NonConvergenceError, match="limit certification"):
-        solve_sce(tree, part, SolverConfig(limit_steps=20, restarts=0))
+        solve_sce(tree, part, SolverConfig(restarts=0))
+
+
+def test_mixing_polish_reaches_the_exact_root(paper):
+    """The limit values are exact, so the polished mixture solves
+    6 p (1 - p) = 1 to rounding: p = (3 - sqrt 3) / 6."""
+    tree, part = paper["mixing"]
+    res = solve_sce(tree, part, SolverConfig(seed=7))
+    assert abs(res.profile.dists["I1"]["L"] - (3 - 3 ** 0.5) / 6) <= 1e-15
+
+
+def test_untrembled_limit_zero_is_exact(paper):
+    """An action that only a tremble reaches has limit frequency exactly 0."""
+    tree, part = paper["leader-follower"]
+    res = solve_sce(tree, part, SolverConfig(seed=7))
+    assert res.conjectures["I1"].dists["I2L"]["l"] == 0.0
 
 
 @pytest.mark.parametrize("bad", [{"eps_decay": 1.0}, {"eps_decay": 0.0},
