@@ -85,14 +85,15 @@ def optimize_plan(tree: GameTree, owner: str, scenarios, player: str,
         key = stack.pop()
         order.append(key)
         si, n = key
-        if tree.is_terminal(n):
+        kids = tree.children[n]
+        if not kids:
             continue
         iid = tree.info_set_of[n]
         if tree.player_of[n] == player:
-            step = {a: 1.0 for a in tree.children[n]}
+            step = {a: 1.0 for a in kids}
         else:
             step = scenarios[si].dists.get(iid, {})
-        for a, child in tree.children[n].items():
+        for a, child in kids.items():
             ck = (si, child)
             w = weight[key] * step.get(a, 0.0)
             if ck in seen:
@@ -104,7 +105,7 @@ def optimize_plan(tree: GameTree, owner: str, scenarios, player: str,
 
     own_sets = {}
     for (si, n) in order:
-        if not tree.is_terminal(n) and tree.player_of[n] == player:
+        if tree.children[n] and tree.player_of[n] == player:
             own_sets.setdefault(tree.info_set_of[n], []).append((si, n))
 
     def own_depth(iid):
@@ -124,7 +125,7 @@ def optimize_plan(tree: GameTree, owner: str, scenarios, player: str,
         key = (si, n)
         if key in values:
             return values[key]
-        if tree.is_terminal(n):
+        if not tree.children[n]:
             v = tree.payoffs[n][player]
         else:
             iid = tree.info_set_of[n]

@@ -71,31 +71,39 @@ def compatible(tree: GameTree, iid: str, jid: str) -> bool:
     return False
 
 
-def _owner_geometry(tree: GameTree, reach: dict[str, float], owner_nodes):
-    """One pass over the tree relative to an owner information set.
-
-    Returns, per node, the probability mass of terminals below it whose path
-    passes through the owner set, plus the weakly-below flags and the
-    ancestor set used for fast compatibility tests.
-    """
-    marked = set(owner_nodes)
-    below_flag = {}
-    order = tree.nodes
-    for n in order:
-        p = tree.parent[n]
-        below_flag[n] = n in marked or (p is not None and below_flag[p])
-    ancestors = set()
-    for h in owner_nodes:
-        ancestors.update(tree.ancestors(h))
+def _owner_geometry(tree: GameTree, reach, owner_nodes) -> dict:
+    """Per node, the mass of the terminals below it whose path passes through
+    the owner set: ``reach[n]`` weakly below an owner node, the children's sum
+    (in ``tree.children`` order, as a whole-tree pass adds them) on the
+    ancestor chains, and zero elsewhere.  Only the owner subtrees and then
+    their ancestors, deepest first, are walked and returned."""
     mass = {}
-    for n in reversed(order):
-        if below_flag[n]:
-            mass[n] = reach[n]
-        elif tree.is_terminal(n):
-            mass[n] = 0.0
-        else:
-            mass[n] = sum(mass[c] for c in tree.children[n].values())
-    return mass, below_flag, ancestors
+    stack = list(owner_nodes)
+    while stack:
+        n = stack.pop()
+        mass[n] = reach[n]
+        stack.extend(tree.children[n].values())
+    chain = {}
+    for h in owner_nodes:
+        for a in tree.ancestors(h):
+            if a in mass or a in chain:
+                break
+            chain[a] = tree.depth(a)
+    for a in sorted(chain, key=chain.get, reverse=True):
+        mass[a] = sum(mass.get(c, 0.0) for c in tree.children[a].values())
+    return mass
+
+
+def _cell_freq(tree: GameTree, partition: CoarsePartition, mass, cid: str):
+    """Action frequencies of coarse cell ``cid`` conditional on passing
+    through the owner set whose region ``mass`` describes, or None when that
+    event has mass zero."""
+    nodes = [g for g in partition.cells[cid] if g in mass]
+    denom = sum(mass[g] for g in nodes)
+    if denom <= 0.0:
+        return None
+    return {a: sum(mass.get(tree.children[g][a], 0.0) for g in nodes) / denom
+            for a in partition.actions[cid]}
 
 
 def cursed_conjecture(tree: GameTree, partition: CoarsePartition,
@@ -119,27 +127,12 @@ def cursed_conjecture(tree: GameTree, partition: CoarsePartition,
         reach = node_reach(tree, profile.full(tree))
     oset = tree.info_sets[owner]
     player = oset.player
-    mass, below, ancestors = _owner_geometry(tree, reach, oset.nodes)
-
-    def touches(nodes):
-        return any(below[n] or n in ancestors for n in nodes)
-
+    mass = _owner_geometry(tree, reach, oset.nodes)
     cell_freq = {}
-    for cid, nodes in partition.cells.items():
-        if partition.owner[cid] == player:
-            continue
-        denom = sum(mass[g] for g in nodes)
-        if denom <= 0.0:
-            continue
-        freq = {}
-        for a in partition.actions[cid]:
-            freq[a] = sum(mass[tree.children[g][a]] for g in nodes) / denom
-        cell_freq[cid] = freq
-
     dists = {}
-    for iid, iset in tree.info_sets.items():
-        if not touches(iset.nodes):
-            continue
+    touched = {tree.info_set_of[n] for n in mass if tree.children[n]}
+    for iid in sorted(touched, key=tree.info_set_rank.__getitem__):
+        iset = tree.info_sets[iid]
         if iset.player == player:
             if iid == owner:
                 dists[iid] = dict(profile.dists[iid])
@@ -151,7 +144,9 @@ def cursed_conjecture(tree: GameTree, partition: CoarsePartition,
                     dists[iid] = dict(profile.dists[iid])
             continue
         cid = partition.cell_of[iset.nodes[0]]
-        if cid in cell_freq:
+        if cid not in cell_freq:
+            cell_freq[cid] = _cell_freq(tree, partition, mass, cid)
+        if cell_freq[cid] is not None:
             dists[iid] = dict(cell_freq[cid])
     return Conjecture(owner, dists)
 
@@ -231,21 +226,19 @@ def check_cursed_plausible(tree: GameTree, partition: CoarsePartition,
         for p in accords_with(tree, conj, profile, tol):
             issues.append(PlausibilityIssue(owner, 1, p.split(":")[0], p))
 
-        mass, _, _ = _owner_geometry(tree, reach, oset.nodes)
+        mass = _owner_geometry(tree, reach, oset.nodes)
         for iid, dist in conj.dists.items():
             iset = tree.info_sets[iid]
             if iset.player == oset.player:
                 continue
-            cid = partition.cell_of[iset.nodes[0]]
-            denom = sum(mass[g] for g in partition.cells[cid])
-            if denom <= 0.0:
+            freq = _cell_freq(tree, partition, mass, partition.cell_of[iset.nodes[0]])
+            if freq is None:
                 continue
             for a in iset.actions:
-                emp = sum(mass[tree.children[g][a]] for g in partition.cells[cid]) / denom
-                if abs(dist.get(a, 0.0) - emp) > tol:
+                prob, emp = dist.get(a, 0.0), freq[a]
+                if abs(prob - emp) > tol:
                     issues.append(PlausibilityIssue(
-                        owner, 2, iid,
-                        f"action {a!r} conjectured {dist.get(a, 0.0):.6g}, empirical {emp:.6g}"))
+                        owner, 2, iid, f"action {a!r} conjectured {prob:.6g}, empirical {emp:.6g}"))
 
         opponent = {iid: d for iid, d in conj.dists.items()
                     if tree.info_sets[iid].player != oset.player}

@@ -176,8 +176,9 @@ def _solve_prices(tree, partition, g, treatment, p1):
 
     floored = BehaviorProfile({i: {a: (1 - eps * len(d)) * pr + eps for a, pr in d.items()}
                                for i, d in profile.dists.items()})
+    reach = node_reach(tree, floored.full(tree))
     for iid in tree.player_info_sets("T2"):
-        conj = cursed_conjecture(tree, partition, floored, iid)
+        conj = cursed_conjecture(tree, partition, floored, iid, reach=reach)
         res = optimize_plan(tree, iid, [Scenario(1.0, belief(tree, conj).probs, conj.dists)],
                             "T2", tie_tol=1e-9)
         best = max(res.action_values.values())

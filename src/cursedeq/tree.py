@@ -80,6 +80,7 @@ class GameTree:
         self.nature_probs = nature_probs
         self.info_sets = info_sets
         self.info_set_of = info_set_of
+        self.info_set_rank = {iid: k for k, iid in enumerate(info_sets)}
         self.nodes = self._topological_order()
         self._depth = {}
         d = self._depth
@@ -423,16 +424,17 @@ def node_reach(tree: GameTree, dists: dict[str, dict[str, float]],
     stack = [start]
     while stack:
         n = stack.pop()
-        r = reach[n]
-        if tree.is_terminal(n):
+        kids = tree.children[n]
+        if not kids:
             continue
+        r = reach[n]
         iid = tree.info_set_of[n]
         dist = dists.get(iid)
         if dist is None:
             if r > 0.0 and strict:
                 raise UncoveredInfoSetError(f"no distribution for info set {iid!r}")
             dist = {}
-        for a, child in tree.children[n].items():
+        for a, child in kids.items():
             reach[child] = r * dist.get(a, 0.0)
             stack.append(child)
     return reach

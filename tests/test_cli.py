@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -162,6 +163,15 @@ def test_experiment_command(tmp_path, capsys):
     assert cli_main(["experiment", "--spec", str(spec)]) == 0
     out = capsys.readouterr().out
     assert "65/65" in out
+
+
+def test_experiment_learning_from_prices(tmp_path, capsys):
+    spec = tmp_path / "prices.spec"
+    spec.write_text("experiment learning-from-prices\nconcept wpce\nG 5\n",
+                    encoding="utf-8")
+    assert cli_main(["experiment", "--spec", str(spec)]) == 0
+    header = capsys.readouterr().out.split("\n")[0]
+    assert re.fullmatch(r"learning-from-prices under wpce: (\d+)/\1 cells match", header)
 
 
 def test_auction_and_orderings(tmp_path, capsys):

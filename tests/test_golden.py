@@ -1,8 +1,17 @@
-from cursedeq.games import ExperimentSpec
+from collections import Counter
+
+import cursedeq.conjectures
+import cursedeq.golden
+import cursedeq.solvers
+import cursedeq.tree
+from cursedeq.conjectures import cursed_conjecture
+from cursedeq.games import ExperimentSpec, price_grid, prices_game
 from cursedeq.golden import (prices_predictions, run_golden_predictions,
                              trading_predictions, two_stage_predictions,
                              voting_predictions)
+from cursedeq.partition import coarsest_valid_partition
 from cursedeq.solvers import SolverConfig
+from cursedeq.tree import BehaviorProfile
 
 
 def test_two_stage_full_grid():
@@ -36,6 +45,31 @@ def test_prices_small_grid_both_treatments():
     assert rep.ok, str(rep)
     constrained = [c for c in rep.cells if c.predicted not in ("tie", "unconstrained")]
     assert len(constrained) >= 80
+
+
+def test_prices_walk_the_tree_once_per_profile(monkeypatch):
+    """Two reach walks per price-cell tree: the uniform profile for trader 1
+    and the floored one shared by all of trader 2's conjectures."""
+    real = cursedeq.tree.node_reach
+    walks = Counter()
+
+    def counted(tree, *args, **kwargs):
+        walks[tree.title] += 1
+        return real(tree, *args, **kwargs)
+
+    for mod in (cursedeq.tree, cursedeq.conjectures, cursedeq.golden, cursedeq.solvers):
+        monkeypatch.setattr(mod, "node_reach", counted)
+    prices_predictions("wpce", g=5)
+    assert len(walks) == 2 * len(price_grid(5))
+    assert set(walks.values()) == {2}
+
+    walks.clear()
+    tree = prices_game(5, "sequential", price_grid(5)[1])
+    profile = BehaviorProfile.uniform(tree)
+    reach = real(tree, profile.full(tree))
+    cursed_conjecture(tree, coarsest_valid_partition(tree), profile, "T2:0:buy",
+                      reach=reach)
+    assert not walks
 
 
 def test_trading_table_row():

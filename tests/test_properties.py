@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cursedeq.conjectures import belief, cursed_conjecture
+from cursedeq.conjectures import _forced_action, belief, cursed_conjecture, limit_reach
 from cursedeq.partition import coarsest_valid_partition, is_coarse
-from cursedeq.tree import outcome_measure, reach_probability
+from cursedeq.tree import node_reach, outcome_measure, reach_probability
 from randgames import random_game, random_profile
 
 
@@ -87,6 +87,64 @@ def test_cursed_conjecture_invariants(seed):
     b = belief(tree, conj)
     assert sum(b.probs.values()) == pytest.approx(1.0, abs=1e-9)
     assert set(b.probs) == set(tree.info_sets[owner].nodes)
+
+
+def whole_tree_conjecture(tree, partition, profile, owner, reach):
+    """Reference: the conjecture from a pass over every node, with the mass
+    of every node and the frequencies of every opponent and nature cell."""
+    oset = tree.info_sets[owner]
+    below = {}
+    for n in tree.nodes:
+        p = tree.parent[n]
+        below[n] = n in oset.nodes or (p is not None and below[p])
+    ancestors = {a for h in oset.nodes for a in tree.ancestors(h)}
+    mass = {}
+    for n in reversed(tree.nodes):
+        if below[n]:
+            mass[n] = reach[n]
+        elif tree.is_terminal(n):
+            mass[n] = 0.0
+        else:
+            mass[n] = sum(mass[c] for c in tree.children[n].values())
+    cell_freq = {}
+    for cid, nodes in partition.cells.items():
+        if partition.owner[cid] == oset.player:
+            continue
+        denom = sum(mass[g] for g in nodes)
+        if denom > 0.0:
+            cell_freq[cid] = {a: sum(mass[tree.children[g][a]] for g in nodes) / denom
+                              for a in partition.actions[cid]}
+    dists = {}
+    for iid, iset in tree.info_sets.items():
+        if not any(below[n] or n in ancestors for n in iset.nodes):
+            continue
+        if iset.player == oset.player:
+            forced = None if iid == owner else _forced_action(tree, iset, oset)
+            dists[iid] = (dict(profile.dists[iid]) if forced is None else
+                          {a: (1.0 if a == forced else 0.0) for a in iset.actions})
+        elif partition.cell_of[iset.nodes[0]] in cell_freq:
+            dists[iid] = dict(cell_freq[partition.cell_of[iset.nodes[0]]])
+    return dists
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_owner_region_conjecture_matches_whole_tree_pass(seed):
+    """The conjecture computed on the owner subtrees and ancestor chains
+    equals, exactly and in info-set order, the one from a whole-tree pass,
+    for float reaches and for leading-term limit reaches of profiles with
+    zeros."""
+    rng = random.Random(seed)
+    tree = random_game(rng, 40)
+    part = coarsest_valid_partition(tree)
+    profile = random_profile(rng, tree)
+    for reach in (node_reach(tree, profile.full(tree)), limit_reach(tree, profile)):
+        for owner in tree.player_info_sets():
+            conj = cursed_conjecture(tree, part, profile, owner, require_mixed=False,
+                                     reach=reach)
+            reference = whole_tree_conjecture(tree, part, profile, owner, reach)
+            assert conj.dists == reference
+            assert list(conj.dists) == list(reference)
 
 
 def _club_variant(split_first_set=False, pool_nature=False, bad_nature_sum=False):
