@@ -83,8 +83,10 @@ def mean_value_model(bidders: int) -> SignalModel:
         return np.asarray(y, dtype=float) ** (k - 1)
 
     def v_stage(x, quits, floor):
-        remaining = k - 1 - len(quits)
-        return (x + sum(quits) + remaining * (1.0 + floor) / 2.0) / k
+        # quits: (m,) shared by every x, or (n, m) one row per sample
+        quits = np.asarray(quits, dtype=float)
+        remaining = k - 1 - quits.shape[-1]
+        return (x + quits.sum(axis=-1) + remaining * (1.0 + floor) / 2.0) / k
 
     forms = {"v": v, "v_upper": v_upper, "v_lower": v_lower,
              "f_y1": f_y1, "F_y1": F_y1, "v_stage": v_stage}
@@ -167,45 +169,42 @@ def estimate_conditionals(model: SignalModel, grid: np.ndarray,
     edges = model.lo + h * np.arange(g + 1)
     cell = np.clip(np.digitize(x1, edges) - 1, 0, g - 1)
 
-    cols = {k: np.full(g, np.nan) for k in
-            ("v", "v_upper", "v_lower", "f_y1", "F_y1")}
-    ses = {k: np.full(g, np.nan) for k in cols}
-    empty = []
+    count = np.bincount(cell, minlength=g)
+    x = grid[cell]  # each draw's grid point
+    lower = y1 <= x
+    upper = y1 >= x
 
-    def mean_se(arr):
-        n = len(arr)
-        if n == 0:
-            return np.nan, np.nan
-        m = float(np.mean(arr))
-        se = float(np.std(arr, ddof=1) / np.sqrt(n)) if n > 1 else np.inf
+    def mean_se(weights, sel=slice(None)):
+        """Per-cell mean and two-pass standard error of the selected draws:
+        nan for no draw, an infinite SE for one."""
+        c, w = cell[sel], weights[sel]
+        n = np.bincount(c, minlength=g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = np.bincount(c, w, g) / n
+            se = np.sqrt(np.bincount(c, (w - m[c]) ** 2, g) / (n - 1)) / np.sqrt(n)
+        se[n == 0] = np.nan
+        se[n == 1] = np.inf
         return m, se
 
-    for i, x in enumerate(grid):
-        mask = cell == i
-        n = int(mask.sum())
-        if n == 0:
-            empty.append(("all", i))
-            continue
-        vv = values[mask]
-        yy = y1[mask]
-        cols["v"][i], ses["v"][i] = mean_se(vv)
-        lower = yy <= x
-        upper = yy >= x
-        if lower.any():
-            cols["v_upper"][i], ses["v_upper"][i] = mean_se(vv[lower])
-        else:
-            empty.append(("v_upper", i))
-        if upper.any():
-            cols["v_lower"][i], ses["v_lower"][i] = mean_se(vv[upper])
-        else:
-            empty.append(("v_lower", i))
-        frac = lower.astype(float)
-        cols["F_y1"][i], ses["F_y1"][i] = mean_se(frac)
-        bw = oracle.bandwidth
-        if bw is None:
-            bw = 1.06 * max(float(np.std(yy)), 1e-3) * n ** (-0.2)
-        kern = np.exp(-0.5 * ((yy - x) / bw) ** 2) / (bw * np.sqrt(2 * np.pi))
-        cols["f_y1"][i], ses["f_y1"][i] = mean_se(kern)
+    cols, ses = {}, {}
+    cols["v"], ses["v"] = mean_se(values)
+    cols["v_upper"], ses["v_upper"] = mean_se(values, lower)
+    cols["v_lower"], ses["v_lower"] = mean_se(values, upper)
+    cols["F_y1"], ses["F_y1"] = mean_se(lower.astype(float))
+    bw = oracle.bandwidth
+    if bw is None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y_mean = np.bincount(cell, y1, g) / count
+            y_std = np.sqrt(np.bincount(cell, (y1 - y_mean[cell]) ** 2, g) / count)
+            bw = (1.06 * np.maximum(y_std, 1e-3) * count ** (-0.2))[cell]
+    kern = np.exp(-0.5 * ((y1 - x) / bw) ** 2) / (bw * np.sqrt(2 * np.pi))
+    cols["f_y1"], ses["f_y1"] = mean_se(kern)
+    # per cell, in cell order: no draw at all, or none with y1 <= x (v_upper)
+    # or y1 >= x (v_lower)
+    flags = np.stack([count == 0, (count > 0) & np.isnan(cols["v_upper"]),
+                      (count > 0) & np.isnan(cols["v_lower"])], axis=1)
+    names = ("all", "v_upper", "v_lower")
+    empty = [(names[j], int(i)) for i, j in zip(*np.nonzero(flags))]
 
     if not oracle.report_se:
         ses = {k: np.zeros(g) for k in ses}
@@ -400,9 +399,7 @@ def bid_canonical_english(model: SignalModel, observed_signals,
                            se=tables.v_lower_se.copy())
     forms = model.closed_forms
     if "v_stage" in forms:
-        bids = np.array([forms["v_stage"](x, quits, x) for x in grid])
-        bf = BidFunction(f"canon-{k}", grid, bids)
-        return bf
+        return BidFunction(f"canon-{k}", grid, forms["v_stage"](grid, quits, grid))
     oracle = oracle or OracleConfig()
     rng = np.random.Generator(np.random.PCG64(oracle.seed + 17 * (k + 1)))
     values, signals = model.sample(rng, oracle.samples)
@@ -462,11 +459,7 @@ def clearing_prices(model: SignalModel, signals: np.ndarray) -> np.ndarray:
     srt = np.sort(signals, axis=1)
     second = srt[:, -2]
     if "v_stage" in forms:
-        out = np.empty(len(signals))
-        for i in range(len(signals)):
-            quits = list(srt[i, :-2])
-            out[i] = forms["v_stage"](second[i], quits, second[i])
-        return out
+        return forms["v_stage"](second, srt[:, :-2], second)
     if k == 2 and "v_lower" in forms:
         return np.asarray(forms["v_lower"](second, second), dtype=float)
     raise ValueError(f"model {model.name} lacks a stage-value form for simulation")
@@ -508,7 +501,9 @@ def verify_orderings(model: SignalModel, tables: ConditionalTables,
     g = tables.grid
 
     def se(arr):
-        return np.zeros_like(g) if arr is None else np.nan_to_num(arr, nan=np.inf)
+        # a missing SE becomes inf; an inf SE (a one-draw cell) must stay
+        # inf, not become the largest float, which 3 * (...) overflows
+        return np.zeros_like(g) if arr is None else np.where(np.isnan(arr), np.inf, arr)
 
     checks = [
         ("dutch<=1p", bid_1p.bids - bid_dutch.bids,

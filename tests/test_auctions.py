@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,126 @@ def test_winner_curse_k2_matches_silent_english_accounting():
     lo = signals.min(axis=1)
     silent_quits = model.closed_forms["v_stage"](lo, [], lo)
     assert np.allclose(prices, silent_quits)
+
+
+def _stage_rule(k, x, quits, floor):
+    """The mean-value stage rule one sample at a time (the former scalar form)."""
+    return (x + sum(quits) + (k - 1 - len(quits)) * (1.0 + floor) / 2.0) / k
+
+
+def test_clearing_prices_match_per_sample_loop():
+    for k in range(2, 10):
+        model = mean_value_model(k)
+        rng = np.random.Generator(np.random.PCG64(100 + k))
+        _, signals = model.sample(rng, 20_000)
+        srt = np.sort(signals, axis=1)
+        loop = np.array([_stage_rule(k, row[-2], list(row[:-2]), row[-2]) for row in srt])
+        assert np.array_equal(clearing_prices(model, signals), loop), k
+
+
+def test_canonical_english_matches_per_point_loop():
+    rng = np.random.Generator(np.random.PCG64(8))
+    for k in (5, 8):
+        model = mean_value_model(k)
+        grid = uniform_grid(model, 200)
+        tables = estimate_conditionals(model, grid, ORACLE)
+        for m in range(k - 1):
+            quits = sorted(float(y) for y in rng.uniform(0.0, 1.0, m))
+            loop = np.array([_stage_rule(k, x, quits, x) for x in grid])
+            bf = bid_canonical_english(model, quits, tables)
+            assert bf.format == f"canon-{m}"
+            assert np.array_equal(bf.bids, loop), (k, m)
+
+
+def test_v_stage_shared_and_per_sample_quits_agree():
+    v_stage = mean_value_model(6).closed_forms["v_stage"]
+    x = np.linspace(0.0, 1.0, 33)
+    for quits in ([], [0.2], [0.1, 0.4, 0.45]):
+        rows = np.broadcast_to(np.asarray(quits, dtype=float), (len(x), len(quits)))
+        assert np.array_equal(v_stage(x, quits, x), v_stage(x, rows, x))
+
+
+def _loop_tables(model, grid, oracle):
+    """The Monte Carlo tables one grid cell at a time (the former loop)."""
+    g = len(grid)
+    rng = np.random.Generator(np.random.PCG64(oracle.seed))
+    values, signals = model.sample(rng, oracle.samples)
+    x1 = signals[:, 0]
+    y1 = signals[:, 1:].max(axis=1)
+    h = (model.hi - model.lo) / g
+    cell = np.clip(np.digitize(x1, model.lo + h * np.arange(g + 1)) - 1, 0, g - 1)
+    cols = {c: np.full(g, np.nan) for c in
+            ("v", "v_upper", "v_lower", "f_y1", "F_y1",
+             "v_se", "v_upper_se", "v_lower_se", "f_y1_se", "F_y1_se")}
+    empty = []
+
+    def put(col, i, arr):
+        cols[col][i] = np.mean(arr)
+        cols[col + "_se"][i] = np.std(arr, ddof=1) / np.sqrt(len(arr)) \
+            if len(arr) > 1 else np.inf
+
+    for i, x in enumerate(grid):
+        mask = cell == i
+        n = int(mask.sum())
+        if n == 0:
+            empty.append(("all", i))
+            continue
+        vv, yy = values[mask], y1[mask]
+        put("v", i, vv)
+        lower, upper = yy <= x, yy >= x
+        if lower.any():
+            put("v_upper", i, vv[lower])
+        else:
+            empty.append(("v_upper", i))
+        if upper.any():
+            put("v_lower", i, vv[upper])
+        else:
+            empty.append(("v_lower", i))
+        put("F_y1", i, lower.astype(float))
+        bw = oracle.bandwidth
+        if bw is None:
+            bw = 1.06 * max(float(np.std(yy)), 1e-3) * n ** (-0.2)
+        put("f_y1", i, np.exp(-0.5 * ((yy - x) / bw) ** 2) / (bw * np.sqrt(2 * np.pi)))
+    if not oracle.report_se:
+        for c in cols:
+            if c.endswith("_se"):
+                cols[c] = np.zeros(g)
+    return cols, empty
+
+
+@pytest.mark.parametrize("model, g, oracle", [
+    (wallet_model(), 200, OracleConfig(seed=1)),
+    (mean_value_model(3), 200, OracleConfig(seed=1)),
+    (mean_value_model(5), 5_000, OracleConfig(samples=10_000, seed=2)),
+    (mean_value_model(3), 200, OracleConfig(seed=3, report_se=False)),
+    (wallet_model(), 5_000, OracleConfig(samples=10_000, seed=4, bandwidth=0.02)),
+], ids=["wallet", "mean3", "sparse", "no-se", "fixed-bandwidth"])
+def test_monte_carlo_tables_match_per_cell_loop(model, g, oracle):
+    grid = uniform_grid(model, g)
+    tables = estimate_conditionals(model, grid, oracle, use_closed_forms=False)
+    cols, empty = _loop_tables(model, grid, oracle)
+    assert tables.empty_cells == empty
+    for col, ref in cols.items():
+        got = getattr(tables, col)
+        assert np.array_equal(np.isnan(got), np.isnan(ref)), col
+        assert np.array_equal(np.isinf(got), np.isinf(ref)), col
+        fin = np.isfinite(ref)
+        assert np.all(np.abs(got[fin] - ref[fin]) <= 1e-12), col
+    if g == 5_000:
+        # the sparse grid must exercise empty cells, and one-draw cells
+        # where standard errors are reported
+        assert any(kind == "all" for kind, _ in empty)
+        assert not oracle.report_se or np.isinf(cols["v_se"]).any()
+
+
+def test_orderings_one_draw_cells_do_not_overflow():
+    model = mean_value_model(3)
+    tables = estimate_conditionals(model, uniform_grid(model, 200), OracleConfig(seed=1),
+                                   use_closed_forms=False)
+    assert np.isinf(tables.v_lower_se).any()  # a one-draw Monte Carlo cell
+    bids = (solve_first_price(model, tables), solve_dutch(model, tables),
+            bid_second_price(model, tables), bid_silent_english(model, tables))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = verify_orderings(model, tables, *bids)
+    assert len(report.checks_run) == 4

@@ -185,3 +185,18 @@ def test_auction_and_orderings(tmp_path, capsys):
     assert len(out.strip().split("\n")) == 21
     assert cli_main(["orderings", "--model", str(model), "--grid", "50",
                      "--samples", "20000"]) == 0
+
+
+def test_auction_canonical_english_mean_value(tmp_path, capsys):
+    model = tmp_path / "mean3.model"
+    model.write_text("signalmodel mean3\nfamily mean-value\nbidders 3\n",
+                     encoding="utf-8")
+    assert cli_main(["auction", "--model", str(model), "--format", "canon",
+                     "--observed", "0.3", "--grid", "50"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "x\tbid"
+    assert len(lines) == 51
+    for line in lines[1:]:
+        x, bid = (float(t) for t in line.split("\t"))
+        # stage rule after one observed quit: (x + 0.3 + (1 + x) / 2) / 3
+        assert abs(bid - (x + 0.3 + (1.0 + x) / 2.0) / 3.0) <= 1e-6
