@@ -57,6 +57,47 @@ def _floor_dist(actions, values, floor: float, tie_tol: float,
     return {a: floor + excess * weights[a] for a in actions}
 
 
+def _plan_walk(tree: GameTree, player: str, roots):
+    """The shape of :func:`optimize_plan`'s forward pass from the belief
+    nodes ``roots`` (one tuple per scenario), compiled once per tree: the
+    weight edges ``(child, parent, info set or None at own nodes, action,
+    child is a root)`` of a stack walk from the roots that leads to own
+    nodes, in pop order, and the own sets deepest first with their members."""
+    entry = tree.compiled.get(("plan", player, roots))
+    if entry is not None:
+        return entry
+    stack = [(si, h) for si, nodes in enumerate(roots) for h in nodes]
+    seen, edges, parent, own_sets = set(stack), [], {}, {}
+    while stack:
+        si, n = key = stack.pop()
+        own = tree.player_of.get(n) == player
+        if own and tree.children[n]:
+            own_sets.setdefault(tree.info_set_of[n], []).append(key)
+        for a, child in tree.children[n].items():
+            ck = (si, child)
+            parent[ck] = key
+            edges.append((ck, key, None if own else tree.info_set_of[n], a, ck in seen))
+            if ck not in seen:
+                seen.add(ck)
+                stack.append(ck)
+    needed = set()
+    for key in (k for members in own_sets.values() for k in members):
+        while key is not None and key not in needed:
+            needed.add(key)
+            key = parent.get(key)
+
+    def own_depth(iid):
+        d, p = 0, n_predecessor(tree, tree.info_sets[iid].nodes[0], player)
+        while p is not None:
+            d, p = d + 1, n_predecessor(tree, p, player)
+        return d
+
+    entry = ([e for e in edges if e[0] in needed],
+             [(i, own_sets[i]) for i in sorted(own_sets, key=lambda i: (-own_depth(i), i))])
+    tree.compiled[("plan", player, roots)] = entry
+    return entry
+
+
 def optimize_plan(tree: GameTree, owner: str, scenarios, player: str,
                   floor: float = 0.0, tie_tol: float = TIE_TOL,
                   incumbent: dict[str, float] | None = None,
@@ -70,79 +111,41 @@ def optimize_plan(tree: GameTree, owner: str, scenarios, player: str,
     conjectures.
     """
     oset = tree.info_sets[owner]
-
+    edges, own_sets = _plan_walk(tree, player, tuple(tuple(sc.belief) for sc in scenarios))
     weight = {}
-    stack = []
     for si, sc in enumerate(scenarios):
         for h, p in sc.belief.items():
-            w = sc.weight * p
-            key = (si, h)
-            weight[key] = weight.get(key, 0.0) + w
-            stack.append(key)
-    seen = set(weight)
-    order = []
-    while stack:
-        key = stack.pop()
-        order.append(key)
-        si, n = key
-        kids = tree.children[n]
-        if not kids:
-            continue
-        iid = tree.info_set_of[n]
-        if tree.player_of[n] == player:
-            step = {a: 1.0 for a in kids}
-        else:
-            step = scenarios[si].dists.get(iid, {})
-        for a, child in kids.items():
-            ck = (si, child)
-            w = weight[key] * step.get(a, 0.0)
-            if ck in seen:
-                weight[ck] += w
-            else:
-                weight[ck] = w
-                seen.add(ck)
-                stack.append(ck)
+            weight[(si, h)] = sc.weight * p
+    for ck, key, iid, a, add in edges:
+        w = weight[key]
+        if iid is not None:
+            w *= scenarios[key[0]].dists.get(iid, {}).get(a, 0.0)
+        weight[ck] = weight[ck] + w if add else w
 
-    own_sets = {}
-    for (si, n) in order:
-        if tree.children[n] and tree.player_of[n] == player:
-            own_sets.setdefault(tree.info_set_of[n], []).append((si, n))
-
-    def own_depth(iid):
-        node = tree.info_sets[iid].nodes[0]
-        d = 0
-        p = n_predecessor(tree, node, player)
-        while p is not None:
-            d += 1
-            p = n_predecessor(tree, p, player)
-        return d
-
-    ordered_sets = sorted(own_sets, key=lambda i: (-own_depth(i), i))
+    children, payoffs = tree.children, tree.payoffs
     plan: dict[str, dict[str, float]] = {}
     values: dict[tuple[int, str], float] = {}
 
     def node_value(si, n):
+        kids = children[n]
+        if not kids:
+            return payoffs[n][player]
         key = (si, n)
         if key in values:
             return values[key]
-        if not tree.children[n]:
-            v = tree.payoffs[n][player]
+        iid = tree.info_set_of[n]
+        if tree.player_of[n] == player:
+            dist = plan[iid]
         else:
-            iid = tree.info_set_of[n]
-            if tree.player_of[n] == player:
-                dist = plan[iid]
-            else:
-                dist = scenarios[si].dists.get(iid, {})
-            v = sum(p * node_value(si, tree.children[n][a])
-                    for a, p in dist.items() if p != 0.0)
+            dist = scenarios[si].dists.get(iid, {})
+        v = sum(p * node_value(si, kids[a]) for a, p in dist.items() if p != 0.0)
         values[key] = v
         return v
 
     q_owner = None
-    for iid in ordered_sets:
-        members = own_sets[iid]
+    for iid, members in own_sets:
         actions = tree.info_sets[iid].actions
-        q = {a: sum(weight[(si, g)] * node_value(si, tree.children[g][a])
+        q = {a: sum(weight[(si, g)] * node_value(si, children[g][a])
                     for (si, g) in members)
              for a in actions}
         if iid == owner:

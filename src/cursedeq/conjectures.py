@@ -71,39 +71,67 @@ def compatible(tree: GameTree, iid: str, jid: str) -> bool:
     return False
 
 
-def _owner_geometry(tree: GameTree, reach, owner_nodes) -> dict:
-    """Per node, the mass of the terminals below it whose path passes through
-    the owner set: ``reach[n]`` weakly below an owner node, the children's sum
-    (in ``tree.children`` order, as a whole-tree pass adds them) on the
-    ancestor chains, and zero elsewhere.  Only the owner subtrees and then
-    their ancestors, deepest first, are walked and returned."""
-    mass = {}
-    stack = list(owner_nodes)
+def _owner_region(tree: GameTree, partition: CoarsePartition, owner: str):
+    """What a conjecture at ``owner`` reads, compiled once per tree and
+    partition: the subtree nodes read (mass = reach), the ancestor chain
+    deepest first with each node's children (mass = their sum), the touched
+    info sets in rank order as ``(iid, cell, forced dist)``, and per cell
+    its region nodes in partition order with their region children per
+    action (a sum from 0 is the same without the outside ones' zeros)."""
+    entry = tree.compiled.get(("conjecture", owner))
+    if entry is not None and entry[0] is partition:
+        return entry[1]
+    oset = tree.info_sets[owner]
+    below, stack = set(), list(oset.nodes)
     while stack:
         n = stack.pop()
-        mass[n] = reach[n]
+        below.add(n)
         stack.extend(tree.children[n].values())
-    chain = {}
-    for h in owner_nodes:
+    depth = {}
+    for h in oset.nodes:
         for a in tree.ancestors(h):
-            if a in mass or a in chain:
+            if a in below or a in depth:
                 break
-            chain[a] = tree.depth(a)
-    for a in sorted(chain, key=chain.get, reverse=True):
-        mass[a] = sum(mass.get(c, 0.0) for c in tree.children[a].values())
+            depth[a] = tree.depth(a)
+    chain = [(a, tree.children[a].values()) for a in sorted(depth, key=depth.get, reverse=True)]
+    region = below.union(depth)
+    sets, cells = [], {}
+    for iid in sorted({tree.info_set_of[n] for n in region if tree.children[n]},
+                      key=tree.info_set_rank.__getitem__):
+        iset = tree.info_sets[iid]
+        cid = None if iset.player == oset.player else partition.cell_of[iset.nodes[0]]
+        forced = None if cid is not None or iid == owner else _forced_action(tree, iset, oset)
+        fixed = None if forced is None else {a: float(a == forced) for a in iset.actions}
+        sets.append((iid, cid, fixed))
+        if cid is not None and cid not in cells:
+            nodes = [g for g in partition.cells[cid] if g in region]
+            cells[cid] = (nodes, {a: [c for g in nodes if (c := tree.children[g][a]) in region]
+                                  for a in partition.actions[cid]})
+    read = {c for _, kids in chain for c in kids}
+    for nodes, kids in cells.values():
+        read.update(nodes, *kids.values())
+    geometry = (read & below, chain, sets, cells)
+    tree.compiled[("conjecture", owner)] = (partition, geometry)
+    return geometry
+
+
+def _region_mass(sub, chain, reach) -> dict:
+    """Mass of the region nodes a conjecture reads; chain sums keep
+    ``tree.children`` order, as a whole-tree pass adds them."""
+    mass = {n: reach[n] for n in sub}
+    for a, kids in chain:
+        mass[a] = sum(mass.get(c, 0.0) for c in kids)
     return mass
 
 
-def _cell_freq(tree: GameTree, partition: CoarsePartition, mass, cid: str):
+def _cell_freq(cells, mass, cid: str):
     """Action frequencies of coarse cell ``cid`` conditional on passing
-    through the owner set whose region ``mass`` describes, or None when that
-    event has mass zero."""
-    nodes = [g for g in partition.cells[cid] if g in mass]
+    through the owner set, or None when that event has mass zero."""
+    nodes, kids = cells.get(cid, ((), {}))
     denom = sum(mass[g] for g in nodes)
     if denom <= 0.0:
         return None
-    return {a: sum(mass.get(tree.children[g][a], 0.0) for g in nodes) / denom
-            for a in partition.actions[cid]}
+    return {a: sum(mass[c] for c in cs) / denom for a, cs in kids.items()}
 
 
 def cursed_conjecture(tree: GameTree, partition: CoarsePartition,
@@ -125,27 +153,16 @@ def cursed_conjecture(tree: GameTree, partition: CoarsePartition,
         raise GameError("cursed conjecture requires a fully mixed profile")
     if reach is None:
         reach = node_reach(tree, profile.full(tree))
-    oset = tree.info_sets[owner]
-    player = oset.player
-    mass = _owner_geometry(tree, reach, oset.nodes)
+    sub, chain, sets, cells = _owner_region(tree, partition, owner)
+    mass = _region_mass(sub, chain, reach)
     cell_freq = {}
     dists = {}
-    touched = {tree.info_set_of[n] for n in mass if tree.children[n]}
-    for iid in sorted(touched, key=tree.info_set_rank.__getitem__):
-        iset = tree.info_sets[iid]
-        if iset.player == player:
-            if iid == owner:
-                dists[iid] = dict(profile.dists[iid])
-            else:
-                forced = _forced_action(tree, iset, oset)
-                if forced is not None:
-                    dists[iid] = {a: (1.0 if a == forced else 0.0) for a in iset.actions}
-                else:
-                    dists[iid] = dict(profile.dists[iid])
+    for iid, cid, fixed in sets:
+        if cid is None:
+            dists[iid] = dict(profile.dists[iid] if fixed is None else fixed)
             continue
-        cid = partition.cell_of[iset.nodes[0]]
         if cid not in cell_freq:
-            cell_freq[cid] = _cell_freq(tree, partition, mass, cid)
+            cell_freq[cid] = _cell_freq(cells, mass, cid)
         if cell_freq[cid] is not None:
             dists[iid] = dict(cell_freq[cid])
     return Conjecture(owner, dists)
@@ -226,12 +243,13 @@ def check_cursed_plausible(tree: GameTree, partition: CoarsePartition,
         for p in accords_with(tree, conj, profile, tol):
             issues.append(PlausibilityIssue(owner, 1, p.split(":")[0], p))
 
-        mass = _owner_geometry(tree, reach, oset.nodes)
+        sub, chain, _, cells = _owner_region(tree, partition, owner)
+        mass = _region_mass(sub, chain, reach)
         for iid, dist in conj.dists.items():
             iset = tree.info_sets[iid]
             if iset.player == oset.player:
                 continue
-            freq = _cell_freq(tree, partition, mass, partition.cell_of[iset.nodes[0]])
+            freq = _cell_freq(cells, mass, partition.cell_of[iset.nodes[0]])
             if freq is None:
                 continue
             for a in iset.actions:

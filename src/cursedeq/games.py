@@ -349,11 +349,16 @@ def prices_game(g: int, treatment: str, p1: float):
     The full experiment is the family of these games over the price grid;
     p1 is independent of the rest, so the cells separate exactly.
     """
+    return prices_cell(prices_skeleton(g, treatment), g, p1)
+
+
+def prices_skeleton(g: int, treatment: str):
+    """The price game's tree for every p1, with empty payoffs that
+    :func:`prices_cell` fills in."""
     if treatment not in ("simultaneous", "sequential"):
         raise GameError(f"unknown treatment {treatment!r}")
     grid = type_grid(g)
-    p2 = {"buy": snap_price((1 + p1) / 2, g), "sell": snap_price(p1 / 2, g)}
-    b = GameBuilder(f"learning-from-prices {treatment} p1={p1:.4f}", ["T1", "T2"])
+    b = GameBuilder(f"learning-from-prices {treatment}", ["T1", "T2"])
     b.chance("V", None, None, {"hi": 0.5, "lo": 0.5})
     t1_sets = {k: [] for k in range(g)}
     t2_sets = {}
@@ -372,25 +377,17 @@ def prices_game(g: int, treatment: str, p1: float):
                 node = f"{n1}.{j}"
                 b.player(node, n1, f"{j}", "T1")
                 t1_sets[i].append(node)
-                value = 1.0 if v == "hi" else 0.0
                 for a1 in ("buy", "sell"):
-                    u1 = (value - p1) if a1 == "buy" else (p1 - value)
                     n2 = f"{node}.{a1}"
                     b.player(n2, node, a1, "T2")
-                    price = p2[a1]
                     if treatment == "sequential":
                         key = (j, a1)
                         for a2 in ("buy", "sell"):
-                            u2 = (value - price) if a2 == "buy" else (price - value)
-                            b.terminal(f"{n2}.{a2}", n2, a2,
-                                       {"T1": u1, "T2": u2})
+                            b.terminal(f"{n2}.{a2}", n2, a2, {})
                     else:
                         key = j
-                        for bi, lim in enumerate(grid_orders(g)):
-                            buys = price <= lim + 1e-12
-                            u2 = (value - price) if buys else (price - value)
-                            b.terminal(f"{n2}.o{bi}", n2, f"o{bi}",
-                                       {"T1": u1, "T2": u2})
+                        for bi in range(len(grid_orders(g))):
+                            b.terminal(f"{n2}.o{bi}", n2, f"o{bi}", {})
                     t2_sets.setdefault(key, []).append(n2)
     for i in range(g):
         b.info_set(f"T1:{i}", "T1", t1_sets[i])
@@ -398,6 +395,26 @@ def prices_game(g: int, treatment: str, p1: float):
         name = f"T2:{key}" if treatment == "simultaneous" else f"T2:{key[0]}:{key[1]}"
         b.info_set(name, "T2", t2_sets[key])
     return b.build()
+
+
+def prices_cell(skeleton, g: int, p1: float):
+    """Price cell p1 on a :func:`prices_skeleton` tree.  A terminal
+    ``value.i.j.a1.a2`` (a2 a trade, or a limit order ``o<k>``) has payoffs
+    set by (value, a1, a2); the split names stay in ``skeleton.compiled``."""
+    paths = skeleton.compiled.get("prices")
+    if paths is None:
+        paths = skeleton.compiled["prices"] = [(z, *z.split(".")) for z in skeleton.terminals]
+    p2 = {"buy": snap_price((1 + p1) / 2, g), "sell": snap_price(p1 / 2, g)}
+    by_path, payoffs = {}, {}
+    for z, v, _, _, a1, a2 in paths:
+        if (v, a1, a2) not in by_path:
+            value, price = (1.0 if v == "hi" else 0.0), p2[a1]
+            buys = a2 == "buy" if a2[0] != "o" else price <= grid_orders(g)[int(a2[1:])] + 1e-12
+            by_path[v, a1, a2] = (float((value - p1) if a1 == "buy" else (p1 - value)),
+                                  float((value - price) if buys else (price - value)))
+        u1, u2 = by_path[v, a1, a2]
+        payoffs[z] = {"T1": u1, "T2": u2}
+    return skeleton.with_payoffs(f"{skeleton.title} p1={p1:.4f}", payoffs)
 
 
 def grid_orders(g: int) -> list[float]:

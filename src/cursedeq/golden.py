@@ -15,8 +15,8 @@ from fractions import Fraction
 from .bayesian import solve_ce, voting_bayesian, voting_computer_freeze
 from .bestresponse import Scenario, optimize_plan
 from .conjectures import belief, cursed_conjecture
-from .games import (DEFAULT_TYPES, VOTING_P, VOTING_Q, ExperimentSpec, price_grid,
-                    prices_game, snap_price, type_grid, type_weights, voting_game)
+from .games import (DEFAULT_TYPES, VOTING_P, VOTING_Q, ExperimentSpec, price_grid, prices_cell,
+                    prices_skeleton, snap_price, type_grid, type_weights, voting_game)
 from .partition import coarsest_valid_partition
 from .solvers import SolverConfig, solve_sce
 from .tree import BehaviorProfile, GameError, node_reach
@@ -134,15 +134,19 @@ def prices_predictions(concept: str = "wpce", g: int = 21,
     against anything, and trader 2 then best-responds to the unique cursed
     conjecture, which is the weak perfect prediction.  Cells where the
     trader is exactly indifferent are reported as ties and exempted.
+    Only payoffs depend on p1, so each treatment's tree and partition are
+    built once and shared by its price cells.
     """
     if concept not in ("wpce", "sce"):
         raise GameError(f"unsupported concept {concept!r} for the price game")
     report = GoldenReport("learning-from-prices", concept)
     grid = type_grid(g)
+    skeletons = {t: prices_skeleton(g, t) for t in treatments}
+    partitions = {t: coarsest_valid_partition(s) for t, s in skeletons.items()}
     for p1 in price_grid(g):
         for treatment in treatments:
-            tree = prices_game(g, treatment, p1)
-            partition = coarsest_valid_partition(tree)
+            tree = prices_cell(skeletons[treatment], g, p1)
+            partition = partitions[treatment]
             profile, sigma1 = _solve_prices(tree, partition, g, treatment, p1)
             if treatment == "simultaneous":
                 _classify_simultaneous(report, tree, profile, sigma1, g, p1, grid)
@@ -158,13 +162,15 @@ def _solve_prices(tree, partition, g, treatment, p1):
     profile = BehaviorProfile.uniform(tree)
     grid = type_grid(g)
     sigma1 = {}
-    reach = node_reach(tree, profile.full(tree))
+    # trader 1's own sets never enter its scenario: one view serves the loop
+    full = profile.full(tree)
+    reach = node_reach(tree, full)
     for i, t1 in enumerate(grid):
         iid = f"T1:{i}"
         oset = tree.info_sets[iid]
         total = sum(reach[h] for h in oset.nodes)
         start = {h: reach[h] / total for h in oset.nodes}
-        res = optimize_plan(tree, iid, [Scenario(1.0, start, profile.full(tree))], "T1")
+        res = optimize_plan(tree, iid, [Scenario(1.0, start, full)], "T1")
         q = res.action_values
         if abs(q["buy"] - q["sell"]) <= 1e-12:
             dist = {"buy": 0.5, "sell": 0.5}

@@ -122,13 +122,16 @@ def _bayes_belief(tree, reach, owner):
 def _q_stage(tree, partition, profile, owners, floor, tie_tol, chi=1.0):
     """Floored values under the chi-weighted mixture of the cursed
     conjecture and the Bayes belief (chi = 1 is SCE)."""
+    if chi > 0.0 and owners and not profile.is_fully_mixed():
+        raise GameError("cursed conjecture requires a fully mixed profile")
     out = {}
     full = profile.full(tree)
     reach = node_reach(tree, full)
     for o in owners:
         scenarios = []
         if chi > 0.0:
-            conj = cursed_conjecture(tree, partition, profile, o, reach=reach)
+            conj = cursed_conjecture(tree, partition, profile, o, require_mixed=False,
+                                     reach=reach)
             scenarios.append(Scenario(chi, belief(tree, conj).probs, conj.dists))
         if chi < 1.0:
             scenarios.append(Scenario(1.0 - chi, _bayes_belief(tree, reach, o), full))

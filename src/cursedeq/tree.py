@@ -12,6 +12,7 @@ succeeding some member of Q.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 NATURE = "nature"
@@ -64,7 +65,10 @@ class ValidationReport:
 
 
 class GameTree:
-    """Immutable extensive game.  Build instances through :class:`GameBuilder`."""
+    """Immutable extensive game.  Build instances through :class:`GameBuilder`.
+
+    ``compiled`` caches what other modules derive from the tree's shape, never
+    from payoffs, so trees made by :meth:`with_payoffs` share it."""
 
     def __init__(self, title, players, root, parent, action_in, children,
                  player_of, terminals, payoffs, nature_probs, info_sets, info_set_of):
@@ -88,6 +92,14 @@ class GameTree:
         for n in self.nodes:
             if n != self.root:
                 d[n] = d[self.parent[n]] + 1
+        self.compiled = {}
+
+    def with_payoffs(self, title: str, payoffs) -> "GameTree":
+        """The same tree, sharing its structure and ``compiled``, with other
+        terminal payoffs and another title."""
+        tree = copy.copy(self)
+        tree.title, tree.payoffs = title, payoffs
+        return tree
 
     def _topological_order(self):
         order = []

@@ -1,5 +1,7 @@
 from collections import Counter
 
+import pytest
+
 import cursedeq.conjectures
 import cursedeq.golden
 import cursedeq.solvers
@@ -70,6 +72,40 @@ def test_prices_walk_the_tree_once_per_profile(monkeypatch):
     cursed_conjecture(tree, coarsest_valid_partition(tree), profile, "T2:0:buy",
                       reach=reach)
     assert not walks
+
+
+@pytest.mark.parametrize("g", [5, 7])
+def test_price_cells_equal_fresh_games(monkeypatch, g):
+    """Every per-p1 tree of the harness, built on one skeleton per
+    treatment, equals a fresh prices_game of that cell; each treatment's
+    coarsest partition is computed once."""
+    real_solve = cursedeq.golden._solve_prices
+    real_partition = cursedeq.golden.coarsest_valid_partition
+    used, partitioned = [], Counter()
+
+    def solve(tree, partition, g_, treatment, p1):
+        used.append((treatment, p1, tree, partition))
+        return real_solve(tree, partition, g_, treatment, p1)
+
+    def partition(tree):
+        partitioned[tree.title] += 1
+        return real_partition(tree)
+
+    monkeypatch.setattr(cursedeq.golden, "_solve_prices", solve)
+    monkeypatch.setattr(cursedeq.golden, "coarsest_valid_partition", partition)
+    prices_predictions("wpce", g=g)
+    assert partitioned == Counter({"learning-from-prices simultaneous": 1,
+                                   "learning-from-prices sequential": 1})
+    assert len(used) == 2 * len(price_grid(g))
+    for treatment, p1, tree, part in used:
+        fresh = prices_game(g, treatment, p1)
+        assert tree.title == fresh.title
+        assert tree.terminals == fresh.terminals
+        assert [tree.payoffs[z] for z in tree.terminals] == \
+            [fresh.payoffs[z] for z in fresh.terminals]
+        assert tree.nature_probs == fresh.nature_probs
+        assert tree.info_sets == fresh.info_sets
+        assert part.cells == real_partition(fresh).cells
 
 
 def test_trading_table_row():

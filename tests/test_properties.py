@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cursedeq.bestresponse import Scenario, _floor_dist, optimize_plan
 from cursedeq.conjectures import _forced_action, belief, cursed_conjecture, limit_reach
-from cursedeq.partition import coarsest_valid_partition, is_coarse
-from cursedeq.tree import node_reach, outcome_measure, reach_probability
+from cursedeq.partition import _freeze, coarsest_valid_partition, is_coarse
+from cursedeq.tree import (ZeroProbabilityError, n_predecessor, node_reach, outcome_measure,
+                           reach_probability)
 from randgames import random_game, random_profile
 
 
@@ -145,6 +147,193 @@ def test_owner_region_conjecture_matches_whole_tree_pass(seed):
             reference = whole_tree_conjecture(tree, part, profile, owner, reach)
             assert conj.dists == reference
             assert list(conj.dists) == list(reference)
+
+
+def walker_conjecture(tree, partition, profile, owner, reach):
+    """Reference: the conjecture from per-call walks of the owner subtrees
+    and ancestor chains, with no compiled structure."""
+    oset = tree.info_sets[owner]
+    mass = {}
+    stack = list(oset.nodes)
+    while stack:
+        n = stack.pop()
+        mass[n] = reach[n]
+        stack.extend(tree.children[n].values())
+    chain = {}
+    for h in oset.nodes:
+        for a in tree.ancestors(h):
+            if a in mass or a in chain:
+                break
+            chain[a] = tree.depth(a)
+    for a in sorted(chain, key=chain.get, reverse=True):
+        mass[a] = sum(mass.get(c, 0.0) for c in tree.children[a].values())
+    cell_freq = {}
+    dists = {}
+    touched = {tree.info_set_of[n] for n in mass if tree.children[n]}
+    for iid in sorted(touched, key=tree.info_set_rank.__getitem__):
+        iset = tree.info_sets[iid]
+        if iset.player == oset.player:
+            forced = None if iid == owner else _forced_action(tree, iset, oset)
+            dists[iid] = (dict(profile.dists[iid]) if forced is None else
+                          {a: (1.0 if a == forced else 0.0) for a in iset.actions})
+            continue
+        cid = partition.cell_of[iset.nodes[0]]
+        if cid not in cell_freq:
+            nodes = [g for g in partition.cells[cid] if g in mass]
+            denom = sum(mass[g] for g in nodes)
+            cell_freq[cid] = None if denom <= 0.0 else {
+                a: sum(mass.get(tree.children[g][a], 0.0) for g in nodes) / denom
+                for a in partition.actions[cid]}
+        if cell_freq[cid] is not None:
+            dists[iid] = dict(cell_freq[cid])
+    return dists
+
+
+def walker_plan(tree, owner, scenarios, player, floor=0.0, tie_tol=1e-9,
+                incumbent=None, forced=None):
+    """Reference: backward induction after a per-call stack walk of every
+    node below the belief nodes, with own-set depths from n-predecessor
+    chains."""
+    weight = {}
+    stack = []
+    for si, sc in enumerate(scenarios):
+        for h, p in sc.belief.items():
+            key = (si, h)
+            weight[key] = weight.get(key, 0.0) + sc.weight * p
+            stack.append(key)
+    seen = set(weight)
+    order = []
+    while stack:
+        key = stack.pop()
+        order.append(key)
+        si, n = key
+        kids = tree.children[n]
+        if not kids:
+            continue
+        if tree.player_of[n] == player:
+            step = {a: 1.0 for a in kids}
+        else:
+            step = scenarios[si].dists.get(tree.info_set_of[n], {})
+        for a, child in kids.items():
+            ck = (si, child)
+            w = weight[key] * step.get(a, 0.0)
+            if ck in seen:
+                weight[ck] += w
+            else:
+                weight[ck] = w
+                seen.add(ck)
+                stack.append(ck)
+    own_sets = {}
+    for si, n in order:
+        if tree.children[n] and tree.player_of[n] == player:
+            own_sets.setdefault(tree.info_set_of[n], []).append((si, n))
+
+    def own_depth(iid):
+        d, p = 0, n_predecessor(tree, tree.info_sets[iid].nodes[0], player)
+        while p is not None:
+            d, p = d + 1, n_predecessor(tree, p, player)
+        return d
+
+    plan, values = {}, {}
+
+    def node_value(si, n):
+        if (si, n) not in values:
+            if not tree.children[n]:
+                v = tree.payoffs[n][player]
+            else:
+                iid = tree.info_set_of[n]
+                dist = plan[iid] if tree.player_of[n] == player else \
+                    scenarios[si].dists.get(iid, {})
+                v = sum(p * node_value(si, tree.children[n][a])
+                        for a, p in dist.items() if p != 0.0)
+            values[(si, n)] = v
+        return values[(si, n)]
+
+    q_owner = None
+    for iid in sorted(own_sets, key=lambda i: (-own_depth(i), i)):
+        actions = tree.info_sets[iid].actions
+        q = {a: sum(weight[(si, g)] * node_value(si, tree.children[g][a])
+                    for (si, g) in own_sets[iid])
+             for a in actions}
+        if iid == owner:
+            q_owner = q
+            plan[iid] = ({a: (1.0 if a == forced else 0.0) for a in actions}
+                         if forced is not None else
+                         _floor_dist(actions, q, floor, tie_tol, incumbent))
+        else:
+            plan[iid] = _floor_dist(actions, q, floor, tie_tol)
+    if q_owner is None:
+        raise ValueError(f"owner set {owner!r} unreachable from its own belief")
+    oset = tree.info_sets[owner]
+    best = max(q_owner.values())
+    opt = tuple(a for a in oset.actions if q_owner[a] >= best - tie_tol)
+    return (sum(plan[owner][a] * q_owner[a] for a in oset.actions), q_owner, opt, plan)
+
+
+def info_set_partition(tree):
+    """The game's own information partition, as a partition object."""
+    return _freeze([iset.nodes for iset in tree.info_sets.values()], tree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_compiled_conjecture_matches_per_call_walker(seed):
+    """Conjectures from the structure compiled on the tree equal, exactly
+    and in order, those of the per-call walker: for float and leading-term
+    reaches of a profile with zeros, on repeated calls, and under two
+    partitions of one tree, each with its own cells."""
+    rng = random.Random(seed)
+    tree = random_game(rng, 40)
+    coarse, fine = coarsest_valid_partition(tree), info_set_partition(tree)
+    profile = random_profile(rng, tree)
+    reaches = (node_reach(tree, profile.full(tree)), limit_reach(tree, profile))
+    for part in (coarse, fine, coarse):
+        for reach in reaches:
+            for owner in tree.player_info_sets():
+                conj = cursed_conjecture(tree, part, profile, owner, require_mixed=False,
+                                         reach=reach)
+                reference = walker_conjecture(tree, part, profile, owner, reach)
+                assert conj.dists == reference
+                assert list(conj.dists) == list(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_compiled_plan_matches_per_call_walker(seed):
+    """optimize_plan on the walk compiled on the tree equals the per-call
+    walker exactly, for one scenario, for the two of the chi-SCE mixture and
+    for a belief over nested nodes, with and without a floor and incumbent,
+    with a forced action, and on repeated calls."""
+    rng = random.Random(seed)
+    tree = random_game(rng, 40)
+    part = coarsest_valid_partition(tree)
+    mixed = random_profile(rng, tree, mixed=True)
+    pure = random_profile(rng, tree)
+    for profile, reach in ((mixed, node_reach(tree, mixed.full(tree))),
+                           (pure, limit_reach(tree, pure))):
+        for owner in sorted(tree.player_info_sets()) * 2:
+            oset = tree.info_sets[owner]
+            conj = cursed_conjecture(tree, part, profile, owner, require_mixed=False,
+                                     reach=reach)
+            try:
+                cursed = belief(tree, conj).probs
+            except ZeroProbabilityError:
+                continue
+            total = sum(reach[h] for h in oset.nodes)
+            bayes = {h: reach[h] / total for h in oset.nodes}
+            # the last belief also holds an ancestor of an owner node, whose
+            # walk reaches that node a second time
+            nested = {tree.root: 0.5, oset.nodes[0]: 0.5}
+            for scenarios in ([Scenario(1.0, cursed, conj.dists)],
+                              [Scenario(0.5, cursed, conj.dists),
+                               Scenario(0.5, bayes, profile.full(tree))],
+                              [Scenario(1.0, nested, conj.dists)]):
+                for kwargs in ({}, {"floor": 0.05, "incumbent": mixed.dists[owner]},
+                               {"forced": oset.actions[-1]}):
+                    res = optimize_plan(tree, owner, scenarios, oset.player, **kwargs)
+                    reference = walker_plan(tree, owner, scenarios, oset.player, **kwargs)
+                    assert (res.value, res.action_values, res.optimal_actions,
+                            res.plan) == reference
 
 
 def _club_variant(split_first_set=False, pool_nature=False, bad_nature_sum=False):
