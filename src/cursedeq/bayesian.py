@@ -130,7 +130,7 @@ def _solve_static(game: BayesianGame, config: SolverConfig, independent: bool,
         return {c: type_action_values(game, sigma, c[0], c[1], independent)
                 for c in owners}
 
-    sigma, _, _, _, _ = _homotopy(
+    sigma, _, _, _ = _homotopy(
         concept, config, cells, lambda c: game.actions[c[0]], frozen, free,
         lambda sigma, eps: q_trial(sigma, free), q_trial,
         lambda sigma: (q_trial(sigma, free), True, None))

@@ -165,16 +165,28 @@ def optimize_plan(tree: GameTree, owner: str, scenarios, player: str,
     return PlanResult(value, q_owner, opt, plan)
 
 
+def respond(tree: GameTree, owner: str, conjecture: Conjecture | None, chi: float = 1.0,
+            bayes: dict[str, float] | None = None, full=None, floor: float = 0.0,
+            tie_tol: float = TIE_TOL, forced: str | None = None) -> PlanResult:
+    """The owner's best response to a conjecture, weighted ``chi``, mixed
+    with weight ``1 - chi`` with the Bayes belief ``bayes`` over the owner's
+    nodes under the full profile ``full`` (chi = 1 is SCE, chi = 0 plain
+    Bayes).  ``floor`` and ``forced`` are as in :func:`optimize_plan`."""
+    scenarios = []
+    if chi > 0.0:
+        scenarios.append(Scenario(chi, belief(tree, conjecture).probs, conjecture.dists))
+    if chi < 1.0:
+        scenarios.append(Scenario(1.0 - chi, bayes, full))
+    return optimize_plan(tree, owner, scenarios, tree.info_sets[owner].player,
+                         floor=floor, tie_tol=tie_tol, forced=forced)
+
+
 def local_best_response_value(tree: GameTree, partition: CoarsePartition,
                               conjecture: Conjecture, tie_tol: float = TIE_TOL):
     """Max value, optimal actions at the owner, and an optimal plan, for the
     single-agent problem defined by a conjecture."""
-    oset = tree.info_sets[conjecture.owner]
-    b = belief(tree, conjecture)
-    sc = Scenario(1.0, b.probs, conjecture.dists)
-    res = optimize_plan(tree, conjecture.owner, [sc], oset.player, tie_tol=tie_tol)
-    best = max(res.action_values.values())
-    return best, res.optimal_actions, res.plan
+    res = respond(tree, conjecture.owner, conjecture, tie_tol=tie_tol)
+    return max(res.action_values.values()), res.optimal_actions, res.plan
 
 
 @dataclass(frozen=True)
@@ -206,10 +218,7 @@ def check_local_best_response(tree: GameTree, partition: CoarsePartition,
     gaps = {}
     issues = []
     for owner, conj in system.items():
-        oset = tree.info_sets[owner]
-        b = belief(tree, conj)
-        sc = Scenario(1.0, b.probs, conj.dists)
-        res = optimize_plan(tree, owner, [sc], oset.player, tie_tol=tol)
+        res = respond(tree, owner, conj, tie_tol=tol)
         best = max(res.action_values.values())
         support = [a for a, p in profile.dists[owner].items() if p > tol]
         gap = max((best - res.action_values[a]) for a in support) if support else 0.0

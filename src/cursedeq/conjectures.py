@@ -370,21 +370,23 @@ class LimitDiagnostics:
         return all(r > 0 for r in self.owner_reach.values())
 
 
+def limit_diagnostics(tree: GameTree, system: ConjectureSystem) -> LimitDiagnostics:
+    """Each owner set's reach under its own limit conjecture, which must be
+    positive."""
+    return LimitDiagnostics({o: sum(_upward_reach(tree, conj.dists, h)
+                                    for h in tree.info_sets[o].nodes)
+                             for o, conj in system.items()})
+
+
 def limit_conjecture_system(tree: GameTree, partition: CoarsePartition,
                             profile: BehaviorProfile, owners=None):
     """Exact limits of the cursed conjectures along the tremble path of
-    ``profile``, from one walk of leading-term reaches.
-
-    The same path justifies every conjecture.  The diagnostics record each
-    owner set's reach under its own limit conjecture, which must be positive.
-    """
+    ``profile``, from one walk of leading-term reaches, with their
+    :func:`limit_diagnostics`.  The same path justifies every conjecture."""
     if owners is None:
         owners = tree.player_info_sets()
     reach = limit_reach(tree, profile)
     system = {o: cursed_conjecture(tree, partition, profile, o, require_mixed=False,
                                    reach=reach)
               for o in owners}
-    owner_reach = {o: sum(_upward_reach(tree, conj.dists, h)
-                          for h in tree.info_sets[o].nodes)
-                   for o, conj in system.items()}
-    return system, LimitDiagnostics(owner_reach)
+    return system, limit_diagnostics(tree, system)

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bayesian import solve_ce, voting_bayesian, voting_computer_freeze
-from .bestresponse import Scenario, optimize_plan
-from .conjectures import belief, cursed_conjecture
+from .bestresponse import respond
+from .conjectures import cursed_conjecture
 from .games import (DEFAULT_TYPES, VOTING_P, VOTING_Q, ExperimentSpec, price_grid, prices_cell,
                     prices_skeleton, snap_price, type_grid, type_weights, voting_game)
 from .partition import coarsest_valid_partition
-from .solvers import SolverConfig, solve_sce
+from .solvers import SolverConfig, _bayes_belief, solve_sce
 from .tree import BehaviorProfile, GameError, node_reach
 
 
@@ -156,8 +156,9 @@ def prices_predictions(concept: str = "wpce", g: int = 21,
 
 
 def _solve_prices(tree, partition, g, treatment, p1):
-    """Two best-response sweeps: trader 1 first, then trader 2 against the
-    cursed conjectures induced by trader 1's play."""
+    """Two best-response sweeps: trader 1 first, against the Bayes belief
+    under uniform play (chi = 0), then trader 2 against the cursed
+    conjectures induced by trader 1's play (chi = 1)."""
     eps = 1e-9
     profile = BehaviorProfile.uniform(tree)
     grid = type_grid(g)
@@ -167,32 +168,23 @@ def _solve_prices(tree, partition, g, treatment, p1):
     reach = node_reach(tree, full)
     for i, t1 in enumerate(grid):
         iid = f"T1:{i}"
-        oset = tree.info_sets[iid]
-        total = sum(reach[h] for h in oset.nodes)
-        start = {h: reach[h] / total for h in oset.nodes}
-        res = optimize_plan(tree, iid, [Scenario(1.0, start, full)], "T1")
-        q = res.action_values
-        if abs(q["buy"] - q["sell"]) <= 1e-12:
-            dist = {"buy": 0.5, "sell": 0.5}
-        else:
-            pick = "buy" if q["buy"] > q["sell"] else "sell"
-            dist = {a: (1.0 if a == pick else 0.0) for a in ("buy", "sell")}
-        profile.dists[iid] = dist
-        sigma1[t1] = dist["buy"]
+        res = respond(tree, iid, None, 0.0, _bayes_belief(tree, reach, iid), full, tie_tol=1e-12)
+        profile.dists[iid] = _uniform_over(res.optimal_actions, tree.info_sets[iid].actions)
+        sigma1[t1] = profile.dists[iid]["buy"]
 
     floored = BehaviorProfile({i: {a: (1 - eps * len(d)) * pr + eps for a, pr in d.items()}
                                for i, d in profile.dists.items()})
     reach = node_reach(tree, floored.full(tree))
     for iid in tree.player_info_sets("T2"):
         conj = cursed_conjecture(tree, partition, floored, iid, reach=reach)
-        res = optimize_plan(tree, iid, [Scenario(1.0, belief(tree, conj).probs, conj.dists)],
-                            "T2", tie_tol=1e-9)
-        best = max(res.action_values.values())
-        opt = [a for a in tree.info_sets[iid].actions
-               if res.action_values[a] >= best - 1e-9]
-        profile.dists[iid] = {a: (1.0 / len(opt) if a in opt else 0.0)
-                              for a in tree.info_sets[iid].actions}
+        profile.dists[iid] = _uniform_over(respond(tree, iid, conj).optimal_actions,
+                                           tree.info_sets[iid].actions)
     return profile, sigma1
+
+
+def _uniform_over(optimal, actions):
+    """Uniform play over the optimal actions, none elsewhere."""
+    return {a: (1.0 / len(optimal) if a in optimal else 0.0) for a in actions}
 
 
 def _branch_probability(g, t2, a1, sigma1):

@@ -7,23 +7,28 @@ restarts.  Interior mixing defeats plain damped iteration, so after the
 floor schedule the solver detects the support and solves the exact
 indifference conditions of the limit conjectures with a Newton-type root
 finder, then certifies local best responses under the limit conjectures.
-Every limit is exact: conjectures and beliefs along the tremble path
-(1 - t) sigma + t uniform are taken to t -> 0 from leading-term reaches
-(``conjectures.limit_reach``).  The same driver solves static CE/ICE
-(``bayesian``) with its own oracles.
+
+One function, :func:`_values`, gives the action values at a floor stage and
+in the limit alike: each owner's best response comes from
+``bestresponse.respond`` against its cursed conjecture (mixed with the Bayes
+belief for chi-SCE; per forced action for causal SCE), and only the node
+reaches differ.  A stage reads floats from ``node_reach``; the limit reads
+the leading terms of ``conjectures.limit_reach``, which take conjectures and
+beliefs along the tremble path (1 - t) sigma + t uniform exactly to t -> 0.
+The same driver solves static CE/ICE (``bayesian``) with its own oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from scipy import optimize
 
-from .bestresponse import Scenario, _floor_dist, check_local_best_response, optimize_plan
-from .conjectures import (belief, check_cursed_plausible, cursed_conjecture,
-                          limit_conjecture_system, limit_reach)
+from .bestresponse import _floor_dist, check_local_best_response, respond
+from .conjectures import (check_cursed_plausible, cursed_conjecture, limit_diagnostics,
+                          limit_reach)
 from .games import ComputerPlayerSet
 from .partition import CoarsePartition
 from .tree import BehaviorProfile, GameError, GameTree, node_reach
@@ -53,19 +58,23 @@ class SolverConfig:
     polish: bool = True
 
     def __post_init__(self):
-        if not (self.eps_start > 0 and self.eps_floor > 0):
-            raise GameError("eps start and eps floor must be positive")
+        if not 0 < self.eps_floor <= self.eps_start:
+            raise GameError("eps floor must lie in (0, eps start]")
         if not 0 < self.eps_decay < 1:
             raise GameError("eps decay must lie in (0, 1)")
         if not 0 < self.damping <= 1:
             raise GameError("damping must lie in (0, 1]")
         if min(self.fp_tol, self.gap_tol, self.tie_tol) <= 0:
             raise GameError("tolerances must be positive")
+        if self.max_iters < 1 or self.restarts < 0:
+            raise GameError("max iters must be at least 1 and restarts at least 0")
 
     def schedule(self, max_actions: int = 2):
         """Geometric floor schedule; the start shrinks if some information
         set has too many actions for the floor to be feasible."""
         eps = min(self.eps_start, 0.5 / max_actions)
+        if self.eps_floor > eps:
+            raise GameError(f"eps floor {self.eps_floor} exceeds the schedule start {eps}")
         out = []
         while eps > self.eps_floor:
             out.append(eps)
@@ -79,12 +88,10 @@ class EquilibriumResult:
     concept: str
     profile: BehaviorProfile
     conjectures: dict
-    eps_path: list
     gaps: dict[str, float]
     converged: bool
     iterations: int
     seed: int
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def max_gap(self) -> float:
@@ -106,7 +113,7 @@ class EquilibriumResult:
 
 
 # ---------------------------------------------------------------------------
-# Q-value oracles (stage versions work on fully mixed iterates)
+# Action values: one responder per owner, at a floor stage or in the limit
 # ---------------------------------------------------------------------------
 
 def _bayes_belief(tree, reach, owner):
@@ -119,107 +126,65 @@ def _bayes_belief(tree, reach, owner):
     return {h: reach[h] / total for h in nodes}
 
 
-def _q_stage(tree, partition, profile, owners, floor, tie_tol, chi=1.0):
-    """Floored values under the chi-weighted mixture of the cursed
-    conjecture and the Bayes belief (chi = 1 is SCE)."""
-    if chi > 0.0 and owners and not profile.is_fully_mixed():
-        raise GameError("cursed conjecture requires a fully mixed profile")
-    out = {}
-    full = profile.full(tree)
-    reach = node_reach(tree, full)
+def _values(tree, partition, profile, owners, concept, chi, floor, tie_tol, reach_of):
+    """Action values and conjectures of ``owners`` under ``profile``.
+
+    ``reach_of(profile, exact)`` gives the node reaches: floats from
+    ``node_reach`` at a floor stage, or the leading terms of ``limit_reach``
+    in the vanishing-tremble limit, where the sets in ``exact`` do not
+    tremble.  SCE and chi-SCE value each owner against its cursed
+    conjecture, mixed with the Bayes belief for chi < 1, from one reach
+    shared by every owner.  Causal SCE values each action under the
+    conjecture of the profile modified to play it surely; those
+    conjectures are keyed by (owner, action).
+    """
+    q, conjs = {}, {}
+    if concept == "causal-sce":
+        for o in owners:
+            q[o] = {}
+            for a in tree.info_sets[o].actions:
+                forced = BehaviorProfile({**profile.dists,
+                                          o: {b: float(b == a) for b in profile.dists[o]}})
+                conj = cursed_conjecture(tree, partition, forced, o, require_mixed=False,
+                                         reach=reach_of(forced, (o,)))
+                conjs[(o, a)] = conj
+                q[o][a] = respond(tree, o, conj, floor=floor, tie_tol=tie_tol,
+                                  forced=a).action_values[a]
+        return q, conjs
+    reach = reach_of(profile, ())
+    full = profile.full(tree) if chi < 1.0 else None
     for o in owners:
-        scenarios = []
-        if chi > 0.0:
-            conj = cursed_conjecture(tree, partition, profile, o, require_mixed=False,
-                                     reach=reach)
-            scenarios.append(Scenario(chi, belief(tree, conj).probs, conj.dists))
-        if chi < 1.0:
-            scenarios.append(Scenario(1.0 - chi, _bayes_belief(tree, reach, o), full))
-        res = optimize_plan(tree, o, scenarios, tree.info_sets[o].player,
-                            floor=floor, tie_tol=tie_tol)
-        out[o] = res.action_values
-    return out
+        # at chi = 0 only the limit reads the conjecture, to report it
+        conjs[o] = conj = cursed_conjecture(tree, partition, profile, o, require_mixed=False,
+                                            reach=reach) if chi > 0.0 or not floor else None
+        bayes = _bayes_belief(tree, reach, o) if chi < 1.0 else None
+        q[o] = respond(tree, o, conj, chi, bayes, full, floor, tie_tol).action_values
+    return q, conjs
 
-
-def _force_action(profile: BehaviorProfile, owner: str, action: str) -> BehaviorProfile:
-    mod = profile.copy()
-    mod.dists[owner] = {a: (1.0 if a == action else 0.0)
-                        for a in profile.dists[owner]}
-    return mod
-
-
-def _q_causal(tree, partition, profile, owners, floor, tie_tol, limit=False):
-    """One conjecture per available action: the owner evaluates each action
-    under the cursed conjecture of the profile modified to play it surely
-    (with ``limit``, the exact limit along the tremble path, in which the
-    forced action does not tremble).  Returns the values and the
-    conjectures keyed by (owner, action)."""
-    out, conjs = {}, {}
-    for o in owners:
-        player = tree.info_sets[o].player
-        q = {}
-        for a in tree.info_sets[o].actions:
-            forced = _force_action(profile, o, a)
-            reach = limit_reach(tree, forced, exact=(o,)) if limit else None
-            conj = cursed_conjecture(tree, partition, forced, o, require_mixed=False,
-                                     reach=reach)
-            conjs[(o, a)] = conj
-            sc = Scenario(1.0, belief(tree, conj).probs, conj.dists)
-            res = optimize_plan(tree, o, [sc], player, floor=floor,
-                                tie_tol=tie_tol, forced=a)
-            q[a] = res.action_values[a]
-        out[o] = q
-    return out, conjs
-
-
-# ---------------------------------------------------------------------------
-# Limit artifacts: conjectures, beliefs and Q values as trembles vanish
-# ---------------------------------------------------------------------------
 
 class LimitOracle:
-    """Q values, conjectures and beliefs in the vanishing-tremble limit.
+    """Q values, conjectures and diagnostics in the vanishing-tremble limit.
 
     Every limit is exact and taken along one tremble path of the candidate
     profile, so the same path justifies every conjecture in the reported
     system.  Causal SCE evaluates each owner action under the limit
-    conjecture of the profile that plays it surely, untrembled.
+    conjecture of the profile that plays it surely, untrembled, and has no
+    diagnostics (None).
     """
 
     def __init__(self, tree, partition, concept, chi, config):
         self.tree = tree
         self.partition = partition
         self.concept = concept
-        self.chi = chi
+        self.chi = chi if concept == "chi-sce" else 1.0
         self.config = config
 
     def artifacts(self, profile, owners):
-        tree, partition = self.tree, self.partition
-        tie = self.config.tie_tol
-        if self.concept == "causal-sce":
-            q, conjs = _q_causal(tree, partition, profile, owners, 0.0, tie, limit=True)
-            return q, conjs, {}
-
-        system, diag = limit_conjecture_system(tree, partition, profile, owners)
-        bayes = {}
-        if self.concept == "chi-sce" and self.chi < 1.0:
-            reach = limit_reach(tree, profile)
-            bayes = {o: _bayes_belief(tree, reach, o) for o in owners}
-        full = profile.full(tree)
-        q = {}
-        for o in owners:
-            conj = system[o]
-            player = tree.info_sets[o].player
-            scenarios = []
-            if self.concept == "chi-sce":
-                if self.chi > 0.0:
-                    scenarios.append(Scenario(self.chi, belief(tree, conj).probs, conj.dists))
-                if self.chi < 1.0:
-                    scenarios.append(Scenario(1.0 - self.chi, bayes[o], full))
-            else:
-                scenarios.append(Scenario(1.0, belief(tree, conj).probs, conj.dists))
-            res = optimize_plan(tree, o, scenarios, player, tie_tol=tie)
-            q[o] = res.action_values
-        return q, system, {"limit_diag": diag, "bayes_beliefs": bayes}
+        q, conjs = _values(self.tree, self.partition, profile, owners, self.concept, self.chi,
+                           0.0, self.config.tie_tol,
+                           lambda p, exact: limit_reach(self.tree, p, exact))
+        diag = None if self.concept == "causal-sce" else limit_diagnostics(self.tree, conjs)
+        return q, conjs, diag
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +203,7 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_trial,
     candidate, which passes when ``sound`` holds and every free support is
     optimal within ``gap_tol``.
 
-    Returns ``(dists, gaps, payload, stages, iterations)``, where ``stages``
-    lists ``(eps, dists)`` after each floor stage, or is None when support
-    enumeration found the answer.
+    Returns ``(dists, gaps, payload, iterations)``.
     """
     rng = random.Random(config.seed)
     max_actions = max((len(actions_of(k)) for k in keys), default=2)
@@ -275,7 +238,6 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_trial,
                 s = sum(raw)
                 dists[k] = {a: w / s for a, w in zip(acts, raw)}
 
-        stages = []
         for eps in config.schedule(max_actions):
             # clamp into the eps-constrained simplex, frozen strategies included
             dists = {k: {a: eps + (1.0 - eps * len(d)) * p
@@ -305,7 +267,6 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_trial,
             else:
                 # cycling around interior mixing: carry the stage average
                 dists = avg
-            stages.append((eps, {k: dict(d) for k, d in dists.items()}))
 
         # strip floor-level mass and renormalize; frozen entries stay exact
         candidate = {}
@@ -320,7 +281,7 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_trial,
             candidate = _polish(candidate, free, q_trial)
         gaps, payload = judge(candidate)
         if gaps is not None:
-            return candidate, gaps, payload, stages, iterations
+            return candidate, gaps, payload, iterations
 
     # last resort for stubborn cycles: enumerate supports outright
     if config.polish:
@@ -332,7 +293,7 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_trial,
             candidate.update((k, dict(d)) for k, d in frozen.items())
             gaps, payload = judge(candidate)
             if gaps is not None:
-                return candidate, gaps, payload, None, iterations
+                return candidate, gaps, payload, iterations
 
     detail = f"best gap {best_gap:.3g}"
     if unsound:
@@ -456,27 +417,21 @@ def _solve(tree: GameTree, partition: CoarsePartition, config: SolverConfig,
     oracle = LimitOracle(tree, partition, concept, chi, config)
 
     def q_stage(dists, eps):
-        profile = BehaviorProfile(dists)
-        if concept == "causal-sce":
-            return _q_causal(tree, partition, profile, free, eps, config.tie_tol)[0]
-        return _q_stage(tree, partition, profile, free, eps, config.tie_tol, chi)
+        return _values(tree, partition, BehaviorProfile(dists), free, concept, chi, eps,
+                       config.tie_tol, lambda p, exact: node_reach(tree, p.full(tree)))[0]
 
     def q_trial(dists, owners):
         return oracle.artifacts(BehaviorProfile(dists), owners)[0]
 
     def certify(dists):
-        q, conjs, extras = oracle.artifacts(BehaviorProfile(dists), free)
-        diag = extras.get("limit_diag")
-        return q, diag is None or diag.ok, (conjs, extras)
+        q, conjs, diag = oracle.artifacts(BehaviorProfile(dists), free)
+        return q, diag is None or diag.ok, conjs
 
-    dists, gaps, (conjs, extras), stages, iterations = _homotopy(
+    dists, gaps, conjs, iterations = _homotopy(
         concept, config, tree.player_info_sets(), lambda o: tree.info_sets[o].actions,
         frozen_dists, free, q_stage, q_trial, certify)
-    if stages is None:
-        extras["support_enumeration"] = True
-    eps_path = [(eps, BehaviorProfile(d)) for eps, d in stages or []]
-    return EquilibriumResult(concept, BehaviorProfile(dists), conjs, eps_path, gaps,
-                             True, iterations, config.seed, extras)
+    return EquilibriumResult(concept, BehaviorProfile(dists), conjs, gaps, True,
+                             iterations, config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +451,10 @@ def epsilon_best_response(tree: GameTree, partition: CoarsePartition,
         if any(p < eps - 1e-12 for p in profile.dists[iid].values()):
             raise GameError(f"profile violates the floor at {iid!r}")
     free = [o for o in tree.player_info_sets() if o not in frozen_dists]
-    q = _q_stage(tree, partition, profile, free, eps, tie_tol)
+    if free and not profile.is_fully_mixed():
+        raise GameError("cursed conjecture requires a fully mixed profile")
+    q = _values(tree, partition, profile, free, "sce", 1.0, eps, tie_tol,
+                lambda p, exact: node_reach(tree, p.full(tree)))[0]
     out = profile.copy()
     for o in free:
         acts = tree.info_sets[o].actions
@@ -557,7 +515,6 @@ def solve_wpce(tree: GameTree, partition: CoarsePartition,
     if not report.ok:
         raise NonConvergenceError(f"solver output failed WPCE recertification:\n{report}")
     res.concept = "wpce"
-    res.diagnostics["wpce_recertified"] = True
     return res
 
 
@@ -572,9 +529,8 @@ def sce_witness_check(tree: GameTree, partition: CoarsePartition,
     not a search over all paths.
     """
     config = config or SolverConfig()
-    oracle = LimitOracle(tree, partition, concept, chi, config)
     owners = sorted(tree.player_info_sets())
-    q, conjs, extras = oracle.artifacts(profile, owners)
+    q, conjs, _ = LimitOracle(tree, partition, concept, chi, config).artifacts(profile, owners)
     gaps = {}
     for o in owners:
         support = [a for a, p in profile.dists[o].items() if p > config.gap_tol]

@@ -77,6 +77,10 @@ def test_solve_nonconvergent_exit_three(seqtrading, tmp_path):
     ("seed\n", "config key 'seed': expected int"),
     ("eps-decay 1.0\n", "eps decay must lie in (0, 1)"),
     ("limit_steps 40\n", "unknown config key 'limit_steps'"),
+    ("eps_floor 0.9\n", "eps floor must lie in (0, eps start]"),
+    ("eps_start 0.9\neps_floor 0.6\n", "eps floor 0.6 exceeds the schedule start 0.25"),
+    ("restarts -1\n", "restarts at least 0"),
+    ("max_iters 0\n", "max iters must be at least 1"),
 ])
 def test_bad_config_is_a_usage_error(seqtrading, tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"

@@ -1,6 +1,6 @@
 """Pinned solver outputs: the exact bytes a fixed config and seed produce
 (``to_text()`` and the iteration count of tree solves, ``repr`` of static
-CE/ICE strategies).
+CE/ICE strategies and of the price harness's cells at G = 7).
 
 The determinism tests compare two calls of the same code; this one compares
 against outputs recorded earlier, so a refactor of the solver driver that
@@ -18,6 +18,7 @@ from pathlib import Path
 
 from cursedeq import games
 from cursedeq.bayesian import random_bayesian_game, solve_ce, solve_ice
+from cursedeq.golden import prices_predictions
 from cursedeq.partition import coarsest_valid_partition
 from cursedeq.solvers import SolverConfig, solve_causal_sce, solve_chi_sce, solve_sce
 
@@ -40,6 +41,7 @@ def pinned_outputs():
         config = SolverConfig(restarts=restarts)
         out[f"ce:{s}:{restarts}"] = repr(solve_ce(game, config))
         out[f"ice:{s}:{restarts}"] = repr(solve_ice(game, config))
+    out["prices:wpce:7"] = "".join(f"{cell!r}\n" for cell in prices_predictions("wpce", 7).cells)
     return out
 
 

@@ -116,6 +116,28 @@ def test_chi_half_mixture_value(paper):
     assert q0["2:t2p"]["a"] == pytest.approx(-0.5, abs=1e-9)
 
 
+def test_chi_limit_walks_the_tree_once(paper, monkeypatch):
+    """One chi-SCE limit evaluation reads the cursed conjectures and the
+    Bayes beliefs of every owner from a single leading-term reach walk."""
+    import cursedeq
+    from cursedeq.solvers import LimitOracle
+    real = cursedeq.tree.node_reach
+    walks = []
+
+    def counted(tree, *args, **kwargs):
+        walks.append(tree.title)
+        return real(tree, *args, **kwargs)
+
+    for mod in (cursedeq.tree, cursedeq.conjectures, cursedeq.solvers):
+        monkeypatch.setattr(mod, "node_reach", counted)
+    tree, part = paper["trading-simultaneous"]
+    prof = BehaviorProfile.pure(tree, {"1:lo": "a", "1:hi": "d",
+                                       "2:t2": "d", "2:t2p": "a"})
+    owners = sorted(tree.player_info_sets())
+    LimitOracle(tree, part, "chi-sce", 0.5, SolverConfig()).artifacts(prof, owners)
+    assert len(walks) == 1
+
+
 def test_causal_demo(paper):
     tree, part = paper["leader-follower"]
     res = solve_causal_sce(tree, part, SolverConfig(seed=7))
@@ -213,13 +235,13 @@ def test_failed_limit_diagnostics_are_not_an_equilibrium(paper, monkeypatch):
     from cursedeq import solvers
     from cursedeq.conjectures import LimitDiagnostics
 
-    exact = solvers.limit_conjecture_system
+    exact = solvers.limit_diagnostics
 
     def zero_owner_reach(*args, **kwargs):
-        system, diag = exact(*args, **kwargs)
-        return system, LimitDiagnostics(dict.fromkeys(diag.owner_reach, 0.0))
+        diag = exact(*args, **kwargs)
+        return LimitDiagnostics(dict.fromkeys(diag.owner_reach, 0.0))
 
-    monkeypatch.setattr(solvers, "limit_conjecture_system", zero_owner_reach)
+    monkeypatch.setattr(solvers, "limit_diagnostics", zero_owner_reach)
     tree, part = paper["leader-follower"]
     with pytest.raises(NonConvergenceError, match="limit certification"):
         solve_sce(tree, part, SolverConfig(restarts=0))
