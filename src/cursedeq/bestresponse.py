@@ -100,7 +100,6 @@ def _plan_walk(tree: GameTree, player: str, roots):
 
 def optimize_plan(tree: GameTree, owner: str, scenarios, player: str,
                   floor: float = 0.0, tie_tol: float = TIE_TOL,
-                  incumbent: dict[str, float] | None = None,
                   forced: str | None = None) -> PlanResult:
     """Backward induction over the owner's compatible information sets.
 
@@ -150,10 +149,8 @@ def optimize_plan(tree: GameTree, owner: str, scenarios, player: str,
              for a in actions}
         if iid == owner:
             q_owner = q
-            if forced is not None:
-                plan[iid] = {a: (1.0 if a == forced else 0.0) for a in actions}
-            else:
-                plan[iid] = _floor_dist(actions, q, floor, tie_tol, incumbent)
+        if iid == owner and forced is not None:
+            plan[iid] = {a: (1.0 if a == forced else 0.0) for a in actions}
         else:
             plan[iid] = _floor_dist(actions, q, floor, tie_tol)
 

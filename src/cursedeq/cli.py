@@ -217,16 +217,27 @@ def cmd_experiment(args):
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def cmd_auction(args):
-    from .auctions import (OracleConfig, bid_canonical_english, bid_second_price,
-                           bid_silent_english, estimate_conditionals, solve_dutch,
-                           solve_first_price, uniform_grid)
+def _auction_tables(args):
+    """The signal model, oracle and conditional tables that ``auction`` and
+    ``orderings`` share."""
+    from .auctions import OracleConfig, estimate_conditionals, uniform_grid
     model = parse_model(_read(args.model))
+    if args.grid < 2:
+        raise GameError(f"--grid must be at least 2, got {args.grid}")
     seed = args.seed if args.seed is not None else int(os.environ.get(SEED_ENV, "0"))
-    oracle = OracleConfig(samples=args.samples, seed=seed)
-    grid = uniform_grid(model, args.grid)
-    tables = estimate_conditionals(model, grid, oracle,
+    try:
+        oracle = OracleConfig(samples=args.samples, seed=seed)
+    except ValueError as exc:
+        raise GameError(f"--samples {args.samples}: {exc}") from None
+    tables = estimate_conditionals(model, uniform_grid(model, args.grid), oracle,
                                    use_closed_forms=not args.monte_carlo)
+    return model, oracle, tables
+
+
+def cmd_auction(args):
+    from .auctions import (bid_canonical_english, bid_second_price, bid_silent_english,
+                           solve_dutch, solve_first_price)
+    model, oracle, tables = _auction_tables(args)
     fmt = args.format
     if fmt == "1p":
         bf = solve_first_price(model, tables, oracle)
@@ -260,15 +271,9 @@ def cmd_auction(args):
 
 
 def cmd_orderings(args):
-    from .auctions import (OracleConfig, bid_second_price, bid_silent_english,
-                           estimate_conditionals, ode_residuals, solve_dutch,
-                           solve_first_price, uniform_grid, verify_orderings)
-    model = parse_model(_read(args.model))
-    seed = args.seed if args.seed is not None else int(os.environ.get(SEED_ENV, "0"))
-    oracle = OracleConfig(samples=args.samples, seed=seed)
-    grid = uniform_grid(model, args.grid)
-    tables = estimate_conditionals(model, grid, oracle,
-                                   use_closed_forms=not args.monte_carlo)
+    from .auctions import (bid_second_price, bid_silent_english, ode_residuals, solve_dutch,
+                           solve_first_price, verify_orderings)
+    model, oracle, tables = _auction_tables(args)
     b1 = solve_first_price(model, tables, oracle)
     bd = solve_dutch(model, tables, oracle)
     b2 = bid_second_price(model, tables, oracle)

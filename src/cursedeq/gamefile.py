@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .games import ExperimentSpec
-from .tree import NATURE, BehaviorProfile, GameBuilder, GameTree
+from .tree import NATURE, PROB_TOL, BehaviorProfile, GameBuilder, GameTree
 
 
 class ParseError(ValueError):
@@ -205,25 +205,45 @@ def serialize_game(tree: GameTree) -> str:
 # Profiles and assessments
 # ---------------------------------------------------------------------------
 
+def _distribution(toks, cols, lineno: int, rule: str, actions) -> dict[str, float]:
+    """The ``a:p`` entries of one line as a distribution over ``actions``;
+    omitted actions get 0 and the entries must sum to 1."""
+    dist = dict.fromkeys(actions, 0.0)
+    for tok, col in zip(toks, cols):
+        a, sep, p = tok.partition(":")
+        if not sep:
+            raise ParseError(lineno, col, rule, f"entry {tok!r} is not action:prob")
+        if a not in dist:
+            raise ParseError(lineno, col, rule, f"unknown action {a!r}")
+        dist[a] = parse_number(p, lineno, col)
+        if dist[a] < 0.0:
+            raise ParseError(lineno, col, rule, f"negative probability in {tok!r}")
+    total = sum(dist.values())
+    if abs(total - 1.0) > PROB_TOL:
+        raise ParseError(lineno, 1, rule, f"probabilities sum to {total:.6g}, not 1")
+    return dist
+
+
+def _info_set(tok: str, col: int, lineno: int, rule: str, known) -> str:
+    if tok not in known:
+        raise ParseError(lineno, col, rule, f"unknown info set {tok!r}")
+    return tok
+
+
 def parse_profile_lines(lines, tree: GameTree, start_line: int = 1) -> BehaviorProfile:
-    dists = {}
-    for off, raw in enumerate(lines):
+    profile = BehaviorProfile.uniform(tree)
+    for lineno, raw in enumerate(lines, start=start_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         toks, cols = _tokens(line)
         if toks[0] != "play":
-            raise ParseError(start_line + off, 1, "profile", f"expected 'play', got {toks[0]!r}")
-        iid = toks[1]
-        dists[iid] = {a: parse_number(p, start_line + off, c)
-                      for tok, c in zip(toks[2:], cols[2:])
-                      for a, p in [tok.split(":", 1)]}
-    profile = BehaviorProfile.uniform(tree)
-    for iid, d in dists.items():
-        if iid not in profile.dists:
-            raise ParseError(1, 1, "profile", f"unknown info set {iid!r}")
-        full = {a: d.get(a, 0.0) for a in tree.info_sets[iid].actions}
-        profile.dists[iid] = full
+            raise ParseError(lineno, 1, "profile", f"expected 'play', got {toks[0]!r}")
+        if len(toks) < 2:
+            raise ParseError(lineno, 1, "profile", "expected 'play <infoset> a:p ...'")
+        iid = _info_set(toks[1], cols[1], lineno, "profile", profile.dists)
+        profile.dists[iid] = _distribution(toks[2:], cols[2:], lineno, "profile",
+                                           tree.info_sets[iid].actions)
     return profile
 
 
@@ -233,7 +253,8 @@ class AssessmentDocument:
 
     Conjecture lines have the form
     ``conjecture <owner-infoset> <infoset> a:p b:q`` and override the
-    tremble-path defaults at that owner for that set.
+    tremble-path defaults at that owner for that set.  The entries of a
+    ``play`` or ``conjecture`` line must sum to 1; omitted actions get 0.
     """
 
     profile: BehaviorProfile
@@ -241,30 +262,27 @@ class AssessmentDocument:
 
 
 def parse_assessment(text: str, tree: GameTree) -> AssessmentDocument:
-    profile_lines = []
+    lines = text.split("\n")
+    play_lines = [""] * len(lines)  # keeps each play line at its line number
     overrides = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    owners = tree.player_info_sets()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         toks, cols = _tokens(line)
         if toks[0] == "play":
-            profile_lines.append(line)
-        elif toks[0] == "conjecture":
-            if len(toks) < 4:
-                raise ParseError(lineno, 1, "conjecture", "too few fields")
-            owner, iid = toks[1], toks[2]
-            dist = {}
-            for tok, col in zip(toks[3:], cols[3:]):
-                if ":" not in tok:
-                    raise ParseError(lineno, col, "conjecture", f"bad entry {tok!r}")
-                a, p = tok.split(":", 1)
-                dist[a] = parse_number(p, lineno, col)
-            overrides.setdefault(owner, {})[iid] = dist
-        else:
+            play_lines[lineno - 1] = line
+            continue
+        if toks[0] != "conjecture":
             raise ParseError(lineno, 1, "assessment", f"unknown record {toks[0]!r}")
-    profile = parse_profile_lines(profile_lines, tree)
-    return AssessmentDocument(profile, overrides)
+        if len(toks) < 4:
+            raise ParseError(lineno, 1, "conjecture", "too few fields")
+        owner = _info_set(toks[1], cols[1], lineno, "conjecture", owners)
+        iid = _info_set(toks[2], cols[2], lineno, "conjecture", tree.info_sets)
+        overrides.setdefault(owner, {})[iid] = _distribution(
+            toks[3:], cols[3:], lineno, "conjecture", tree.info_sets[iid].actions)
+    return AssessmentDocument(parse_profile_lines(play_lines, tree), overrides)
 
 
 def serialize_profile(profile: BehaviorProfile) -> str:
@@ -285,7 +303,11 @@ def parse_model(text: str):
     from .auctions import mean_value_model, wallet_model
     fields = _key_values(text, "signalmodel")
     family = fields.get("family", "wallet")
-    bidders = int(fields.get("bidders", "2"))
+    bidders = fields.get("bidders", "2")
+    if not bidders.isdecimal() or int(bidders) < 2:
+        raise ParseError(1, 1, "model",
+                         f"bidders must be an integer of at least 2, got {bidders!r}")
+    bidders = int(bidders)
     if family == "wallet":
         return wallet_model(bidders)
     if family == "mean-value":

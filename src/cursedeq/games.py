@@ -1,7 +1,10 @@
 """Bundled games and experiment generators.
 
-The worked examples (trading variants, the club game, the coordination and
-matching-pennies examples) plus the three lab-experiment families: pivotal
+The paper's worked examples (the trading variants, the running example, the
+club game, the mixing example, the matching-pennies onlooker and the
+leader-follower game) are defined only by their documents in
+``cursedeq/data``; load one with :func:`bundled_game`.  The three
+lab-experiment families depend on parameters and are built here: pivotal
 voting with computer opponents, learning from prices, and the two-stage
 common-value auction.
 """
@@ -11,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .tree import BehaviorProfile, GameBuilder, GameError, GameTree
-
-TRADE_PAYOFFS = {"w1": (3.0, -3.0), "w2": (1.0, -1.0), "w3": (-3.0, 3.0)}
 
 
 @dataclass(frozen=True)
@@ -29,201 +30,6 @@ class ComputerPlayerSet:
         for dists in self.strategies.values():
             out.update(dists)
         return out
-
-
-def sequential_trading() -> GameTree:
-    """Trading game in sequence: player 2 observes player 1's acceptance."""
-    b = GameBuilder("sequential trading", ["1", "2"])
-    b.chance("r", None, None, {"w1": 1 / 3, "w2": 1 / 3, "w3": 1 / 3})
-    for w in ("w1", "w2", "w3"):
-        b.player(w, "r", w, "1")
-        b.player(w + "a", w, "a", "2")
-        b.terminal(w + "d", w, "d", {"1": 0, "2": 0})
-        u1, u2 = TRADE_PAYOFFS[w]
-        b.terminal(w + "aa", w + "a", "a", {"1": u1, "2": u2})
-        b.terminal(w + "ad", w + "a", "d", {"1": 0, "2": 0})
-    b.info_set("1:lo", "1", ["w1", "w2"])
-    b.info_set("1:hi", "1", ["w3"])
-    b.info_set("2:w1", "2", ["w1a"])
-    b.info_set("2:hi", "2", ["w2a", "w3a"])
-    return b.build()
-
-
-def simultaneous_trading() -> GameTree:
-    """Trading game with simultaneous acceptance decisions."""
-    b = GameBuilder("simultaneous trading", ["1", "2"])
-    b.chance("r", None, None, {"w1": 1 / 3, "w2": 1 / 3, "w3": 1 / 3})
-    for w in ("w1", "w2", "w3"):
-        b.player(w, "r", w, "1")
-        for a1 in ("a", "d"):
-            b.player(w + a1, w, a1, "2")
-            for a2 in ("a", "d"):
-                trade = a1 == "a" and a2 == "a"
-                u1, u2 = TRADE_PAYOFFS[w] if trade else (0.0, 0.0)
-                b.terminal(w + a1 + a2, w + a1, a2, {"1": u1, "2": u2})
-    b.info_set("1:lo", "1", ["w1", "w2"])
-    b.info_set("1:hi", "1", ["w3"])
-    b.info_set("2:t2", "2", ["w1a", "w1d"])
-    b.info_set("2:t2p", "2", ["w2a", "w2d", "w3a", "w3d"])
-    return b.build()
-
-
-def fictitious_trading() -> GameTree:
-    """Simultaneous trading with nature replaced by an indifferent player 0."""
-    b = GameBuilder("fictitious-player trading", ["0", "1", "2"])
-    b.player("r", None, None, "0")
-    for w in ("w1", "w2", "w3"):
-        b.player(w, "r", w, "1")
-        for a1 in ("a", "d"):
-            b.player(w + a1, w, a1, "2")
-            for a2 in ("a", "d"):
-                trade = a1 == "a" and a2 == "a"
-                u1, u2 = TRADE_PAYOFFS[w] if trade else (0.0, 0.0)
-                b.terminal(w + a1 + a2, w + a1, a2,
-                           {"0": 0.0, "1": u1, "2": u2})
-    b.info_set("0:root", "0", ["r"])
-    b.info_set("1:lo", "1", ["w1", "w2"])
-    b.info_set("1:hi", "1", ["w3"])
-    b.info_set("2:t2", "2", ["w1a", "w1d"])
-    b.info_set("2:t2p", "2", ["w2a", "w2d", "w3a", "w3d"])
-    return b.build()
-
-
-def running_example() -> GameTree:
-    """Three-state game where player 1 can hand the move to player 2."""
-    b = GameBuilder("running example", ["1", "2"])
-    b.chance("r", None, None, {"w1": 0.4, "w2": 0.2, "w3": 0.4})
-    b.player("w1", "r", "w1", "2")
-    b.terminal("w1l", "w1", "l", {"1": 0, "2": 1})
-    b.terminal("w1r", "w1", "r", {"1": 0, "2": 0})
-    for w in ("w2", "w3"):
-        b.player(w, "r", w, "1")
-        b.terminal(w + "x", w, "x", {"1": 1, "2": 0})
-        b.player(w + "y", w, "y", "2")
-    b.terminal("w2yl", "w2y", "l", {"1": 0, "2": 1})
-    b.terminal("w2yr", "w2y", "r", {"1": 6, "2": 0})
-    b.terminal("w3yl", "w3y", "l", {"1": 0, "2": 0})
-    b.terminal("w3yr", "w3y", "r", {"1": 0, "2": 1})
-    b.info_set("1:I", "1", ["w2", "w3"])
-    b.info_set("2:w1", "2", ["w1"])
-    b.info_set("2:w2y", "2", ["w2y"])
-    b.info_set("2:w3y", "2", ["w3y"])
-    return b.build()
-
-
-def running_profile_y() -> BehaviorProfile:
-    """The depicted profile: 1 plays y; 2 plays l, l, r at its three sets."""
-    return BehaviorProfile({
-        "1:I": {"x": 0.0, "y": 1.0},
-        "2:w1": {"l": 1.0, "r": 0.0},
-        "2:w2y": {"l": 1.0, "r": 0.0},
-        "2:w3y": {"l": 0.0, "r": 1.0},
-    })
-
-
-def running_profile_x() -> BehaviorProfile:
-    """Same as the depicted profile except player 1 keeps the move (x)."""
-    p = running_profile_y()
-    p.dists["1:I"] = {"x": 1.0, "y": 0.0}
-    return p
-
-
-def club_membership() -> GameTree:
-    """Club game: join, get vetted, then confirm membership or resign."""
-    b = GameBuilder("club membership", ["G", "C"])
-    b.chance("r", None, None, {"w1": 1 / 3, "w2": 2 / 3})
-    pay = {"w1": {"resign": (-1, 1), "confirm": (-2, 2)},
-           "w2": {"resign": (-1, -1), "confirm": (2, -2)}}
-    for w in ("w1", "w2"):
-        b.player(w, "r", w, "G")
-        b.terminal(w + "d", w, "d", {"G": 0, "C": 0})
-        b.player(w + "a", w, "a", "C")
-        b.terminal(w + "ad", w + "a", "d", {"G": 0, "C": 0})
-        b.player(w + "aa", w + "a", "a", "G")
-        for act in ("resign", "confirm"):
-            g, c = pay[w][act]
-            b.terminal(w + "aa" + act[0], w + "aa", act, {"G": g, "C": c})
-    b.info_set("G:1", "G", ["w1", "w2"])
-    b.info_set("C:w1", "C", ["w1a"])
-    b.info_set("C:w2", "C", ["w2a"])
-    b.info_set("G:2", "G", ["w1aa", "w2aa"])
-    return b.build()
-
-
-def mixing_example() -> GameTree:
-    """Three-player game whose construction supports mixing by player 1."""
-    b = GameBuilder("endogenous-information mixing", ["1", "2", "3"])
-    pay = {
-        ("L", "l", "a"): (1, 1, 1), ("L", "l", "b"): (1, 1, 0),
-        ("L", "r", "a"): (1, 0, 1), ("L", "r", "b"): (1, 0, 3),
-        ("R", "l", "a"): (0, 0, 1), ("R", "l", "b"): (2, 0, 3),
-        ("R", "r", "a"): (0, 1, 1), ("R", "r", "b"): (2, 1, 0),
-    }
-    b.player("root", None, None, "1")
-    for m1 in ("L", "R"):
-        b.player(m1, "root", m1, "2")
-        for m2 in ("l", "r"):
-            b.player(m1 + m2, m1, m2, "3")
-            for m3 in ("a", "b"):
-                u = pay[(m1, m2, m3)]
-                b.terminal(m1 + m2 + m3, m1 + m2, m3,
-                           {"1": u[0], "2": u[1], "3": u[2]})
-    b.info_set("I1", "1", ["root"])
-    b.info_set("I2L", "2", ["L"])
-    b.info_set("I2R", "2", ["R"])
-    b.info_set("I3", "3", ["Ll", "Lr", "Rl", "Rr"])
-    return b.build()
-
-
-def pennies_threeplayer() -> GameTree:
-    """Matching pennies plus an onlooker told 'either 1 played T or 2 played t'.
-
-    Every coarse set equals an information set, yet the onlooker's cursed
-    conjecture misses the correlation between the two pennies players.
-    """
-    b = GameBuilder("pennies with onlooker", ["1", "2", "3"])
-    b.player("root", None, None, "1")
-    b.player("H", "root", "H", "2")
-    b.player("T", "root", "T", "2")
-    b.terminal("Hh", "H", "h", {"1": 1, "2": 0, "3": 0})
-    pay3 = {"Ht": (7.0, 0.0), "Th": (7.0, 0.0), "Tt": (0.0, 12.0)}
-    base = {"Ht": (0, 1), "Th": (0, 1), "Tt": (1, 0)}
-    for node, parent, act in (("Ht", "H", "t"), ("Th", "T", "h"), ("Tt", "T", "t")):
-        b.player(node, parent, act, "3")
-        u1, u2 = base[node]
-        ua, ub = pay3[node]
-        b.terminal(node + "a", node, "a", {"1": u1, "2": u2, "3": ua})
-        b.terminal(node + "b", node, "b", {"1": u1, "2": u2, "3": ub})
-    b.info_set("I1", "1", ["root"])
-    b.info_set("I2", "2", ["H", "T"])
-    b.info_set("I3", "3", ["Ht", "Th", "Tt"])
-    return b.build()
-
-
-def pennies_profile_b() -> BehaviorProfile:
-    """Both pennies players mix evenly; the onlooker picks b."""
-    return BehaviorProfile({
-        "I1": {"H": 0.5, "T": 0.5},
-        "I2": {"h": 0.5, "t": 0.5},
-        "I3": {"a": 0.0, "b": 1.0},
-    })
-
-
-def causal_demo() -> GameTree:
-    """Two-move game where the follower merely reacts to the leader."""
-    b = GameBuilder("leader and reactive follower", ["1", "2"])
-    pay = {("L", "l"): (1, 1), ("L", "r"): (0, 0),
-           ("R", "l"): (0, 0), ("R", "r"): (3, 3)}
-    b.player("root", None, None, "1")
-    for m1 in ("L", "R"):
-        b.player(m1, "root", m1, "2")
-        for m2 in ("l", "r"):
-            u1, u2 = pay[(m1, m2)]
-            b.terminal(m1 + m2, m1, m2, {"1": u1, "2": u2})
-    b.info_set("I1", "1", ["root"])
-    b.info_set("I2L", "2", ["L"])
-    b.info_set("I2R", "2", ["R"])
-    return b.build()
 
 
 BUNDLED_DOCUMENTS = {
@@ -247,16 +53,36 @@ def bundled_game_text(name: str) -> str:
     return resources.files("cursedeq.data").joinpath(fname).read_text("utf-8")
 
 
-EXAMPLE_GAMES = {
-    "sequential-trading": sequential_trading,
-    "running-example": running_example,
-    "club-membership": club_membership,
-    "mixing": mixing_example,
-    "pennies-onlooker": pennies_threeplayer,
-    "leader-follower": causal_demo,
-    "trading-simultaneous": simultaneous_trading,
-    "trading-fictitious": fictitious_trading,
-}
+def bundled_game(name: str) -> GameTree:
+    """A bundled game, parsed from its document, by short name."""
+    from .gamefile import parse_game
+    return parse_game(bundled_game_text(name))
+
+
+def running_profile_y() -> BehaviorProfile:
+    """Running example, depicted profile: 1 plays y; 2 plays l, l, r."""
+    return BehaviorProfile({
+        "1:I": {"x": 0.0, "y": 1.0},
+        "2:w1": {"l": 1.0, "r": 0.0},
+        "2:w2y": {"l": 1.0, "r": 0.0},
+        "2:w3y": {"l": 0.0, "r": 1.0},
+    })
+
+
+def running_profile_x() -> BehaviorProfile:
+    """Same as the depicted profile except player 1 keeps the move (x)."""
+    p = running_profile_y()
+    p.dists["1:I"] = {"x": 1.0, "y": 0.0}
+    return p
+
+
+def pennies_profile_b() -> BehaviorProfile:
+    """Pennies onlooker: both pennies players mix evenly; the onlooker picks b."""
+    return BehaviorProfile({
+        "I1": {"H": 0.5, "T": 0.5},
+        "I2": {"h": 0.5, "t": 0.5},
+        "I3": {"a": 0.0, "b": 1.0},
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +212,7 @@ def prices_skeleton(g: int, treatment: str):
                             b.terminal(f"{n2}.{a2}", n2, a2, {})
                     else:
                         key = j
-                        for bi in range(len(grid_orders(g))):
+                        for bi in range(len(price_grid(g))):
                             b.terminal(f"{n2}.o{bi}", n2, f"o{bi}", {})
                     t2_sets.setdefault(key, []).append(n2)
     for i in range(g):
@@ -409,17 +235,12 @@ def prices_cell(skeleton, g: int, p1: float):
     for z, v, _, _, a1, a2 in paths:
         if (v, a1, a2) not in by_path:
             value, price = (1.0 if v == "hi" else 0.0), p2[a1]
-            buys = a2 == "buy" if a2[0] != "o" else price <= grid_orders(g)[int(a2[1:])] + 1e-12
+            buys = a2 == "buy" if a2[0] != "o" else price <= price_grid(g)[int(a2[1:])] + 1e-12
             by_path[v, a1, a2] = (float((value - p1) if a1 == "buy" else (p1 - value)),
                                   float((value - price) if buys else (price - value)))
         u1, u2 = by_path[v, a1, a2]
         payoffs[z] = {"T1": u1, "T2": u2}
     return skeleton.with_payoffs(f"{skeleton.title} p1={p1:.4f}", payoffs)
-
-
-def grid_orders(g: int) -> list[float]:
-    """Limit-order levels available to trader 2 (the price grid)."""
-    return price_grid(g)
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +361,8 @@ def generate_experiment(spec: ExperimentSpec):
         return two_stage_auction_tree(aspec), None
     if spec.kind == "trading":
         if p.get("treatment", "simultaneous") == "sequential":
-            return sequential_trading(), None
-        return simultaneous_trading(), None
+            return bundled_game("sequential-trading"), None
+        return bundled_game("trading-simultaneous"), None
     if spec.kind == "fictitious-player-trading":
-        return fictitious_trading(), None
+        return bundled_game("trading-fictitious"), None
     raise GameError(f"unknown experiment {spec.kind!r}")

@@ -15,11 +15,12 @@ from fractions import Fraction
 from .bayesian import solve_ce, voting_bayesian, voting_computer_freeze
 from .bestresponse import respond
 from .conjectures import cursed_conjecture
-from .games import (DEFAULT_TYPES, VOTING_P, VOTING_Q, ExperimentSpec, price_grid, prices_cell,
-                    prices_skeleton, snap_price, type_grid, type_weights, voting_game)
+from .games import (DEFAULT_TYPES, VOTING_P, VOTING_Q, ExperimentSpec, bundled_game, price_grid,
+                    prices_cell, prices_skeleton, snap_price, type_grid, type_weights,
+                    voting_game)
 from .partition import coarsest_valid_partition
 from .solvers import SolverConfig, _bayes_belief, solve_sce
-from .tree import BehaviorProfile, GameError, node_reach
+from .tree import BehaviorProfile, GameError, node_reach, outcome_measure
 
 
 @dataclass
@@ -360,17 +361,15 @@ def two_stage_predictions(types=DEFAULT_TYPES, bid_lo: int = 0,
 def trading_predictions(concept: str = "sce",
                         config: SolverConfig | None = None) -> GoldenReport:
     """Trade or no trade per trading-game variant for the solved concept."""
-    from . import games
-    from .tree import outcome_measure
     config = config or SolverConfig()
     report = GoldenReport("trading", concept)
     variants = {
-        "simultaneous": (games.simultaneous_trading, True),
-        "sequential": (games.sequential_trading, False),
-        "fictitious-player": (games.fictitious_trading, True),
+        "simultaneous": ("trading-simultaneous", True),
+        "sequential": ("sequential-trading", False),
+        "fictitious-player": ("trading-fictitious", True),
     }
-    for name, (maker, expect_trade) in variants.items():
-        tree = maker()
+    for name, (game, expect_trade) in variants.items():
+        tree = bundled_game(game)
         partition = coarsest_valid_partition(tree)
         res = solve_sce(tree, partition, config)
         mu = outcome_measure(tree, res.profile)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tree import NATURE, GameError, GameTree, n_predecessor, own_action_toward
+from .tree import NATURE, GameError, GameTree, info_set_faults, n_predecessor, own_action_toward
 
 COARSE_TOL = 1e-9
 
@@ -129,6 +129,8 @@ def check_valid_partition(tree: GameTree, candidate) -> bool:
     cells = [tuple(sorted(c)) for c in candidate]
     seen = set()
     for cell in cells:
+        if not cell:
+            return False
         for n in cell:
             if n in seen or n not in tree.parent or tree.is_terminal(n):
                 return False
@@ -137,28 +139,6 @@ def check_valid_partition(tree: GameTree, candidate) -> bool:
     if seen != nonterminal:
         return False
 
-    cell_of = {}
-    for cell in cells:
-        for n in cell:
-            cell_of[n] = cell
-    for cell in cells:
-        players = {tree.player_of[n] for n in cell}
-        if len(players) > 1:
-            return False
-        player = next(iter(players))
-        if player == NATURE and len(cell) > 1:
-            return False
-        if len({frozenset(tree.children[n].keys()) for n in cell}) > 1:
-            return False
-        if player == NATURE or len(cell) < 2:
-            continue
-        keys = set()
-        for n in cell:
-            pred = n_predecessor(tree, n, player)
-            if pred is None:
-                keys.add(None)
-            else:
-                keys.add((tuple(cell_of[pred]), own_action_toward(tree, pred, n)))
-        if len(keys) > 1:
-            return False
-    return True
+    cell_of = {n: cell for cell in cells for n in cell}
+    return not any(info_set_faults(tree, cell[0], tree.player_of[cell[0]], cell, cell_of)
+                   for cell in cells)

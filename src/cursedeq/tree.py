@@ -252,6 +252,8 @@ class GameBuilder:
             for n in nodes:
                 if n not in self._parent:
                     raise GameError(f"info set {iid!r} names unknown node {n!r}")
+                if n in self._payoffs:
+                    raise GameError(f"info set {iid!r} names terminal node {n!r}")
                 if n in claimed:
                     raise GameError(f"node {n!r} appears in two info sets")
                 claimed.add(n)
@@ -294,6 +296,35 @@ def own_action_toward(tree: GameTree, pred: str, node: str) -> str:
     return tree.action_in[child]
 
 
+def info_set_faults(tree: GameTree, iid: str, player: str, nodes,
+                    set_of) -> list[Violation]:
+    """The per-set rules, for one information set (or candidate cell)
+    ``nodes`` of ``player``: one player and one action-label set, nature
+    sets are singletons, and perfect recall via n-predecessor chains (the
+    owner's previous own nodes share a set, by ``set_of``, and an action)."""
+    out = []
+    players = {tree.player_of[n] for n in nodes}
+    if len(players) > 1 or player not in players:
+        out.append(Violation("action-labels", nodes,
+                             f"info set {iid} mixes players {sorted(players)}"))
+    else:
+        if len({frozenset(tree.children[n]) for n in nodes}) > 1:
+            out.append(Violation("action-labels", nodes,
+                                 f"info set {iid} has unequal action sets"))
+        if player == NATURE and len(nodes) > 1:
+            out.append(Violation("nature-singleton", nodes,
+                                 f"nature info set {iid} is not singleton"))
+    if player != NATURE and len(nodes) > 1:
+        keys = set()
+        for n in nodes:
+            pred = n_predecessor(tree, n, player)
+            keys.add(None if pred is None else (set_of[pred], own_action_toward(tree, pred, n)))
+        if len(keys) > 1:
+            out.append(Violation("perfect-recall", nodes,
+                                 f"info set {iid} pools distinct own histories"))
+    return out
+
+
 def validate_game(tree: GameTree) -> ValidationReport:
     """Check the full rule set; violations are data, not exceptions."""
     out = []
@@ -318,36 +349,10 @@ def validate_game(tree: GameTree) -> ValidationReport:
         if any(p <= 0 for p in dist.values()):
             out.append(Violation("probability-sum", (n,), "nature policy not fully mixed"))
 
-    for iid, iset in tree.info_sets.items():
-        players = {tree.player_of[n] for n in iset.nodes}
-        if len(players) > 1 or iset.player not in players:
-            out.append(Violation("action-labels", iset.nodes,
-                                 f"info set {iid} mixes players {sorted(players)}"))
-            continue
-        label_sets = {frozenset(tree.children[n].keys()) for n in iset.nodes}
-        if len(label_sets) > 1:
-            out.append(Violation("action-labels", iset.nodes,
-                                 f"info set {iid} has unequal action sets"))
-        if iset.player == NATURE and len(iset.nodes) > 1:
-            out.append(Violation("nature-singleton", iset.nodes,
-                                 f"nature info set {iid} is not singleton"))
-
-    # Perfect recall via n-predecessor chains: within an info set the owners'
-    # previous own nodes must share an info set and the same chosen action.
-    for iid, iset in tree.info_sets.items():
-        if iset.player == NATURE or len(iset.nodes) < 2:
-            continue
-        keys = set()
-        for n in iset.nodes:
-            pred = n_predecessor(tree, n, iset.player)
-            if pred is None:
-                keys.add(None)
-            else:
-                keys.add((tree.info_set_of[pred], own_action_toward(tree, pred, n)))
-        if len(keys) > 1:
-            out.append(Violation("perfect-recall", iset.nodes,
-                                 f"info set {iid} pools distinct own histories"))
-
+    # every set's label findings come before the perfect-recall ones
+    faults = [v for iid, iset in tree.info_sets.items()
+              for v in info_set_faults(tree, iid, iset.player, iset.nodes, tree.info_set_of)]
+    out.extend(sorted(faults, key=lambda v: v.rule == "perfect-recall"))
     return ValidationReport(tuple(out))
 
 

@@ -13,7 +13,7 @@ from cursedeq.partition import coarsest_valid_partition
 def paper():
     """All bundled paper games with their coarse partitions."""
     out = {}
-    for name, maker in games.EXAMPLE_GAMES.items():
-        tree = maker()
+    for name in games.BUNDLED_DOCUMENTS:
+        tree = games.bundled_game(name)
         out[name] = (tree, coarsest_valid_partition(tree))
     return out

@@ -58,7 +58,7 @@ def test_check_local_best_response_wpce(paper):
 
 
 def test_check_flags_dominated_action():
-    tree = games.sequential_trading()
+    tree = games.bundled_game("sequential-trading")
     from cursedeq.partition import coarsest_valid_partition
     part = coarsest_valid_partition(tree)
     prof = BehaviorProfile.pure(tree, {"1:lo": "a", "1:hi": "d",

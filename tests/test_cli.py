@@ -34,6 +34,10 @@ def test_usage_errors(tmp_path):
     bad = tmp_path / "junk.game"
     bad.write_text("not a game\n", encoding="utf-8")
     assert cli_main(["validate", str(bad)]) == 2
+    terminal_in_set = bundled_game_text("sequential-trading").replace(
+        "infoset 2:w1 2 w1a", "infoset 2:w1 2 w1a w1d")
+    bad.write_text(terminal_in_set, encoding="utf-8")
+    assert cli_main(["validate", str(bad)]) == 2
 
 
 def test_partition(seqtrading, capsys):
@@ -130,6 +134,29 @@ def test_check_chi_zero_flags_deviation(tmp_path):
                      "--concept", "chi-sce", "--chi", "0"]) == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("play\n", "line 1, column 1: profile: expected 'play <infoset> a:p ...'"),
+    ("play 1:I x0.5\n", "line 1, column 10: profile: entry 'x0.5' is not action:prob"),
+    ("play 1:I z:1\n", "line 1, column 10: profile: unknown action 'z'"),
+    ("play 1:I x:0.3 y:0.3\n", "line 1, column 1: profile: probabilities sum to 0.6, not 1"),
+    ("play 1:I x:-1 y:2\n", "line 1, column 10: profile: negative probability in 'x:-1'"),
+    ("play 1:I x:1\nplay 9:Z a:1\n", "line 2, column 6: profile: unknown info set '9:Z'"),
+    ("play 1:I x:1\nconjecture 9:Z 2:w2y l:1\n",
+     "line 2, column 12: conjecture: unknown info set '9:Z'"),
+    ("play 1:I x:1\n\nconjecture 1:I 2:zz l:1\n",
+     "line 3, column 16: conjecture: unknown info set '2:zz'"),
+    ("conjecture 1:I 2:w2y l:1 q:0\n", "line 1, column 26: conjecture: unknown action 'q'"),
+])
+def test_bad_assessment_is_a_usage_error(tmp_path, capsys, text, message):
+    game = tmp_path / "running.game"
+    game.write_text(bundled_game_text("running-example"), encoding="utf-8")
+    assessment = tmp_path / "bad.assess"
+    assessment.write_text(text, encoding="utf-8")
+    assert cli_main(["check", str(game), "--assessment", str(assessment),
+                     "--concept", "wpce"]) == 2
+    assert message in capsys.readouterr().err
+
+
 CONJECTURE_RUNNING_UNIFORM = """conjecture at 1:I
 infoset=1:I\tx=0.5\ty=0.5
 infoset=2:w2y\tl=0.5\tr=0.5
@@ -204,3 +231,20 @@ def test_auction_canonical_english_mean_value(tmp_path, capsys):
         x, bid = (float(t) for t in line.split("\t"))
         # stage rule after one observed quit: (x + 0.3 + (1 + x) / 2) / 3
         assert abs(bid - (x + 0.3 + (1.0 + x) / 2.0) / 3.0) <= 1e-6
+
+
+@pytest.mark.parametrize("command, model, flags, message", [
+    ("auction", "bidders x", [], "bidders must be an integer of at least 2, got 'x'"),
+    ("auction", "bidders 0", [], "bidders must be an integer of at least 2, got '0'"),
+    ("orderings", "bidders -3", [], "bidders must be an integer of at least 2, got '-3'"),
+    ("auction", "bidders 2", ["--samples", "5"], "--samples 5: need at least 1e4"),
+    ("orderings", "bidders 2", ["--samples", "5"], "--samples 5: need at least 1e4"),
+    ("auction", "bidders 2", ["--grid", "0"], "--grid must be at least 2, got 0"),
+    ("orderings", "bidders 2", ["--grid", "1"], "--grid must be at least 2, got 1"),
+])
+def test_bad_auction_input_is_a_usage_error(tmp_path, capsys, command, model, flags, message):
+    path = tmp_path / "bad.model"
+    path.write_text(f"signalmodel wallet\nfamily wallet\n{model}\n", encoding="utf-8")
+    argv = [command, "--model", str(path)] + (["--format", "2p"] if command == "auction" else [])
+    assert cli_main(argv + flags) == 2
+    assert message in capsys.readouterr().err

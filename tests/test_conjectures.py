@@ -36,7 +36,7 @@ def test_cursed_conjecture_running(paper):
 
 
 def test_cursed_conjecture_simultaneous_trading():
-    tree = games.simultaneous_trading()
+    tree = games.bundled_game("trading-simultaneous")
     from cursedeq.partition import coarsest_valid_partition
     part = coarsest_valid_partition(tree)
     prof = BehaviorProfile.pure(tree, {"1:lo": "a", "1:hi": "d",
@@ -123,7 +123,7 @@ def test_belief_point_mass_club(paper):
 def test_limit_sequential_trading_footnote():
     """After a deviation to declining, the consistent conjecture still pins
     the partner's coarse acceptance probability at one half."""
-    tree = games.sequential_trading()
+    tree = games.bundled_game("sequential-trading")
     from cursedeq.partition import coarsest_valid_partition
     part = coarsest_valid_partition(tree)
     prof = BehaviorProfile.pure(tree, {"1:lo": "d", "1:hi": "d",

@@ -22,13 +22,6 @@ def test_bundled_trading_nature_thirds():
     assert probs == pytest.approx([1 / 3] * 3)
 
 
-def test_serialize_parse_identity_on_generated(paper):
-    for name, (tree, _) in paper.items():
-        text = serialize_game(tree)
-        again = serialize_game(parse_game(text))
-        assert text == again, name
-
-
 def test_empty_document_error():
     with pytest.raises(ParseError) as err:
         parse_game("")

@@ -78,6 +78,15 @@ def test_check_valid_partition(paper):
     tree, _ = paper["sequential-trading"]
     mixed = [["r"], ["w1", "w2", "w3", "w1a"], ["w2a", "w3a"]]
     assert not check_valid_partition(tree, mixed)
+    tree, _ = paper["club-membership"]
+    valid = [["r"], ["w1a"], ["w2a"], ["w1", "w2"], ["w1aa", "w2aa"]]
+    assert check_valid_partition(tree, valid)
+    for bad in ([["r"], ["w1a"], ["w2a"], ["w1"], ["w2"], ["w1aa", "w2aa"]],  # recall split
+                [["r"], ["w1a"], ["w2a"], ["w1", "w1aa"], ["w2", "w2aa"]],  # unequal labels
+                valid + [["w1d"]],  # a terminal node
+                valid[:4],  # misses w1aa and w2aa
+                valid + [[]]):  # an empty cell
+        assert not check_valid_partition(tree, bad), bad
 
 
 def test_idempotence_when_info_sets_already_coarsest(paper):

@@ -28,8 +28,8 @@ DATA = Path(__file__).parent / "data" / "pinned_outputs.json"
 def pinned_outputs():
     out = {}
     config = SolverConfig(seed=7)
-    for name, maker in games.EXAMPLE_GAMES.items():
-        tree = maker()
+    for name in games.BUNDLED_DOCUMENTS:
+        tree = games.bundled_game(name)
         part = coarsest_valid_partition(tree)
         for concept, res in (("sce", solve_sce(tree, part, config)),
                              ("chi-sce", solve_chi_sce(tree, part, 0.5, config)),

@@ -189,8 +189,7 @@ def walker_conjecture(tree, partition, profile, owner, reach):
     return dists
 
 
-def walker_plan(tree, owner, scenarios, player, floor=0.0, tie_tol=1e-9,
-                incumbent=None, forced=None):
+def walker_plan(tree, owner, scenarios, player, floor=0.0, tie_tol=1e-9, forced=None):
     """Reference: backward induction after a per-call stack walk of every
     node below the belief nodes, with own-set depths from n-predecessor
     chains."""
@@ -258,8 +257,7 @@ def walker_plan(tree, owner, scenarios, player, floor=0.0, tie_tol=1e-9,
         if iid == owner:
             q_owner = q
             plan[iid] = ({a: (1.0 if a == forced else 0.0) for a in actions}
-                         if forced is not None else
-                         _floor_dist(actions, q, floor, tie_tol, incumbent))
+                         if forced is not None else _floor_dist(actions, q, floor, tie_tol))
         else:
             plan[iid] = _floor_dist(actions, q, floor, tie_tol)
     if q_owner is None:
@@ -302,8 +300,8 @@ def test_compiled_conjecture_matches_per_call_walker(seed):
 def test_compiled_plan_matches_per_call_walker(seed):
     """optimize_plan on the walk compiled on the tree equals the per-call
     walker exactly, for one scenario, for the two of the chi-SCE mixture and
-    for a belief over nested nodes, with and without a floor and incumbent,
-    with a forced action, and on repeated calls."""
+    for a belief over nested nodes, with and without a floor, with a forced
+    action, and on repeated calls."""
     rng = random.Random(seed)
     tree = random_game(rng, 40)
     part = coarsest_valid_partition(tree)
@@ -328,8 +326,7 @@ def test_compiled_plan_matches_per_call_walker(seed):
                               [Scenario(0.5, cursed, conj.dists),
                                Scenario(0.5, bayes, profile.full(tree))],
                               [Scenario(1.0, nested, conj.dists)]):
-                for kwargs in ({}, {"floor": 0.05, "incumbent": mixed.dists[owner]},
-                               {"forced": oset.actions[-1]}):
+                for kwargs in ({}, {"floor": 0.05}, {"forced": oset.actions[-1]}):
                     res = optimize_plan(tree, owner, scenarios, oset.player, **kwargs)
                     reference = walker_plan(tree, owner, scenarios, oset.player, **kwargs)
                     assert (res.value, res.action_values, res.optimal_actions,

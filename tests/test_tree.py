@@ -7,7 +7,7 @@ from cursedeq.tree import (BehaviorProfile, GameBuilder, GameError, ZeroProbabil
 
 
 def seq_profile(a_lo="a", a_hi="d", two_w1="d", two_hi="d"):
-    return BehaviorProfile.pure(games.sequential_trading(), {
+    return BehaviorProfile.pure(games.bundled_game("sequential-trading"), {
         "1:lo": a_lo, "1:hi": a_hi, "2:w1": two_w1, "2:hi": two_hi})
 
 
@@ -91,12 +91,12 @@ def test_conditional_reach_and_zero_event(paper):
 
 
 def test_expected_utility_trading():
-    tree = games.sequential_trading()
+    tree = games.bundled_game("sequential-trading")
     prof = seq_profile()
     assert expected_utility(tree, prof, "1") == pytest.approx(0.0)
     assert expected_utility(tree, prof, "2") == pytest.approx(0.0)
 
-    sim = games.simultaneous_trading()
+    sim = games.bundled_game("trading-simultaneous")
     ce = BehaviorProfile.pure(sim, {"1:lo": "a", "1:hi": "d",
                                     "2:t2": "d", "2:t2p": "a"})
     assert expected_utility(sim, ce, "1") == pytest.approx(1 / 3)
