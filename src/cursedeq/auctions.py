@@ -97,14 +97,10 @@ def mean_value_model(bidders: int) -> SignalModel:
 class OracleConfig:
     samples: int = 100_000
     seed: int = 0
-    bandwidth: float | None = None  # None: Silverman rule per cell
-    report_se: bool = True
 
     def __post_init__(self):
         if self.samples < 10_000:
             raise ValueError("need at least 1e4 Monte Carlo samples")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
 
 
 @dataclass
@@ -191,12 +187,11 @@ def estimate_conditionals(model: SignalModel, grid: np.ndarray,
     cols["v_upper"], ses["v_upper"] = mean_se(values, lower)
     cols["v_lower"], ses["v_lower"] = mean_se(values, upper)
     cols["F_y1"], ses["F_y1"] = mean_se(lower.astype(float))
-    bw = oracle.bandwidth
-    if bw is None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y_mean = np.bincount(cell, y1, g) / count
-            y_std = np.sqrt(np.bincount(cell, (y1 - y_mean[cell]) ** 2, g) / count)
-            bw = (1.06 * np.maximum(y_std, 1e-3) * count ** (-0.2))[cell]
+    # Silverman's rule per cell
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y_mean = np.bincount(cell, y1, g) / count
+        y_std = np.sqrt(np.bincount(cell, (y1 - y_mean[cell]) ** 2, g) / count)
+        bw = (1.06 * np.maximum(y_std, 1e-3) * count ** (-0.2))[cell]
     kern = np.exp(-0.5 * ((y1 - x) / bw) ** 2) / (bw * np.sqrt(2 * np.pi))
     cols["f_y1"], ses["f_y1"] = mean_se(kern)
     # per cell, in cell order: no draw at all, or none with y1 <= x (v_upper)
@@ -205,9 +200,6 @@ def estimate_conditionals(model: SignalModel, grid: np.ndarray,
                       (count > 0) & np.isnan(cols["v_lower"])], axis=1)
     names = ("all", "v_upper", "v_lower")
     empty = [(names[j], int(i)) for i, j in zip(*np.nonzero(flags))]
-
-    if not oracle.report_se:
-        ses = {k: np.zeros(g) for k in ses}
     return ConditionalTables(
         grid, cols["v"], ses["v"], cols["v_upper"], ses["v_upper"],
         cols["v_lower"], ses["v_lower"], cols["f_y1"], ses["f_y1"],
@@ -241,6 +233,16 @@ class BidFunction:
         return float(np.interp(price, self.bids, self.grid))
 
 
+# the density-to-CDF ratio of the bidding ODEs reads a CDF of at least this
+RATIO_FLOOR = 1e-30
+# integration error allowed to the ODE formats in the bid orderings
+ODE_ALLOWANCE = 1e-3
+# leading share of the signal range that ``ode_residuals`` skips
+ODE_SKIP_FRACTION = 0.02
+# quit prices the silent English optimality search tries per signal
+QUIT_PRICE_CANDIDATES = 64
+
+
 def _integrate_ode(grid, start_x, start_b, rhs):
     """RK4 over the grid from a one-sided start past the singular boundary."""
     xs = [start_x] + [float(x) for x in grid if x > start_x]
@@ -265,7 +267,7 @@ def _integrate_ode(grid, start_x, start_b, rhs):
     return out
 
 
-def _ode_bid(model, tables, target_col, fmt, ratio_floor=1e-30):
+def _ode_bid(model, tables, target_col, fmt):
     grid = tables.grid
     lo = model.lo
     delta = (model.hi - model.lo) / (10.0 * len(grid))
@@ -293,7 +295,7 @@ def _ode_bid(model, tables, target_col, fmt, ratio_floor=1e-30):
         u = np.log(max(x - lo, 1e-12))
         lf = float(np.interp(u, log_x, log_f))
         lF = float(np.interp(u, log_x, log_F))
-        return float(np.exp(lf - max(lF, np.log(ratio_floor))))
+        return float(np.exp(lf - max(lF, np.log(RATIO_FLOOR))))
 
     def rhs(x, b):
         tv = float(np.interp(x, tgrid, target))
@@ -323,28 +325,23 @@ def _ode_bid(model, tables, target_col, fmt, ratio_floor=1e-30):
     return bf
 
 
-def solve_first_price(model: SignalModel, tables: ConditionalTables,
-                      oracle: OracleConfig | None = None) -> BidFunction:
+def solve_first_price(model: SignalModel, tables: ConditionalTables) -> BidFunction:
     """db/dx = (v(x) - b) f(x|x)/F(x|x) with b at the lowest signal = v there."""
     return _ode_bid(model, tables, "v", "1P")
 
 
-def solve_dutch(model: SignalModel, tables: ConditionalTables,
-                oracle: OracleConfig | None = None) -> BidFunction:
+def solve_dutch(model: SignalModel, tables: ConditionalTables) -> BidFunction:
     """Same ODE with the value conditioned on the clock: v_upper(x, x)."""
     bf = _ode_bid(model, tables, "v_upper", "dutch")
     bf.notes.append("waiting condition checked by verify_orderings ODE comparison")
     return bf
 
 
-def bid_second_price(model: SignalModel, tables: ConditionalTables,
-                     oracle: OracleConfig | None = None) -> BidFunction:
+def bid_second_price(model: SignalModel, tables: ConditionalTables) -> BidFunction:
     return BidFunction("2P", tables.grid, tables.v.copy(), se=tables.v_se.copy())
 
 
-def bid_silent_english(model: SignalModel, tables: ConditionalTables,
-                       oracle: OracleConfig | None = None,
-                       beta_grid: int = 64) -> BidFunction:
+def bid_silent_english(model: SignalModel, tables: ConditionalTables) -> BidFunction:
     """Quit at v_lower(x, x); requires it to be increasing on the grid.
 
     The waiting and quitting optimality conditions are verified by a grid
@@ -362,7 +359,7 @@ def bid_silent_english(model: SignalModel, tables: ConditionalTables,
         x = grid[i]
         # quitting: beta = b(x) maximizes the stopped payoff at own signal
         best = _silent_objective(bf, tables, x, x, vals[i])
-        for beta in np.linspace(vals[0], vals[-1], beta_grid):
+        for beta in np.linspace(vals[0], vals[-1], QUIT_PRICE_CANDIDATES):
             if _silent_objective(bf, tables, x, x, beta) > best + 1e-9:
                 issues += 1
                 break
@@ -492,8 +489,7 @@ class OrderingReport:
 
 def verify_orderings(model: SignalModel, tables: ConditionalTables,
                      bid_1p: BidFunction, bid_dutch: BidFunction,
-                     bid_2p: BidFunction, bid_silent: BidFunction,
-                     ode_allowance: float = 1e-3) -> OrderingReport:
+                     bid_2p: BidFunction, bid_silent: BidFunction) -> OrderingReport:
     """Pointwise bid orderings plus the conditioning-direction inequality
     v_upper(x,x) <= v(x) <= v_lower(x,x), within 3 Monte Carlo standard
     errors plus an integration allowance for the ODE formats."""
@@ -507,7 +503,7 @@ def verify_orderings(model: SignalModel, tables: ConditionalTables,
 
     checks = [
         ("dutch<=1p", bid_1p.bids - bid_dutch.bids,
-         3 * (se(bid_1p.se) + se(bid_dutch.se)) + ode_allowance),
+         3 * (se(bid_1p.se) + se(bid_dutch.se)) + ODE_ALLOWANCE),
         ("silent>=2p", bid_silent.bids - bid_2p.bids,
          3 * (se(bid_silent.se) + se(bid_2p.se))),
         ("v_upper<=v", tables.v - tables.v_upper,
@@ -526,17 +522,16 @@ def verify_orderings(model: SignalModel, tables: ConditionalTables,
     return OrderingReport(findings, tuple(n for n, _, _ in checks))
 
 
-def ode_residuals(tables: ConditionalTables, bf: BidFunction,
-                  skip_fraction: float = 0.02) -> np.ndarray:
+def ode_residuals(tables: ConditionalTables, bf: BidFunction) -> np.ndarray:
     """Centered-difference residual of db/dx against the ODE right-hand side
     at interior grid points.
 
-    The first ``skip_fraction`` of the signal range is excluded: the
+    The first ``ODE_SKIP_FRACTION`` of the signal range is excluded: the
     one-sided regularized start leaves a transient there that the grid
     refinement test bounds instead.
     """
     g = tables.grid
-    lo_cut = g[0] + skip_fraction * (g[-1] - g[0])
+    lo_cut = g[0] + ODE_SKIP_FRACTION * (g[-1] - g[0])
     if bf.start_x is not None:
         # the stencil must not straddle the held pre-integration region
         lo_cut = max(lo_cut, bf.start_x + (g[1] - g[0]))

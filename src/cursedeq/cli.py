@@ -63,43 +63,42 @@ def _load_game(path):
     return parse_game(_read(path))
 
 
-def _config_value(key, kind, text):
-    if kind is bool:
-        if text.lower() in ("1", "true", "yes"):
-            return True
-        if text.lower() in ("0", "false", "no"):
-            return False
-    else:
-        try:
-            return kind(text)
-        except ValueError:
-            pass
-    raise GameError(f"config key {key!r}: expected {kind.__name__}, got {text!r}")
+def _seed(args):
+    """``--seed`` if given, else ``CURSEDEQ_SEED`` if set and not empty, else None."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get(SEED_ENV)
+    if not text:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise GameError(f"{SEED_ENV} must be an integer, got {text!r}") from None
 
 
 def _config_from(args):
     """SolverConfig from ``--config``: one ``key value`` pair per line, with
-    each key's type taken from the SolverConfig field of that name."""
-    cfg = SolverConfig()
-    if getattr(args, "config", None):
-        kinds = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
-        kwargs = {}
-        for raw in _read(args.config).split("\n"):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, *rest = line.split(None, 1)
-            name = key.replace("-", "_")
-            if name not in kinds:
-                raise GameError(f"unknown config key {key!r}; known keys: "
-                                + ", ".join(kinds))
-            kwargs[name] = _config_value(key, kinds[name], "".join(rest))
-        cfg = SolverConfig(**kwargs)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    elif os.environ.get(SEED_ENV):
-        cfg.seed = int(os.environ[SEED_ENV])
-    return cfg
+    each key's type taken from the SolverConfig field of that name.  A seed
+    from ``--seed`` or ``CURSEDEQ_SEED`` overrides the file's."""
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
+    kwargs = {}
+    for raw in _read(args.config).split("\n") if args.config else ():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, *rest = line.split(None, 1)
+        name, text = key.replace("-", "_"), "".join(rest)
+        if name not in kinds:
+            raise GameError(f"unknown config key {key!r}; known keys: " + ", ".join(kinds))
+        try:
+            kwargs[name] = kinds[name](text)
+        except ValueError:
+            raise GameError(f"config key {key!r}: expected {kinds[name].__name__}, "
+                            f"got {text!r}") from None
+    seed = _seed(args)
+    if seed is not None:
+        kwargs["seed"] = seed
+    return SolverConfig(**kwargs)
 
 
 def cmd_validate(args):
@@ -146,26 +145,9 @@ def cmd_conjecture(args):
 def cmd_solve(args):
     tree = _load_game(args.game)
     part = coarsest_valid_partition(tree)
-    cfg = _config_from(args)
-    try:
-        if args.concept == "sce":
-            res = solve_sce(tree, part, cfg)
-        elif args.concept == "wpce":
-            res = solve_wpce(tree, part, cfg)
-        elif args.concept == "chi-sce":
-            res = solve_chi_sce(tree, part, args.chi, cfg)
-        elif args.concept == "causal-sce":
-            res = solve_causal_sce(tree, part, cfg)
-        elif args.concept in ("ice", "ce"):
-            print("ice/ce solve a Bayesian normal form; supply the game "
-                  "through the experiment generators", file=sys.stderr)
-            return EXIT_USAGE
-        else:
-            print(f"unknown concept {args.concept!r}", file=sys.stderr)
-            return EXIT_USAGE
-    except NonConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+    solve = {"sce": solve_sce, "wpce": solve_wpce, "causal-sce": solve_causal_sce,
+             "chi-sce": lambda t, p, c: solve_chi_sce(t, p, args.chi, c)}[args.concept]
+    res = solve(tree, part, _config_from(args))
     recs = {"concept": res.concept, "max_gap": res.max_gap,
             "profile": _profile_records(res.profile)}
     if args.json:
@@ -192,16 +174,13 @@ def cmd_check(args):
         report = check_wpce(tree, part, doc.profile, system)
         _emit(args, [{"check": "wpce", "ok": report.ok, "detail": str(report)}])
         return EXIT_OK if report.ok else EXIT_VIOLATION
-    if args.concept in ("sce-witness", "chi-sce"):
-        chi = args.chi if args.concept == "chi-sce" else 1.0
-        ok, gaps, _ = sce_witness_check(tree, part, doc.profile, cfg,
-                                        concept="chi-sce" if args.concept == "chi-sce" else "sce",
-                                        chi=chi)
-        recs = [{"infoset": iid, "gap": g} for iid, g in sorted(gaps.items())]
-        _emit(args, recs, header=f"{args.concept} ok={ok}")
-        return EXIT_OK if ok else EXIT_VIOLATION
-    print(f"unknown check concept {args.concept!r}", file=sys.stderr)
-    return EXIT_USAGE
+    chi = args.chi if args.concept == "chi-sce" else 1.0
+    ok, gaps, _ = sce_witness_check(tree, part, doc.profile, cfg,
+                                    concept="chi-sce" if args.concept == "chi-sce" else "sce",
+                                    chi=chi)
+    recs = [{"infoset": iid, "gap": g} for iid, g in sorted(gaps.items())]
+    _emit(args, recs, header=f"{args.concept} ok={ok}")
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def cmd_experiment(args):
@@ -217,6 +196,10 @@ def cmd_experiment(args):
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
+def _signals(text):
+    return [float(x) for x in text.split(",") if x]
+
+
 def _auction_tables(args):
     """The signal model, oracle and conditional tables that ``auction`` and
     ``orderings`` share."""
@@ -224,9 +207,9 @@ def _auction_tables(args):
     model = parse_model(_read(args.model))
     if args.grid < 2:
         raise GameError(f"--grid must be at least 2, got {args.grid}")
-    seed = args.seed if args.seed is not None else int(os.environ.get(SEED_ENV, "0"))
+    seed = _seed(args)
     try:
-        oracle = OracleConfig(samples=args.samples, seed=seed)
+        oracle = OracleConfig(samples=args.samples, seed=0 if seed is None else seed)
     except ValueError as exc:
         raise GameError(f"--samples {args.samples}: {exc}") from None
     tables = estimate_conditionals(model, uniform_grid(model, args.grid), oracle,
@@ -238,21 +221,10 @@ def cmd_auction(args):
     from .auctions import (bid_canonical_english, bid_second_price, bid_silent_english,
                            solve_dutch, solve_first_price)
     model, oracle, tables = _auction_tables(args)
-    fmt = args.format
-    if fmt == "1p":
-        bf = solve_first_price(model, tables, oracle)
-    elif fmt == "dutch":
-        bf = solve_dutch(model, tables, oracle)
-    elif fmt == "2p":
-        bf = bid_second_price(model, tables, oracle)
-    elif fmt == "silent":
-        bf = bid_silent_english(model, tables, oracle)
-    elif fmt == "canon":
-        observed = [float(x) for x in (args.observed or "").split(",") if x]
-        bf = bid_canonical_english(model, observed, tables, oracle)
-    else:
-        print(f"unknown format {fmt!r}", file=sys.stderr)
-        return EXIT_USAGE
+    formats = {"1p": solve_first_price, "dutch": solve_dutch, "2p": bid_second_price,
+               "silent": bid_silent_english,
+               "canon": lambda m, t: bid_canonical_english(m, args.observed, t, oracle)}
+    bf = formats[args.format](model, tables)
     if args.json:
         print(json.dumps({"format": bf.format, "notes": bf.notes,
                           "rows": [{"x": float(x), "bid": float(b),
@@ -273,11 +245,11 @@ def cmd_auction(args):
 def cmd_orderings(args):
     from .auctions import (bid_second_price, bid_silent_english, ode_residuals, solve_dutch,
                            solve_first_price, verify_orderings)
-    model, oracle, tables = _auction_tables(args)
-    b1 = solve_first_price(model, tables, oracle)
-    bd = solve_dutch(model, tables, oracle)
-    b2 = bid_second_price(model, tables, oracle)
-    bs = bid_silent_english(model, tables, oracle)
+    model, _, tables = _auction_tables(args)
+    b1 = solve_first_price(model, tables)
+    bd = solve_dutch(model, tables)
+    b2 = bid_second_price(model, tables)
+    bs = bid_silent_english(model, tables)
     report = verify_orderings(model, tables, b1, bd, b2, bs)
     res1 = float(abs(ode_residuals(tables, b1)).max())
     resd = float(abs(ode_residuals(tables, bd)).max())
@@ -314,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve for an equilibrium")
     p.add_argument("game")
     p.add_argument("--concept", required=True,
-                   choices=["sce", "wpce", "ice", "ce", "chi-sce", "causal-sce"])
+                   choices=["sce", "wpce", "chi-sce", "causal-sce"])
     p.add_argument("--chi", type=float, default=1.0)
     p.add_argument("--seed", type=int)
     p.add_argument("--config")
@@ -344,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["1p", "dutch", "2p", "silent", "canon"])
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--observed", help="comma-separated quit signals for canon")
+    p.add_argument("--observed", type=_signals, default=[],
+                   help="comma-separated quit signals for canon")
     p.add_argument("--monte-carlo", action="store_true",
                    help="force Monte Carlo tables even when closed forms exist")
     p.add_argument("--seed", type=int)

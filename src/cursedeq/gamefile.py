@@ -301,47 +301,71 @@ def serialize_profile(profile: BehaviorProfile) -> str:
 def parse_model(text: str):
     """Key-value model file: family wallet|mean-value, bidders <n>."""
     from .auctions import mean_value_model, wallet_model
-    fields = _key_values(text, "signalmodel")
+    fields, where = _key_values(text, "signalmodel")
     family = fields.get("family", "wallet")
     bidders = fields.get("bidders", "2")
     if not bidders.isdecimal() or int(bidders) < 2:
-        raise ParseError(1, 1, "model",
+        raise ParseError(*where["bidders"], "model",
                          f"bidders must be an integer of at least 2, got {bidders!r}")
     bidders = int(bidders)
     if family == "wallet":
         return wallet_model(bidders)
     if family == "mean-value":
         return mean_value_model(bidders)
-    raise ParseError(1, 1, "model", f"unknown family {family!r}")
+    raise ParseError(*where["family"], "model", f"unknown family {family!r}")
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(","))
+
+
+# typed experiment parameters, as (conversion, what the value must be); any
+# other key stays a string
+_INTEGER, _NUMBER = (int, "an integer"), (float, "a number")
+EXPERIMENT_PARAMS = {"G": _INTEGER, "bid_lo": _INTEGER, "bid_hi": _INTEGER, "p": _NUMBER,
+                     "q": _NUMBER, "p1": _NUMBER, "types": (_integers, "comma-separated integers")}
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
-    fields = _key_values(text, "experiment")
+    fields, where = _key_values(text, "experiment")
     kind = fields.pop("kind", None)
     if kind is None:
-        raise ParseError(1, 1, "experiment", "missing 'kind'")
+        raise ParseError(*where["kind"], "experiment", "missing 'kind'")
     concept = fields.pop("concept", "sce")
-    return ExperimentSpec(kind, concept, fields)
+    params = {}
+    for key, value in fields.items():
+        convert, what = EXPERIMENT_PARAMS.get(key, (str, ""))
+        try:
+            params[key] = convert(value)
+        except ValueError:
+            raise ParseError(*where[key], "experiment",
+                             f"{key} must be {what}, got {value!r}") from None
+    return ExperimentSpec(kind, concept, params)
 
 
-def _key_values(text: str, expected_header: str) -> dict:
-    fields = {}
+def _key_values(text: str, expected_header: str):
+    """The ``key value`` fields of a file and the (line, column) of each
+    value.  The header's second token, if any, is the ``kind`` field, which
+    is placed at the header line either way."""
+    fields, where = {}, {}
     saw_header = False
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        toks, _ = _tokens(line)
+        toks, cols = _tokens(line)
         if not saw_header:
             if toks[0] != expected_header:
                 raise ParseError(lineno, 1, "header", f"expected {expected_header!r}")
             saw_header = True
+            where["kind"] = (lineno, cols[1] if len(toks) > 1 else 1)
             if len(toks) > 1:
                 fields["kind"] = toks[1]
             continue
         if len(toks) < 2:
             raise ParseError(lineno, 1, "field", "expected 'key value'")
         fields[toks[0]] = " ".join(toks[1:])
+        where[toks[0]] = (lineno, cols[1])
     if not saw_header:
         raise ParseError(1, 1, "header", "empty document")
-    return fields
+    return fields, where

@@ -261,8 +261,11 @@ class TwoStageAuctionSpec:
         return range(self.bid_lo, self.bid_hi + 1)
 
 
-def two_stage_auction_tree(spec: TwoStageAuctionSpec,
-                           terminal_limit: int = 2_000_000) -> GameTree:
+# the most terminals an explicit two-stage auction tree may have
+TERMINAL_LIMIT = 2_000_000
+
+
+def two_stage_auction_tree(spec: TwoStageAuctionSpec) -> GameTree:
     """Explicit extensive form of the two-stage auction.
 
     Only feasible for reduced parameter sets; the full design exceeds any
@@ -271,7 +274,7 @@ def two_stage_auction_tree(spec: TwoStageAuctionSpec,
     types = spec.types
     bids = list(spec.bids)
     n_term = (len(types) ** 2) * len(bids) ** 3
-    if n_term > terminal_limit:
+    if n_term > TERMINAL_LIMIT:
         raise GameError(
             f"two-stage auction tree would have {n_term} terminals; "
             "reduce the type set or bid range, or use the prediction harness")
@@ -327,7 +330,8 @@ VOTING_Q = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 @dataclass
 class ExperimentSpec:
-    """Parsed description of one experiment run."""
+    """Parsed description of one experiment run; ``params`` holds typed
+    values (``gamefile.parse_experiment`` converts them)."""
 
     kind: str  # voting | learning-from-prices | two-stage-auction | trading | fictitious-player-trading
     concept: str = "sce"
@@ -348,16 +352,13 @@ def generate_experiment(spec: ExperimentSpec):
     """
     p = spec.params
     if spec.kind == "voting":
-        return voting_game(float(p.get("p", 0.6)), float(p.get("q", 0.5)),
-                           p.get("treatment", "sequential"))
+        return voting_game(p.get("p", 0.6), p.get("q", 0.5), p.get("treatment", "sequential"))
     if spec.kind == "learning-from-prices":
-        g = int(p.get("G", 21))
-        p1 = float(p.get("p1", 0.5))
-        return prices_game(g, p.get("treatment", "simultaneous"), p1), None
+        return prices_game(p.get("G", 21), p.get("treatment", "simultaneous"),
+                           p.get("p1", 0.5)), None
     if spec.kind == "two-stage-auction":
-        types = tuple(int(t) for t in p.get("types", DEFAULT_TYPES))
-        aspec = TwoStageAuctionSpec(types, int(p.get("bid_lo", 0)),
-                                    int(p.get("bid_hi", 120)))
+        aspec = TwoStageAuctionSpec(p.get("types", DEFAULT_TYPES), p.get("bid_lo", 0),
+                                    p.get("bid_hi", 120))
         return two_stage_auction_tree(aspec), None
     if spec.kind == "trading":
         if p.get("treatment", "simultaneous") == "sequential":

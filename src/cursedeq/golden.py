@@ -387,18 +387,17 @@ def run_golden_predictions(spec: ExperimentSpec) -> GoldenReport:
     """Dispatch an experiment specification to its harness."""
     p = spec.params
     if spec.kind == "voting":
-        ps = [float(p["p"])] if "p" in p else VOTING_P
-        qs = [float(p["q"])] if "q" in p else VOTING_Q
+        ps = [p["p"]] if "p" in p else VOTING_P
+        qs = [p["q"]] if "q" in p else VOTING_Q
         return voting_predictions(spec.concept, ps, qs)
     if spec.kind == "learning-from-prices":
         treatments = ([p["treatment"]] if "treatment" in p
                       else ("simultaneous", "sequential"))
         return prices_predictions(spec.concept if spec.concept != "sce" else "wpce",
-                                  int(p.get("G", 21)), treatments)
+                                  p.get("G", 21), treatments)
     if spec.kind == "two-stage-auction":
-        types = tuple(int(t) for t in p["types"].split(",")) if "types" in p else DEFAULT_TYPES
-        return two_stage_predictions(types, int(p.get("bid_lo", 0)),
-                                     int(p.get("bid_hi", 120)))
+        return two_stage_predictions(p.get("types", DEFAULT_TYPES), p.get("bid_lo", 0),
+                                     p.get("bid_hi", 120))
     if spec.kind in ("trading", "fictitious-player-trading"):
         return trading_predictions(spec.concept)
     raise GameError(f"no golden harness for {spec.kind!r}")

@@ -3,10 +3,14 @@
 The driver follows the existence construction: a probability-floor homotopy
 whose stages are approximate fixed points of the floor-constrained cursed
 best-response map, found by damped simultaneous iteration with seeded
-restarts.  Interior mixing defeats plain damped iteration, so after the
-floor schedule the solver detects the support and solves the exact
-indifference conditions of the limit conjectures with a Newton-type root
-finder, then certifies local best responses under the limit conjectures.
+restarts.  The schedule is fixed: floors from ``EPS_START`` halved
+(``EPS_DECAY``) down to ``EPS_FLOOR``, each stage at most ``MAX_ITERS``
+steps of weight ``DAMPING`` that stop within ``FP_TOL``; ``SolverConfig``
+sets only the tolerances, the restart count and the seed.  Interior mixing
+defeats plain damped iteration, so after the floor schedule the solver
+detects the support and solves the exact indifference conditions of the
+limit conjectures with a Newton-type root finder, then certifies local best
+responses under the limit conjectures.
 
 One function, :func:`_values`, gives the action values at a floor stage and
 in the limit alike: each owner's best response comes from
@@ -21,6 +25,7 @@ The same driver solves static CE/ICE (``bayesian``) with its own oracles.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -43,44 +48,39 @@ class NonConvergenceError(GameError):
         self.gaps = gaps or {}
 
 
+# the floor schedule, as the module docstring describes it
+EPS_START = 0.1
+EPS_DECAY = 0.5
+EPS_FLOOR = 1e-8
+DAMPING = 0.5
+FP_TOL = 1e-9
+MAX_ITERS = 80
+
+
 @dataclass
 class SolverConfig:
-    eps_start: float = 0.1
-    eps_decay: float = 0.5
-    eps_floor: float = 1e-8
-    damping: float = 0.5
-    fp_tol: float = 1e-9
     gap_tol: float = 1e-8
     tie_tol: float = 1e-9
-    max_iters: int = 80
     restarts: int = 20
     seed: int = 0
-    polish: bool = True
 
     def __post_init__(self):
-        if not 0 < self.eps_floor <= self.eps_start:
-            raise GameError("eps floor must lie in (0, eps start]")
-        if not 0 < self.eps_decay < 1:
-            raise GameError("eps decay must lie in (0, 1)")
-        if not 0 < self.damping <= 1:
-            raise GameError("damping must lie in (0, 1]")
-        if min(self.fp_tol, self.gap_tol, self.tie_tol) <= 0:
-            raise GameError("tolerances must be positive")
-        if self.max_iters < 1 or self.restarts < 0:
-            raise GameError("max iters must be at least 1 and restarts at least 0")
+        if not (0 < self.gap_tol < math.inf and 0 < self.tie_tol < math.inf):
+            raise GameError("tolerances must be positive and finite")
+        if self.restarts < 0:
+            raise GameError(f"need restarts at least 0, got {self.restarts}")
 
-    def schedule(self, max_actions: int = 2):
-        """Geometric floor schedule; the start shrinks if some information
-        set has too many actions for the floor to be feasible."""
-        eps = min(self.eps_start, 0.5 / max_actions)
-        if self.eps_floor > eps:
-            raise GameError(f"eps floor {self.eps_floor} exceeds the schedule start {eps}")
-        out = []
-        while eps > self.eps_floor:
-            out.append(eps)
-            eps *= self.eps_decay
-        out.append(self.eps_floor)
-        return out
+
+def _schedule(max_actions: int):
+    """Geometric floor schedule; the start shrinks if some information set
+    has too many actions for the floor to be feasible."""
+    eps = min(EPS_START, 0.5 / max_actions)
+    out = []
+    while eps > EPS_FLOOR:
+        out.append(eps)
+        eps *= EPS_DECAY
+    out.append(EPS_FLOOR)
+    return out
 
 
 @dataclass
@@ -238,14 +238,14 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_trial,
                 s = sum(raw)
                 dists[k] = {a: w / s for a, w in zip(acts, raw)}
 
-        for eps in config.schedule(max_actions):
+        for eps in _schedule(max_actions):
             # clamp into the eps-constrained simplex, frozen strategies included
             dists = {k: {a: eps + (1.0 - eps * len(d)) * p
                          for a, p in frozen.get(k, d).items()}
                      for k, d in dists.items()}
             avg = {k: dict(d) for k, d in dists.items()}
             count = 1
-            for _ in range(config.max_iters):
+            for _ in range(MAX_ITERS):
                 iterations += 1
                 q = q_stage(dists, eps)
                 target = dict(dists)
@@ -254,7 +254,7 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_trial,
                                             incumbent=dists[k])
                 resid = max((abs(p - target[k][a]) for k, d in dists.items()
                              for a, p in d.items()), default=0.0)
-                dists = {k: {a: (1 - config.damping) * p + config.damping * target[k][a]
+                dists = {k: {a: (1 - DAMPING) * p + DAMPING * target[k][a]
                              for a, p in d.items()}
                          for k, d in dists.items()}
                 count += 1
@@ -262,7 +262,7 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_trial,
                     acc = avg[k]
                     for a, p in d.items():
                         acc[a] += (p - acc[a]) / count
-                if resid <= max(config.fp_tol, eps * 1e-3):
+                if resid <= max(FP_TOL, eps * 1e-3):
                     break
             else:
                 # cycling around interior mixing: carry the stage average
@@ -274,26 +274,24 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_trial,
             if k in frozen:
                 candidate[k] = dict(frozen[k])
                 continue
-            kept = {a: p for a, p in d.items() if p > 5.0 * config.eps_floor}
+            kept = {a: p for a, p in d.items() if p > 5.0 * EPS_FLOOR}
             total = sum(kept.values())
             candidate[k] = {a: kept.get(a, 0.0) / total for a in d}
-        if config.polish:
-            candidate = _polish(candidate, free, q_trial)
+        candidate = _polish(candidate, free, q_trial)
         gaps, payload = judge(candidate)
         if gaps is not None:
             return candidate, gaps, payload, iterations
 
     # last resort for stubborn cycles: enumerate supports outright
-    if config.polish:
-        found = enumerate_support_equilibrium(
-            free, actions_of, lambda assignment: q_trial({**assignment, **frozen}, free),
-            config.gap_tol)
-        if found is not None:
-            candidate = {k: dict(d) for k, d in found.items()}
-            candidate.update((k, dict(d)) for k, d in frozen.items())
-            gaps, payload = judge(candidate)
-            if gaps is not None:
-                return candidate, gaps, payload, iterations
+    found = enumerate_support_equilibrium(
+        free, actions_of, lambda assignment: q_trial({**assignment, **frozen}, free),
+        config.gap_tol)
+    if found is not None:
+        candidate = {k: dict(d) for k, d in found.items()}
+        candidate.update((k, dict(d)) for k, d in frozen.items())
+        gaps, payload = judge(candidate)
+        if gaps is not None:
+            return candidate, gaps, payload, iterations
 
     detail = f"best gap {best_gap:.3g}"
     if unsound:
@@ -368,13 +366,16 @@ def _root_support(base, supports, x0, q_of, tol):
     return _fill(base, supports, sol.x)
 
 
-def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol, budget=1000):
+ENUMERATION_BUDGET = 1000
+
+
+def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol):
     """Deterministic support enumeration for small games.
 
     Tries support combinations smallest-first; mixing supports are solved by
     rooting their indifference conditions, then every support must lie in
     the optimal action set.  Returns an assignment dict or None when the
-    combination count exceeds the budget.
+    combination count exceeds ``ENUMERATION_BUDGET``.
     """
     per_key = []
     for key in keys:
@@ -386,7 +387,7 @@ def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol, budget=1000):
     total = 1
     for subs in per_key:
         total *= len(subs)
-        if total > budget:
+        if total > ENUMERATION_BUDGET:
             return None
 
     base = {k: dict.fromkeys(actions_of(k), 0.0) for k in keys}

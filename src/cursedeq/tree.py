@@ -388,8 +388,8 @@ class BehaviorProfile:
         out.update(self.dists)
         return out
 
-    def is_fully_mixed(self, floor: float = 0.0) -> bool:
-        return all(p >= floor and p > 0 for d in self.dists.values() for p in d.values())
+    def is_fully_mixed(self) -> bool:
+        return all(p > 0 for d in self.dists.values() for p in d.values())
 
     def mix(self, other: "BehaviorProfile", weight: float) -> "BehaviorProfile":
         """(1 - weight) * self + weight * other, entrywise."""
@@ -429,12 +429,13 @@ class OutcomeMeasure:
 
 
 def node_reach(tree: GameTree, dists: dict[str, dict[str, float]],
-               start: str = None, strict: bool = True) -> dict[str, float]:
+               start: str = None) -> dict[str, float]:
     """Reach probability of every node weakly below ``start`` (root if None).
 
     ``dists`` maps info-set ids to action distributions (players and nature
-    alike).  With ``strict`` the walk raises on a positive-probability node
-    whose info set has no distribution; otherwise such branches get mass 0.
+    alike).  The walk raises on a positive-probability node whose info set
+    has no distribution; a zero-probability node without one passes mass 0
+    to its children.
     """
     start = tree.root if start is None else start
     reach = {start: 1.0}
@@ -448,7 +449,7 @@ def node_reach(tree: GameTree, dists: dict[str, dict[str, float]],
         iid = tree.info_set_of[n]
         dist = dists.get(iid)
         if dist is None:
-            if r > 0.0 and strict:
+            if r > 0.0:
                 raise UncoveredInfoSetError(f"no distribution for info set {iid!r}")
             dist = {}
         for a, child in kids.items():
@@ -485,7 +486,7 @@ def continuation_utility(tree: GameTree, dists: dict[str, dict[str, float]],
     """
     if start not in tree.parent:
         raise GameError(f"unknown node {start!r}")
-    reach = node_reach(tree, dists, start=start, strict=True)
+    reach = node_reach(tree, dists, start=start)
     total = 0.0
     for n, r in reach.items():
         if r > 0.0 and tree.is_terminal(n):

@@ -17,3 +17,18 @@ def paper():
         tree = games.bundled_game(name)
         out[name] = (tree, coarsest_valid_partition(tree))
     return out
+
+
+@pytest.fixture
+def failing_certification(monkeypatch):
+    """Every limit system reaches its owner set with probability zero, so no
+    candidate passes the limit certification."""
+    from cursedeq import solvers
+    from cursedeq.conjectures import LimitDiagnostics
+
+    exact = solvers.limit_diagnostics
+
+    def zero_owner_reach(*args, **kwargs):
+        return LimitDiagnostics(dict.fromkeys(exact(*args, **kwargs).owner_reach, 0.0))
+
+    monkeypatch.setattr(solvers, "limit_diagnostics", zero_owner_reach)

@@ -282,14 +282,8 @@ def _loop_tables(model, grid, oracle):
         else:
             empty.append(("v_lower", i))
         put("F_y1", i, lower.astype(float))
-        bw = oracle.bandwidth
-        if bw is None:
-            bw = 1.06 * max(float(np.std(yy)), 1e-3) * n ** (-0.2)
+        bw = 1.06 * max(float(np.std(yy)), 1e-3) * n ** (-0.2)
         put("f_y1", i, np.exp(-0.5 * ((yy - x) / bw) ** 2) / (bw * np.sqrt(2 * np.pi)))
-    if not oracle.report_se:
-        for c in cols:
-            if c.endswith("_se"):
-                cols[c] = np.zeros(g)
     return cols, empty
 
 
@@ -297,9 +291,7 @@ def _loop_tables(model, grid, oracle):
     (wallet_model(), 200, OracleConfig(seed=1)),
     (mean_value_model(3), 200, OracleConfig(seed=1)),
     (mean_value_model(5), 5_000, OracleConfig(samples=10_000, seed=2)),
-    (mean_value_model(3), 200, OracleConfig(seed=3, report_se=False)),
-    (wallet_model(), 5_000, OracleConfig(samples=10_000, seed=4, bandwidth=0.02)),
-], ids=["wallet", "mean3", "sparse", "no-se", "fixed-bandwidth"])
+], ids=["wallet", "mean3", "sparse"])
 def test_monte_carlo_tables_match_per_cell_loop(model, g, oracle):
     grid = uniform_grid(model, g)
     tables = estimate_conditionals(model, grid, oracle, use_closed_forms=False)
@@ -315,7 +307,7 @@ def test_monte_carlo_tables_match_per_cell_loop(model, g, oracle):
         # the sparse grid must exercise empty cells, and one-draw cells
         # where standard errors are reported
         assert any(kind == "all" for kind, _ in empty)
-        assert not oracle.report_se or np.isinf(cols["v_se"]).any()
+        assert np.isinf(cols["v_se"]).any()
 
 
 def test_orderings_one_draw_cells_do_not_overflow():

@@ -64,27 +64,22 @@ def test_solve_json_deterministic(seqtrading, capsys):
     assert payload["concept"] == "sce"
 
 
-def test_solve_nonconvergent_exit_three(seqtrading, tmp_path):
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text("max_iters 1\nrestarts 0\npolish false\n", encoding="utf-8")
-    mixing = tmp_path / "mixing.game"
-    mixing.write_text(bundled_game_text("mixing"), encoding="utf-8")
-    assert cli_main(["solve", str(mixing), "--concept", "sce",
+def test_solve_nonconvergent_exit_three(seqtrading, tmp_path, failing_certification):
+    """A solve whose every candidate fails the limit certification exits 3."""
+    cfg = tmp_path / "once.cfg"
+    cfg.write_text("restarts 0\n", encoding="utf-8")
+    assert cli_main(["solve", str(seqtrading), "--concept", "sce",
                      "--config", str(cfg)]) == 3
 
 
 @pytest.mark.parametrize("text, message", [
     ("bogus 3\n", "unknown config key 'bogus'"),
     ("restarts x\n", "config key 'restarts': expected int"),
-    ("eps_floor tiny\n", "config key 'eps_floor': expected float"),
-    ("polish maybe\n", "config key 'polish': expected bool"),
     ("seed\n", "config key 'seed': expected int"),
-    ("eps-decay 1.0\n", "eps decay must lie in (0, 1)"),
     ("limit_steps 40\n", "unknown config key 'limit_steps'"),
-    ("eps_floor 0.9\n", "eps floor must lie in (0, eps start]"),
-    ("eps_start 0.9\neps_floor 0.6\n", "eps floor 0.6 exceeds the schedule start 0.25"),
+    ("max_iters 80\n", "unknown config key 'max_iters'"),
     ("restarts -1\n", "restarts at least 0"),
-    ("max_iters 0\n", "max iters must be at least 1"),
+    ("gap_tol nan\n", "tolerances must be positive and finite"),
 ])
 def test_bad_config_is_a_usage_error(seqtrading, tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
@@ -94,10 +89,26 @@ def test_bad_config_is_a_usage_error(seqtrading, tmp_path, capsys, text, message
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "GAME", "--concept", "sce"],
+    ["auction", "--model", "MODEL", "--format", "2p", "--grid", "20", "--samples", "20000"],
+], ids=["solve", "auction"])
+def test_bad_seed_is_a_usage_error(seqtrading, tmp_path, capsys, monkeypatch, command):
+    model = tmp_path / "wallet.model"
+    model.write_text("signalmodel wallet\nfamily wallet\nbidders 2\n", encoding="utf-8")
+    monkeypatch.setenv("CURSEDEQ_SEED", "abc")
+    argv = [{"GAME": str(seqtrading), "MODEL": str(model)}.get(a, a) for a in command]
+    assert cli_main(argv) == 2
+    assert "CURSEDEQ_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_solve_concept_ce_is_a_usage_error(seqtrading):
+    assert cli_main(["solve", str(seqtrading), "--concept", "ce"]) == 2
+
+
 def test_config_keys_follow_solver_config(seqtrading, tmp_path, capsys):
     cfg = tmp_path / "ok.cfg"
-    cfg.write_text("# comment\nrestarts 0\nmax-iters\t80\npolish yes\ngap_tol 1e-8\n",
-                   encoding="utf-8")
+    cfg.write_text("# comment\nrestarts 0\ngap-tol\t1e-8\n", encoding="utf-8")
     assert cli_main(["solve", str(seqtrading), "--concept", "sce", "--seed", "7",
                      "--config", str(cfg)]) == 0
     assert "2:hi\ta:0.0 d:1.0" in capsys.readouterr().out
@@ -203,6 +214,19 @@ def test_experiment_learning_from_prices(tmp_path, capsys):
     assert cli_main(["experiment", "--spec", str(spec)]) == 0
     header = capsys.readouterr().out.split("\n")[0]
     assert re.fullmatch(r"learning-from-prices under wpce: (\d+)/\1 cells match", header)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("experiment learning-from-prices\nconcept wpce\nG x\n",
+     "line 3, column 3: experiment: G must be an integer, got 'x'"),
+    ("experiment two-stage-auction\nconcept sce\ntypes 0,x\n",
+     "line 3, column 7: experiment: types must be comma-separated integers, got '0,x'"),
+], ids=["G", "types"])
+def test_bad_experiment_parameter_is_a_usage_error(tmp_path, capsys, spec, message):
+    path = tmp_path / "bad.spec"
+    path.write_text(spec, encoding="utf-8")
+    assert cli_main(["experiment", "--spec", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_auction_and_orderings(tmp_path, capsys):

@@ -87,6 +87,18 @@ def test_model_and_experiment_files():
     assert spec.params["treatment"] == "sequential"
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_model, "signalmodel m\nfamily wallet\nbidders x\n"),
+    (parse_model, "signalmodel m\n\nfamily unknown\n"),
+    (parse_experiment, "# spec\n\nexperiment\nconcept sce\n"),
+    (parse_experiment, "experiment voting\nconcept sce\np x\n"),
+], ids=["bidders", "family", "kind", "param"])
+def test_key_value_errors_report_their_line(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == 3
+
+
 def test_unknown_record_rejected():
     doc = 'cursedgame 1 "t"\nplayers 1\nwhatever x\nend'
     with pytest.raises(ParseError) as err:

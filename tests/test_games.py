@@ -1,6 +1,7 @@
 import pytest
 
 from cursedeq import games
+from cursedeq.gamefile import parse_experiment
 from cursedeq.games import (ExperimentSpec, TwoStageAuctionSpec, generate_experiment,
                             prices_game, snap_price, two_stage_auction_tree, type_grid,
                             type_weights, voting_game)
@@ -95,3 +96,15 @@ def test_generate_experiment_dispatch():
     assert tree.title == "sequential trading"
     with pytest.raises(GameError):
         ExperimentSpec("unknown-experiment")
+
+
+def test_experiment_types_are_an_integer_list():
+    """The tree generator reads ``types`` as the prediction harness does:
+    comma-separated integers."""
+    spec = parse_experiment("experiment two-stage-auction\ntypes 0,1\nbid_hi 10\n")
+    assert spec.params == {"types": (0, 1), "bid_hi": 10}
+    tree, _ = generate_experiment(spec)
+    assert {"1:t0", "1:t1"} <= set(tree.info_sets)
+    tree, _ = generate_experiment(
+        parse_experiment("experiment two-stage-auction\ntypes 12\nbid_hi 10\n"))
+    assert "1:t12" in tree.info_sets and "1:t1" not in tree.info_sets
