@@ -135,6 +135,19 @@ def uniform_grid(model: SignalModel, g: int) -> np.ndarray:
     return model.lo + h * (np.arange(g) + 0.5)
 
 
+def _signal_cells(x, lo, hi, g):
+    """Each signal's cell of the uniform g-cell partition of [lo, hi], out of
+    range clipped to the end cells: ``np.digitize`` against the edges, without
+    its binary search."""
+    h = (hi - lo) / g
+    edges = lo + h * np.arange(g + 1)
+    cell = np.clip(np.floor((x - lo) / h), 0, g - 1).astype(np.intp)
+    # the division may round across an edge; the edges decide
+    cell -= (cell > 0) & (x < edges[cell])
+    cell += (cell < g - 1) & (x >= edges[cell + 1])
+    return cell
+
+
 def estimate_conditionals(model: SignalModel, grid: np.ndarray,
                           oracle: OracleConfig, use_closed_forms: bool = True
                           ) -> ConditionalTables:
@@ -161,9 +174,7 @@ def estimate_conditionals(model: SignalModel, grid: np.ndarray,
     values, signals = model.sample(rng, oracle.samples)
     x1 = signals[:, 0]
     y1 = signals[:, 1:].max(axis=1) if model.bidders > 1 else np.zeros_like(x1)
-    h = (model.hi - model.lo) / g
-    edges = model.lo + h * np.arange(g + 1)
-    cell = np.clip(np.digitize(x1, edges) - 1, 0, g - 1)
+    cell = _signal_cells(x1, model.lo, model.hi, g)
 
     count = np.bincount(cell, minlength=g)
     x = grid[cell]  # each draw's grid point
@@ -243,28 +254,25 @@ ODE_SKIP_FRACTION = 0.02
 QUIT_PRICE_CANDIDATES = 64
 
 
-def _integrate_ode(grid, start_x, start_b, rhs):
-    """RK4 over the grid from a one-sided start past the singular boundary."""
-    xs = [start_x] + [float(x) for x in grid if x > start_x]
+def _integrate_ode(grid, start_x, start_b, coeffs):
+    """RK4 for db/dx = (t(x) - b) r(x) over the grid from a one-sided start
+    past the singular boundary.  ``coeffs(x)`` gives t and r on an array of
+    signals: one call tabulates them at every step's start, midpoint and
+    end, and only the recurrence, one step per grid point, runs on floats."""
+    held = int((grid <= start_x).sum())
+    xs = np.concatenate(([start_x], grid[grid > start_x]))
+    cur, step = xs[:-1], np.diff(xs)
+    t, r = coeffs(np.stack([cur, cur + step / 2, cur + step]))
     b = start_b
-    out = np.empty(len(grid))
-    pos = 0
-    for x in grid:
-        if x <= start_x:
-            out[pos] = start_b
-            pos += 1
-    cur_x = start_x
-    for x in xs[1:]:
-        hstep = x - cur_x
-        k1 = rhs(cur_x, b)
-        k2 = rhs(cur_x + hstep / 2, b + hstep * k1 / 2)
-        k3 = rhs(cur_x + hstep / 2, b + hstep * k2 / 2)
-        k4 = rhs(cur_x + hstep, b + hstep * k3)
+    out = [start_b] * held
+    for hstep, t1, t2, t4, r1, r2, r4 in zip(step.tolist(), *t.tolist(), *r.tolist()):
+        k1 = (t1 - b) * r1
+        k2 = (t2 - (b + hstep * k1 / 2)) * r2
+        k3 = (t2 - (b + hstep * k2 / 2)) * r2
+        k4 = (t4 - (b + hstep * k3)) * r4
         b = b + hstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-        cur_x = x
-        out[pos] = b
-        pos += 1
-    return out
+        out.append(b)
+    return np.array(out, dtype=float)
 
 
 def _ode_bid(model, tables, target_col, fmt):
@@ -292,15 +300,12 @@ def _ode_bid(model, tables, target_col, fmt):
     rate_cap = 1.0 / h
 
     def rate_at(x):
-        u = np.log(max(x - lo, 1e-12))
-        lf = float(np.interp(u, log_x, log_f))
-        lF = float(np.interp(u, log_x, log_F))
-        return float(np.exp(lf - max(lF, np.log(RATIO_FLOOR))))
+        u = np.log(np.maximum(x - lo, 1e-12))
+        return np.exp(np.interp(u, log_x, log_f)
+                      - np.maximum(np.interp(u, log_x, log_F), np.log(RATIO_FLOOR)))
 
-    def rhs(x, b):
-        tv = float(np.interp(x, tgrid, target))
-        rate = min(rate_at(x), rate_cap)
-        return (tv - b) * rate
+    def coeffs(x):
+        return np.interp(x, tgrid, target), np.minimum(rate_at(x), rate_cap)
 
     # boundary value at the infimum signal, extrapolated from the first
     # finite table entries
@@ -317,7 +322,7 @@ def _ode_bid(model, tables, target_col, fmt):
         s += delta
     m_hat = min(max(rate_at(s) * (s - lo), 0.5), 10.0)
     start_b = b0 + slope0 * (s - lo) * m_hat / (m_hat + 1.0)
-    bids = _integrate_ode(grid, s, start_b, rhs)
+    bids = _integrate_ode(grid, s, start_b, coeffs)
     bf = BidFunction(fmt, grid, bids)
     bf.boundary_value = b0
     bf.start_x = s
@@ -353,31 +358,27 @@ def bid_silent_english(model: SignalModel, tables: ConditionalTables) -> BidFunc
         bf.notes.append("v_lower(x, x) is not increasing: theorem premise fails")
         return bf
     grid = tables.grid
+    dens = np.interp(grid, grid, tables.f_y1)
+    candidates = np.linspace(vals[0], vals[-1], QUIT_PRICE_CANDIDATES)
     issues = 0
     idxs = np.linspace(0, len(grid) - 1, min(9, len(grid))).astype(int)
     for i in idxs:
         x = grid[i]
         # quitting: beta = b(x) maximizes the stopped payoff at own signal
-        best = _silent_objective(bf, tables, x, x, vals[i])
-        for beta in np.linspace(vals[0], vals[-1], QUIT_PRICE_CANDIDATES):
-            if _silent_objective(bf, tables, x, x, beta) > best + 1e-9:
-                issues += 1
-                break
+        value = _silent_objective(bf, tables, dens, x, x, np.append(vals[i], candidates))
+        issues += bool((value[1:] > value[0] + 1e-9).any())
     bf.notes.append(f"quit-price grid search: {issues} violations over {len(idxs)} signals")
     return bf
 
 
-def _silent_objective(bf, tables, x, xprime, beta):
-    """E[(v_lower(x, x') - b(Y1)) 1{b(Y1) <= beta}] via the grid measure."""
+def _silent_objective(bf, tables, dens, x, xprime, betas):
+    """E[(v_lower(x, x') - b(Y1)) 1{b(Y1) <= beta}] via the grid measure with
+    density ``dens``, one entry per quit price in ``betas``."""
     grid = tables.grid
     target = float(np.interp(x, grid, tables.v_lower))
-    mask = (bf.bids <= beta) & (grid >= xprime)
-    dens = np.interp(grid, grid, tables.f_y1)
-    w = dens * mask
-    if w.sum() == 0:
-        return 0.0
+    w = dens * ((bf.bids <= betas[:, None]) & (grid >= xprime))
     h = grid[1] - grid[0] if len(grid) > 1 else 1.0
-    return float(((target - bf.bids) * w).sum() * h)
+    return np.where(w.sum(axis=1) == 0, 0.0, ((target - bf.bids) * w).sum(axis=1) * h)
 
 
 def bid_canonical_english(model: SignalModel, observed_signals,

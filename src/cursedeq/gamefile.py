@@ -301,7 +301,7 @@ def serialize_profile(profile: BehaviorProfile) -> str:
 def parse_model(text: str):
     """Key-value model file: family wallet|mean-value, bidders <n>."""
     from .auctions import mean_value_model, wallet_model
-    fields, where = _key_values(text, "signalmodel")
+    fields, where = _key_values(text, "signalmodel", ("family", "bidders"))
     family = fields.get("family", "wallet")
     bidders = fields.get("bidders", "2")
     if not bidders.isdecimal() or int(bidders) < 2:
@@ -319,15 +319,16 @@ def _integers(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(","))
 
 
-# typed experiment parameters, as (conversion, what the value must be); any
-# other key stays a string
+# typed experiment parameters, as (conversion, what the value must be); the
+# one other parameter, treatment, stays a string
 _INTEGER, _NUMBER = (int, "an integer"), (float, "a number")
 EXPERIMENT_PARAMS = {"G": _INTEGER, "bid_lo": _INTEGER, "bid_hi": _INTEGER, "p": _NUMBER,
                      "q": _NUMBER, "p1": _NUMBER, "types": (_integers, "comma-separated integers")}
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
-    fields, where = _key_values(text, "experiment")
+    fields, where = _key_values(text, "experiment",
+                                ("kind", "concept", "treatment", *EXPERIMENT_PARAMS))
     kind = fields.pop("kind", None)
     if kind is None:
         raise ParseError(*where["kind"], "experiment", "missing 'kind'")
@@ -343,10 +344,11 @@ def parse_experiment(text: str) -> ExperimentSpec:
     return ExperimentSpec(kind, concept, params)
 
 
-def _key_values(text: str, expected_header: str):
+def _key_values(text: str, expected_header: str, keys):
     """The ``key value`` fields of a file and the (line, column) of each
-    value.  The header's second token, if any, is the ``kind`` field, which
-    is placed at the header line either way."""
+    value; a key not in ``keys`` is an error at its line.  The header's
+    second token, if any, is the ``kind`` field, which is placed at the
+    header line either way."""
     fields, where = {}, {}
     saw_header = False
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -364,6 +366,8 @@ def _key_values(text: str, expected_header: str):
             continue
         if len(toks) < 2:
             raise ParseError(lineno, 1, "field", "expected 'key value'")
+        if toks[0] not in keys:
+            raise ParseError(lineno, 1, "field", f"unknown key {toks[0]!r}")
         fields[toks[0]] = " ".join(toks[1:])
         where[toks[0]] = (lineno, cols[1])
     if not saw_header:

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from cursedeq.auctions import (OracleConfig, bid_canonical_english,
+from cursedeq.auctions import (BidFunction, OracleConfig, _signal_cells, _silent_objective,
+                               bid_canonical_english,
                                bid_second_price, bid_silent_english, clearing_prices,
                                estimate_conditionals, mean_value_model, ode_residuals,
                                solve_dutch, solve_first_price, uniform_grid,
@@ -321,3 +322,179 @@ def test_orderings_one_draw_cells_do_not_overflow():
         warnings.simplefilter("error", RuntimeWarning)
         report = verify_orderings(model, tables, *bids)
     assert len(report.checks_run) == 4
+
+
+def _scalar_ode_bid(model, tables, target_col, fmt):
+    """The bidding ODE with the right-hand side evaluated per RK4 stage on
+    scalars (the former ``_ode_bid`` and ``_integrate_ode``)."""
+    grid = tables.grid
+    lo = model.lo
+    delta = (model.hi - model.lo) / (10.0 * len(grid))
+    target_all = getattr(tables, target_col)
+    tmask = np.isfinite(target_all)
+    tgrid, target = grid[tmask], target_all[tmask]
+    fmask = np.isfinite(tables.f_y1) & np.isfinite(tables.F_y1)
+    log_x = np.log(grid[fmask] - lo)
+    log_f = np.log(np.maximum(tables.f_y1[fmask], 1e-300))
+    log_F = np.log(np.maximum(tables.F_y1[fmask], 1e-300))
+    h = (grid[1] - grid[0]) if len(grid) > 1 else (model.hi - model.lo)
+    rate_cap = 1.0 / h
+
+    def rate_at(x):
+        u = np.log(max(x - lo, 1e-12))
+        lf = float(np.interp(u, log_x, log_f))
+        lF = float(np.interp(u, log_x, log_F))
+        return float(np.exp(lf - max(lF, np.log(1e-30))))
+
+    def rhs(x, b):
+        tv = float(np.interp(x, tgrid, target))
+        rate = min(rate_at(x), rate_cap)
+        return (tv - b) * rate
+
+    if len(tgrid) > 1:
+        slope0 = (target[1] - target[0]) / (tgrid[1] - tgrid[0])
+        b0 = float(target[0] + slope0 * (lo - tgrid[0]))
+    else:
+        slope0, b0 = 0.0, float(target[0])
+    s = lo + delta
+    while rate_at(s) * h > 1.5 and s < grid[-1]:
+        s += delta
+    m_hat = min(max(rate_at(s) * (s - lo), 0.5), 10.0)
+    b = start_b = b0 + slope0 * (s - lo) * m_hat / (m_hat + 1.0)
+    out = np.empty(len(grid))
+    pos = 0
+    for x in grid:
+        if x <= s:
+            out[pos] = start_b
+            pos += 1
+    cur_x = s
+    for x in [float(x) for x in grid if x > s]:
+        hstep = x - cur_x
+        k1 = rhs(cur_x, b)
+        k2 = rhs(cur_x + hstep / 2, b + hstep * k1 / 2)
+        k3 = rhs(cur_x + hstep / 2, b + hstep * k2 / 2)
+        k4 = rhs(cur_x + hstep, b + hstep * k3)
+        b = b + hstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+        cur_x = x
+        out[pos] = b
+        pos += 1
+    bf = BidFunction(fmt, grid, out)
+    bf.boundary_value = b0
+    bf.start_x = s
+    bf.notes.append(f"boundary b({lo}) = {b0:.6g}, start offset {s - lo:.3g}")
+    return bf
+
+
+def _scalar_silent_objective(bf, tables, x, xprime, beta):
+    """The silent English stopped payoff for one quit price (the former form)."""
+    grid = tables.grid
+    target = float(np.interp(x, grid, tables.v_lower))
+    mask = (bf.bids <= beta) & (grid >= xprime)
+    dens = np.interp(grid, grid, tables.f_y1)
+    w = dens * mask
+    if w.sum() == 0:
+        return 0.0
+    h = grid[1] - grid[0] if len(grid) > 1 else 1.0
+    return float(((target - bf.bids) * w).sum() * h)
+
+
+def _loop_silent_english(tables):
+    """The silent English quit rule with its search one quit price at a time,
+    stopping at a signal's first violation (the former loop)."""
+    vals = tables.v_lower.copy()
+    bf = BidFunction("silent", tables.grid, vals, se=tables.v_lower_se.copy())
+    if not bf.monotone:
+        bf.notes.append("v_lower(x, x) is not increasing: theorem premise fails")
+        return bf
+    grid = tables.grid
+    issues = 0
+    idxs = np.linspace(0, len(grid) - 1, min(9, len(grid))).astype(int)
+    for i in idxs:
+        x = grid[i]
+        best = _scalar_silent_objective(bf, tables, x, x, vals[i])
+        for beta in np.linspace(vals[0], vals[-1], 64):
+            if _scalar_silent_objective(bf, tables, x, x, beta) > best + 1e-9:
+                issues += 1
+                break
+    bf.notes.append(f"quit-price grid search: {issues} violations over {len(idxs)} signals")
+    return bf
+
+
+def _same_bids(got, ref):
+    assert got.bids.tobytes() == ref.bids.tobytes()
+    assert (got.format, got.start_x, got.boundary_value, got.notes, got.monotone) \
+        == (ref.format, ref.start_x, ref.boundary_value, ref.notes, ref.monotone)
+
+
+def _bid_cases():
+    for model in (wallet_model(), mean_value_model(3), mean_value_model(5)):
+        for g in (50, 200, 1000):
+            grid = uniform_grid(model, g)
+            yield f"{model.name}-{g}-closed", model, estimate_conditionals(model, grid, ORACLE)
+            for seed in (1, 2):
+                yield (f"{model.name}-{g}-mc{seed}", model,
+                       estimate_conditionals(model, grid, OracleConfig(seed=seed),
+                                             use_closed_forms=False))
+    sparse = mean_value_model(5)
+    tables = estimate_conditionals(sparse, uniform_grid(sparse, 5_000),
+                                   OracleConfig(samples=10_000, seed=2), use_closed_forms=False)
+    assert tables.empty_cells
+    yield "mean-value-5-5000-sparse", sparse, tables
+
+
+@pytest.fixture(scope="module")
+def bid_cases():
+    return list(_bid_cases())
+
+
+def test_ode_bids_match_scalar_rk4(bid_cases):
+    for name, model, tables in bid_cases:
+        for solve, col, fmt in ((solve_first_price, "v", "1P"),
+                                (solve_dutch, "v_upper", "dutch")):
+            ref = _scalar_ode_bid(model, tables, col, fmt)
+            if fmt == "dutch":
+                ref.notes.append("waiting condition checked by verify_orderings ODE comparison")
+            _same_bids(solve(model, tables), ref)
+
+
+def test_silent_english_matches_per_quit_price_loop(bid_cases):
+    searched = 0
+    for name, model, tables in bid_cases:
+        got = bid_silent_english(model, tables)
+        _same_bids(got, _loop_silent_english(tables))
+        searched += got.notes[-1].startswith("quit-price grid search")
+    assert searched >= 9  # the closed-form tables run the search
+
+
+def test_silent_english_violations_match_per_quit_price_loop():
+    # with a nonnegative density the own quit price is the exact maximiser,
+    # so signed density columns are what make the search find violations
+    model = mean_value_model(3)
+    rng = np.random.Generator(np.random.PCG64(3))
+    counts = set()
+    for g in (50, 200):
+        tables = estimate_conditionals(model, uniform_grid(model, g), ORACLE)
+        grid, vals = tables.grid, tables.v_lower
+        betas = np.linspace(vals[0], vals[-1], 64)
+        for dens in [np.cos(k * np.pi * grid) for k in (1, 2)] + \
+                [rng.normal(size=g) for _ in range(4)]:
+            tables.f_y1 = dens
+            got = bid_silent_english(model, tables)
+            _same_bids(got, _loop_silent_english(tables))
+            counts.add(got.notes[-1])
+            for x in grid[::7]:
+                ref = [_scalar_silent_objective(got, tables, x, x, b) for b in betas]
+                assert _silent_objective(got, tables, dens, x, x, betas).tolist() == ref
+    assert len(counts) > 1 and not any(": 0 violations" in c for c in counts), counts
+
+
+@pytest.mark.parametrize("g", [2, 7, 200, 5_000])
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.5, 2.25)])
+def test_signal_cells_match_digitize(g, lo, hi):
+    edges = lo + (hi - lo) / g * np.arange(g + 1)
+    rng = np.random.Generator(np.random.PCG64(g))
+    x = np.concatenate([rng.uniform(lo, hi, 20_000), edges,
+                        np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                        [lo, hi, lo - 1.0, hi + 1.0]])
+    want = np.clip(np.digitize(x, edges) - 1, 0, g - 1)
+    assert np.array_equal(_signal_cells(x, lo, hi, g), want)

@@ -221,7 +221,9 @@ def test_experiment_learning_from_prices(tmp_path, capsys):
      "line 3, column 3: experiment: G must be an integer, got 'x'"),
     ("experiment two-stage-auction\nconcept sce\ntypes 0,x\n",
      "line 3, column 7: experiment: types must be comma-separated integers, got '0,x'"),
-], ids=["G", "types"])
+    ("experiment learning-from-prices\nconcept wpce\ng 5\n",
+     "line 3, column 1: field: unknown key 'g'"),
+], ids=["G", "types", "misspelled-key"])
 def test_bad_experiment_parameter_is_a_usage_error(tmp_path, capsys, spec, message):
     path = tmp_path / "bad.spec"
     path.write_text(spec, encoding="utf-8")

@@ -92,7 +92,9 @@ def test_model_and_experiment_files():
     (parse_model, "signalmodel m\n\nfamily unknown\n"),
     (parse_experiment, "# spec\n\nexperiment\nconcept sce\n"),
     (parse_experiment, "experiment voting\nconcept sce\np x\n"),
-], ids=["bidders", "family", "kind", "param"])
+    (parse_experiment, "experiment learning-from-prices\nconcept wpce\ng 5\n"),
+    (parse_model, "signalmodel m\nfamily mean-value\nbidder 5\n"),
+], ids=["bidders", "family", "kind", "param", "experiment-key", "model-key"])
 def test_key_value_errors_report_their_line(parse, text):
     with pytest.raises(ParseError) as err:
         parse(text)
