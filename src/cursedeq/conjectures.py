@@ -74,10 +74,10 @@ def compatible(tree: GameTree, iid: str, jid: str) -> bool:
 def _owner_region(tree: GameTree, partition: CoarsePartition, owner: str):
     """What a conjecture at ``owner`` reads, compiled once per tree and
     partition: the subtree nodes read (mass = reach), the ancestor chain
-    deepest first with each node's children (mass = their sum), the touched
-    info sets in rank order as ``(iid, cell, forced dist)``, and per cell
-    its region nodes in partition order with their region children per
-    action (a sum from 0 is the same without the outside ones' zeros)."""
+    deepest first with each node's region children (mass = their sum), the
+    touched info sets in rank order as ``(iid, cell, forced dist)``, and per
+    cell its region nodes in partition order with their region children per
+    action (outside nodes have mass 0, and a sum is the same without them)."""
     entry = tree.compiled.get(("conjecture", owner))
     if entry is not None and entry[0] is partition:
         return entry[1]
@@ -93,8 +93,9 @@ def _owner_region(tree: GameTree, partition: CoarsePartition, owner: str):
             if a in below or a in depth:
                 break
             depth[a] = tree.depth(a)
-    chain = [(a, tree.children[a].values()) for a in sorted(depth, key=depth.get, reverse=True)]
     region = below.union(depth)
+    chain = [(a, [c for c in tree.children[a].values() if c in region])
+             for a in sorted(depth, key=depth.get, reverse=True)]
     sets, cells = [], {}
     for iid in sorted({tree.info_set_of[n] for n in region if tree.children[n]},
                       key=tree.info_set_rank.__getitem__):
@@ -116,11 +117,11 @@ def _owner_region(tree: GameTree, partition: CoarsePartition, owner: str):
 
 
 def _region_mass(sub, chain, reach) -> dict:
-    """Mass of the region nodes a conjecture reads; chain sums keep
-    ``tree.children`` order, as a whole-tree pass adds them."""
+    """Mass of the region nodes a conjecture reads; a chain node sums its
+    region children in ``tree.children`` order, as a whole-tree pass would."""
     mass = {n: reach[n] for n in sub}
     for a, kids in chain:
-        mass[a] = sum(mass.get(c, 0.0) for c in kids)
+        mass[a] = sum(map(mass.__getitem__, kids))
     return mass
 
 
@@ -128,10 +129,10 @@ def _cell_freq(cells, mass, cid: str):
     """Action frequencies of coarse cell ``cid`` conditional on passing
     through the owner set, or None when that event has mass zero."""
     nodes, kids = cells.get(cid, ((), {}))
-    denom = sum(mass[g] for g in nodes)
+    denom = sum(map(mass.__getitem__, nodes))
     if denom <= 0.0:
         return None
-    return {a: sum(mass[c] for c in cs) / denom for a, cs in kids.items()}
+    return {a: sum(map(mass.__getitem__, cs)) / denom for a, cs in kids.items()}
 
 
 def cursed_conjecture(tree: GameTree, partition: CoarsePartition,
@@ -266,26 +267,31 @@ def check_cursed_plausible(tree: GameTree, partition: CoarsePartition,
     return PlausibilityReport(tuple(issues))
 
 
-def _upward_reach(tree: GameTree, dists, node: str) -> float:
-    """Probability of the path to ``node``: the product of the step
-    probabilities along its ancestor chain."""
-    prob = 1.0
-    child = node
-    for anc in tree.ancestors(node):
-        dist = dists.get(tree.info_set_of[anc])
-        if dist is None:
-            return 0.0
-        prob *= dist.get(tree.action_in[child], 0.0)
-        if prob == 0.0:
-            return 0.0
-        child = anc
-    return prob
+def _upward_reach(tree: GameTree, dists, owner: str) -> dict[str, float]:
+    """Probability of the path to each node of info set ``owner``: the
+    product of the step probabilities along its ancestor chain, nearest
+    first, read from ``(info set, action)`` paths compiled once per tree."""
+    paths = tree.compiled.get(("paths", owner))
+    if paths is None:
+        paths = tree.compiled[("paths", owner)] = [
+            (h, [(tree.info_set_of[p], tree.action_in[c])
+                 for c, p in zip((h, *tree.ancestors(h)), tree.ancestors(h))])
+            for h in tree.info_sets[owner].nodes]
+    weights = {}
+    for h, path in paths:
+        prob = 1.0
+        for iid, a in path:
+            dist = dists.get(iid)
+            prob = 0.0 if dist is None else prob * dist.get(a, 0.0)
+            if prob == 0.0:
+                break
+        weights[h] = prob
+    return weights
 
 
 def belief(tree: GameTree, conjecture: Conjecture) -> Belief:
     """Bayes distribution over the owner's nodes implied by the conjecture."""
-    oset = tree.info_sets[conjecture.owner]
-    weights = {h: _upward_reach(tree, conjecture.dists, h) for h in oset.nodes}
+    weights = _upward_reach(tree, conjecture.dists, conjecture.owner)
     total = sum(weights.values())
     if total <= 0.0:
         raise ZeroProbabilityError(
@@ -345,9 +351,9 @@ class LeadingTerm:
         return LeadingTerm(zero) / self
 
 
-def limit_reach(tree: GameTree, profile: BehaviorProfile, exact=()) -> dict:
-    """Leading terms of every node's reach along the tremble path
-    sigma_t = (1 - t) sigma + t uniform as t vanishes.
+def limit_dists(tree: GameTree, profile: BehaviorProfile, exact=()) -> dict:
+    """Leading terms of each step probability (keyed as ``profile.full``)
+    along the tremble path sigma_t = (1 - t) sigma + t uniform as t vanishes.
 
     An action keeps sigma(a) at order 0, or trembles to t / |A| at order 1
     when sigma(a) = 0.  Nature and the info sets in ``exact`` do not
@@ -358,7 +364,12 @@ def limit_reach(tree: GameTree, profile: BehaviorProfile, exact=()) -> dict:
     for iid, d in profile.dists.items():
         tremble = LeadingTerm(0.0 if iid in exact else 1.0 / len(d), 1)
         dists[iid] = {a: LeadingTerm(p) if p > 0.0 else tremble for a, p in d.items()}
-    return node_reach(tree, dists)
+    return dists
+
+
+def limit_reach(tree: GameTree, profile: BehaviorProfile, exact=()) -> dict:
+    """Leading terms of every node's reach, walking :func:`limit_dists`."""
+    return node_reach(tree, limit_dists(tree, profile, exact))
 
 
 @dataclass
@@ -373,8 +384,7 @@ class LimitDiagnostics:
 def limit_diagnostics(tree: GameTree, system: ConjectureSystem) -> LimitDiagnostics:
     """Each owner set's reach under its own limit conjecture, which must be
     positive."""
-    return LimitDiagnostics({o: sum(_upward_reach(tree, conj.dists, h)
-                                    for h in tree.info_sets[o].nodes)
+    return LimitDiagnostics({o: sum(_upward_reach(tree, conj.dists, o).values())
                              for o, conj in system.items()})
 
 

@@ -183,6 +183,8 @@ def prices_skeleton(g: int, treatment: str):
     :func:`prices_cell` fills in."""
     if treatment not in ("simultaneous", "sequential"):
         raise GameError(f"unknown treatment {treatment!r}")
+    if g < 2:
+        raise GameError(f"the price game needs G of at least 2, got G {g}")
     grid = type_grid(g)
     b = GameBuilder(f"learning-from-prices {treatment}", ["T1", "T2"])
     b.chance("V", None, None, {"hi": 0.5, "lo": 0.5})
@@ -226,20 +228,20 @@ def prices_skeleton(g: int, treatment: str):
 def prices_cell(skeleton, g: int, p1: float):
     """Price cell p1 on a :func:`prices_skeleton` tree.  A terminal
     ``value.i.j.a1.a2`` (a2 a trade, or a limit order ``o<k>``) has payoffs
-    set by (value, a1, a2); the split names stay in ``skeleton.compiled``."""
-    paths = skeleton.compiled.get("prices")
-    if paths is None:
-        paths = skeleton.compiled["prices"] = [(z, *z.split(".")) for z in skeleton.terminals]
+    set by (value, a1, a2), and the terminals of one such key share one
+    payoff row; the keys stay in ``skeleton.compiled``."""
+    if "prices" not in skeleton.compiled:
+        keys = [(v, a1, a2) for z in skeleton.terminals for v, _, _, a1, a2 in [z.split(".")]]
+        skeleton.compiled["prices"] = keys, tuple(dict.fromkeys(keys))
+    keys, distinct = skeleton.compiled["prices"]
     p2 = {"buy": snap_price((1 + p1) / 2, g), "sell": snap_price(p1 / 2, g)}
-    by_path, payoffs = {}, {}
-    for z, v, _, _, a1, a2 in paths:
-        if (v, a1, a2) not in by_path:
-            value, price = (1.0 if v == "hi" else 0.0), p2[a1]
-            buys = a2 == "buy" if a2[0] != "o" else price <= price_grid(g)[int(a2[1:])] + 1e-12
-            by_path[v, a1, a2] = (float((value - p1) if a1 == "buy" else (p1 - value)),
-                                  float((value - price) if buys else (price - value)))
-        u1, u2 = by_path[v, a1, a2]
-        payoffs[z] = {"T1": u1, "T2": u2}
+    rows = {}
+    for v, a1, a2 in distinct:
+        value, price = (1.0 if v == "hi" else 0.0), p2[a1]
+        buys = a2 == "buy" if a2[0] != "o" else price <= price_grid(g)[int(a2[1:])] + 1e-12
+        rows[v, a1, a2] = {"T1": float((value - p1) if a1 == "buy" else (p1 - value)),
+                           "T2": float((value - price) if buys else (price - value))}
+    payoffs = dict(zip(skeleton.terminals, map(rows.__getitem__, keys)))
     return skeleton.with_payoffs(f"{skeleton.title} p1={p1:.4f}", payoffs)
 
 

@@ -135,8 +135,8 @@ def prices_predictions(concept: str = "wpce", g: int = 21,
     against anything, and trader 2 then best-responds to the unique cursed
     conjecture, which is the weak perfect prediction.  Cells where the
     trader is exactly indifferent are reported as ties and exempted.
-    Only payoffs depend on p1, so each treatment's tree and partition are
-    built once and shared by its price cells.
+    Only payoffs depend on p1, so each treatment's tree, partition and
+    trader 1's beliefs are built once and shared by its price cells.
     """
     if concept not in ("wpce", "sce"):
         raise GameError(f"unsupported concept {concept!r} for the price game")
@@ -144,11 +144,11 @@ def prices_predictions(concept: str = "wpce", g: int = 21,
     grid = type_grid(g)
     skeletons = {t: prices_skeleton(g, t) for t in treatments}
     partitions = {t: coarsest_valid_partition(s) for t, s in skeletons.items()}
+    beliefs = {t: _trader1_beliefs(s, g) for t, s in skeletons.items()}
     for p1 in price_grid(g):
         for treatment in treatments:
             tree = prices_cell(skeletons[treatment], g, p1)
-            partition = partitions[treatment]
-            profile, sigma1 = _solve_prices(tree, partition, g, treatment, p1)
+            profile, sigma1 = _solve_prices(tree, partitions[treatment], g, beliefs[treatment])
             if treatment == "simultaneous":
                 _classify_simultaneous(report, tree, profile, sigma1, g, p1, grid)
             else:
@@ -156,20 +156,26 @@ def prices_predictions(concept: str = "wpce", g: int = 21,
     return report
 
 
-def _solve_prices(tree, partition, g, treatment, p1):
+def _trader1_beliefs(tree, g):
+    """The full view of uniform play and trader 1's Bayes beliefs under it:
+    no payoff enters them, so one walk serves every price cell."""
+    full = BehaviorProfile.uniform(tree).full(tree)
+    reach = node_reach(tree, full)
+    return full, {f"T1:{i}": _bayes_belief(tree, reach, f"T1:{i}") for i in range(g)}
+
+
+def _solve_prices(tree, partition, g, beliefs):
     """Two best-response sweeps: trader 1 first, against the Bayes belief
-    under uniform play (chi = 0), then trader 2 against the cursed
-    conjectures induced by trader 1's play (chi = 1)."""
+    under uniform play (chi = 0, ``beliefs`` from :func:`_trader1_beliefs`),
+    then trader 2 against the cursed conjectures of trader 1's play (chi = 1)."""
     eps = 1e-9
     profile = BehaviorProfile.uniform(tree)
     grid = type_grid(g)
     sigma1 = {}
-    # trader 1's own sets never enter its scenario: one view serves the loop
-    full = profile.full(tree)
-    reach = node_reach(tree, full)
+    full, bayes = beliefs
     for i, t1 in enumerate(grid):
         iid = f"T1:{i}"
-        res = respond(tree, iid, None, 0.0, _bayes_belief(tree, reach, iid), full, tie_tol=1e-12)
+        res = respond(tree, iid, None, 0.0, bayes[iid], full, tie_tol=1e-12)
         profile.dists[iid] = _uniform_over(res.optimal_actions, tree.info_sets[iid].actions)
         sigma1[t1] = profile.dists[iid]["buy"]
 

@@ -16,8 +16,8 @@ One function, :func:`_values`, gives the action values at a floor stage and
 in the limit alike: each owner's best response comes from
 ``bestresponse.respond`` against its cursed conjecture (mixed with the Bayes
 belief for chi-SCE; per forced action for causal SCE), and only the node
-reaches differ.  A stage reads floats from ``node_reach``; the limit reads
-the leading terms of ``conjectures.limit_reach``, which take conjectures and
+reaches differ.  A stage walks float steps; the limit walks the leading
+terms of ``conjectures.limit_dists``, which take conjectures and
 beliefs along the tremble path (1 - t) sigma + t uniform exactly to t -> 0.
 The same driver solves static CE/ICE (``bayesian``) with its own oracles.
 """
@@ -33,10 +33,10 @@ from scipy import optimize
 
 from .bestresponse import _floor_dist, check_local_best_response, respond
 from .conjectures import (check_cursed_plausible, cursed_conjecture, limit_diagnostics,
-                          limit_reach)
+                          limit_dists)
 from .games import ComputerPlayerSet
 from .partition import CoarsePartition
-from .tree import BehaviorProfile, GameError, GameTree, node_reach
+from .tree import BehaviorProfile, GameError, GameTree, node_reach, reach_below
 
 
 class NonConvergenceError(GameError):
@@ -126,32 +126,31 @@ def _bayes_belief(tree, reach, owner):
     return {h: reach[h] / total for h in nodes}
 
 
-def _values(tree, partition, profile, owners, concept, chi, floor, tie_tol, reach_of):
+def _values(tree, partition, profile, owners, concept, chi, floor, tie_tol, dists_of):
     """Action values and conjectures of ``owners`` under ``profile``.
 
-    ``reach_of(profile, exact)`` gives the node reaches: floats from
-    ``node_reach`` at a floor stage, or the leading terms of ``limit_reach``
-    in the vanishing-tremble limit, where the sets in ``exact`` do not
-    tremble.  SCE and chi-SCE value each owner against its cursed
-    conjecture, mixed with the Bayes belief for chi < 1, from one reach
-    shared by every owner.  Causal SCE values each action under the
-    conjecture of the profile modified to play it surely; those
-    conjectures are keyed by (owner, action).
+    ``dists_of(profile, exact)`` gives the steps to walk: floats at a floor
+    stage, or the leading terms of ``limit_dists`` in the limit, where the
+    sets in ``exact`` do not tremble.  The profile's one reach serves SCE
+    and chi-SCE, which value each owner against its cursed conjecture,
+    mixed with the Bayes belief for chi < 1.  Causal SCE values each action
+    under the conjecture of the profile modified to play it surely, whose
+    reach re-walks only below the owner; those are keyed by (owner, action).
     """
     q, conjs = {}, {}
+    reach = node_reach(tree, dists_of(profile, ()))
     if concept == "causal-sce":
         for o in owners:
             q[o] = {}
             for a in tree.info_sets[o].actions:
                 forced = BehaviorProfile({**profile.dists,
                                           o: {b: float(b == a) for b in profile.dists[o]}})
-                conj = cursed_conjecture(tree, partition, forced, o, require_mixed=False,
-                                         reach=reach_of(forced, (o,)))
+                below = reach_below(tree, dists_of(forced, (o,)), reach, o)
+                conj = cursed_conjecture(tree, partition, forced, o, False, below)
                 conjs[(o, a)] = conj
                 q[o][a] = respond(tree, o, conj, floor=floor, tie_tol=tie_tol,
                                   forced=a).action_values[a]
         return q, conjs
-    reach = reach_of(profile, ())
     full = profile.full(tree) if chi < 1.0 else None
     for o in owners:
         # at chi = 0 only the limit reads the conjecture, to report it
@@ -182,7 +181,7 @@ class LimitOracle:
     def artifacts(self, profile, owners):
         q, conjs = _values(self.tree, self.partition, profile, owners, self.concept, self.chi,
                            0.0, self.config.tie_tol,
-                           lambda p, exact: limit_reach(self.tree, p, exact))
+                           lambda p, exact: limit_dists(self.tree, p, exact))
         diag = None if self.concept == "causal-sce" else limit_diagnostics(self.tree, conjs)
         return q, conjs, diag
 
@@ -419,7 +418,7 @@ def _solve(tree: GameTree, partition: CoarsePartition, config: SolverConfig,
 
     def q_stage(dists, eps):
         return _values(tree, partition, BehaviorProfile(dists), free, concept, chi, eps,
-                       config.tie_tol, lambda p, exact: node_reach(tree, p.full(tree)))[0]
+                       config.tie_tol, lambda p, exact: p.full(tree))[0]
 
     def q_trial(dists, owners):
         return oracle.artifacts(BehaviorProfile(dists), owners)[0]
@@ -455,7 +454,7 @@ def epsilon_best_response(tree: GameTree, partition: CoarsePartition,
     if free and not profile.is_fully_mixed():
         raise GameError("cursed conjecture requires a fully mixed profile")
     q = _values(tree, partition, profile, free, "sce", 1.0, eps, tie_tol,
-                lambda p, exact: node_reach(tree, p.full(tree)))[0]
+                lambda p, exact: p.full(tree))[0]
     out = profile.copy()
     for o in free:
         acts = tree.info_sets[o].actions

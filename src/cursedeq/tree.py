@@ -68,7 +68,9 @@ class GameTree:
     """Immutable extensive game.  Build instances through :class:`GameBuilder`.
 
     ``compiled`` caches what other modules derive from the tree's shape, never
-    from payoffs, so trees made by :meth:`with_payoffs` share it."""
+    from payoffs, so trees made by :meth:`with_payoffs` share it: reach walks,
+    ancestor paths, conjecture regions, best-response walks and price keys,
+    each built in tree order, never in set order."""
 
     def __init__(self, title, players, root, parent, action_in, children,
                  player_of, terminals, payoffs, nature_probs, info_sets, info_set_of):
@@ -428,9 +430,34 @@ class OutcomeMeasure:
         return sum(self.probs.values())
 
 
+def _walk_below(tree: GameTree, dists, reach: dict, start: str) -> None:
+    """Set ``reach`` of every node strictly below ``start`` from
+    ``reach[start]``, along ``(node, info set, (action, child) pairs)`` in
+    the pop order of a stack walk, compiled once per tree and start."""
+    walk = tree.compiled.get(("reach", start))
+    if walk is None:
+        walk, stack = [], [start]
+        while stack:
+            kids = tree.children[n := stack.pop()]
+            if kids:
+                walk.append((n, tree.info_set_of[n], tuple(kids.items())))
+                stack.extend(kids.values())
+        tree.compiled[("reach", start)] = walk
+    for n, iid, kids in walk:
+        r = reach[n]
+        dist = dists.get(iid)
+        if dist is None:
+            if r > 0.0:
+                raise UncoveredInfoSetError(f"no distribution for info set {iid!r}")
+            dist = {}
+        for a, child in kids:
+            reach[child] = r * dist.get(a, 0.0)
+
+
 def node_reach(tree: GameTree, dists: dict[str, dict[str, float]],
                start: str = None) -> dict[str, float]:
-    """Reach probability of every node weakly below ``start`` (root if None).
+    """Reach probability of every node weakly below ``start`` (root if None),
+    keyed in stack-walk order, by a walk compiled on the tree.
 
     ``dists`` maps info-set ids to action distributions (players and nature
     alike).  The walk raises on a positive-probability node whose info set
@@ -439,22 +466,18 @@ def node_reach(tree: GameTree, dists: dict[str, dict[str, float]],
     """
     start = tree.root if start is None else start
     reach = {start: 1.0}
-    stack = [start]
-    while stack:
-        n = stack.pop()
-        kids = tree.children[n]
-        if not kids:
-            continue
-        r = reach[n]
-        iid = tree.info_set_of[n]
-        dist = dists.get(iid)
-        if dist is None:
-            if r > 0.0:
-                raise UncoveredInfoSetError(f"no distribution for info set {iid!r}")
-            dist = {}
-        for a, child in kids.items():
-            reach[child] = r * dist.get(a, 0.0)
-            stack.append(child)
+    _walk_below(tree, dists, reach, start)
+    return reach
+
+
+def reach_below(tree: GameTree, dists, base: dict, owner: str) -> dict:
+    """``base``, the reaches of a walk from the root, with the nodes below
+    info set ``owner`` walked again under ``dists`` from their stored
+    reaches.  A reach is its path's product in path order, so when ``dists``
+    differs from ``base``'s steps only at ``owner`` this is their whole walk."""
+    reach = dict(base)
+    for h in tree.info_sets[owner].nodes:
+        _walk_below(tree, dists, reach, h)
     return reach
 
 

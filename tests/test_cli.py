@@ -231,6 +231,16 @@ def test_bad_experiment_parameter_is_a_usage_error(tmp_path, capsys, spec, messa
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("g", ["1", "0", "-3"])
+def test_price_grid_below_two_is_a_usage_error(tmp_path, capsys, g):
+    """G 1 used to divide by zero in price_grid, and G 0 and -3 failed on an
+    empty tree; each now exits 2 naming G."""
+    path = tmp_path / "small.spec"
+    path.write_text(f"experiment learning-from-prices\nconcept wpce\nG {g}\n", encoding="utf-8")
+    assert cli_main(["experiment", "--spec", str(path)]) == 2
+    assert f"the price game needs G of at least 2, got G {g}" in capsys.readouterr().err
+
+
 def test_auction_and_orderings(tmp_path, capsys):
     model = tmp_path / "wallet.model"
     model.write_text("signalmodel wallet\nfamily wallet\nbidders 2\n",

@@ -50,8 +50,9 @@ def test_prices_small_grid_both_treatments():
 
 
 def test_prices_walk_the_tree_once_per_profile(monkeypatch):
-    """Two reach walks per price-cell tree: the uniform profile for trader 1
-    and the floored one shared by all of trader 2's conjectures."""
+    """One reach walk per treatment, of uniform play on the skeleton, gives
+    trader 1's beliefs for every price cell; one walk per price-cell tree,
+    of the floored profile, serves all of trader 2's conjectures."""
     real = cursedeq.tree.node_reach
     walks = Counter()
 
@@ -62,8 +63,9 @@ def test_prices_walk_the_tree_once_per_profile(monkeypatch):
     for mod in (cursedeq.tree, cursedeq.conjectures, cursedeq.golden, cursedeq.solvers):
         monkeypatch.setattr(mod, "node_reach", counted)
     prices_predictions("wpce", g=5)
-    assert len(walks) == 2 * len(price_grid(5))
-    assert set(walks.values()) == {2}
+    treatments = ("simultaneous", "sequential")
+    assert walks == Counter({f"learning-from-prices {t}{cell}": 1 for t in treatments
+                             for cell in ("", *(f" p1={p1:.4f}" for p1 in price_grid(5)))})
 
     walks.clear()
     tree = prices_game(5, "sequential", price_grid(5)[1])
@@ -78,14 +80,16 @@ def test_prices_walk_the_tree_once_per_profile(monkeypatch):
 def test_price_cells_equal_fresh_games(monkeypatch, g):
     """Every per-p1 tree of the harness, built on one skeleton per
     treatment, equals a fresh prices_game of that cell; each treatment's
-    coarsest partition is computed once."""
+    coarsest partition is computed once, and the trader-1 beliefs it
+    shares equal those of the fresh game."""
     real_solve = cursedeq.golden._solve_prices
     real_partition = cursedeq.golden.coarsest_valid_partition
     used, partitioned = [], Counter()
+    cells = iter((t, p1) for p1 in price_grid(g) for t in ("simultaneous", "sequential"))
 
-    def solve(tree, partition, g_, treatment, p1):
-        used.append((treatment, p1, tree, partition))
-        return real_solve(tree, partition, g_, treatment, p1)
+    def solve(tree, partition, g_, beliefs):
+        used.append((*next(cells), tree, partition, beliefs))
+        return real_solve(tree, partition, g_, beliefs)
 
     def partition(tree):
         partitioned[tree.title] += 1
@@ -97,8 +101,9 @@ def test_price_cells_equal_fresh_games(monkeypatch, g):
     assert partitioned == Counter({"learning-from-prices simultaneous": 1,
                                    "learning-from-prices sequential": 1})
     assert len(used) == 2 * len(price_grid(g))
-    for treatment, p1, tree, part in used:
+    for treatment, p1, tree, part, beliefs in used:
         fresh = prices_game(g, treatment, p1)
+        assert beliefs == cursedeq.golden._trader1_beliefs(fresh, g)
         assert tree.title == fresh.title
         assert tree.terminals == fresh.terminals
         assert [tree.payoffs[z] for z in tree.terminals] == \

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cursedeq.bestresponse import Scenario, _floor_dist, optimize_plan
-from cursedeq.conjectures import _forced_action, belief, cursed_conjecture, limit_reach
+from cursedeq.conjectures import (LeadingTerm, _forced_action, _upward_reach, belief,
+                                  cursed_conjecture, limit_dists, limit_reach)
 from cursedeq.partition import _freeze, coarsest_valid_partition, is_coarse
-from cursedeq.tree import (ZeroProbabilityError, n_predecessor, node_reach, outcome_measure,
+from cursedeq.tree import (BehaviorProfile, UncoveredInfoSetError, ZeroProbabilityError,
+                           n_predecessor, node_reach, outcome_measure, reach_below,
                            reach_probability)
 from randgames import random_game, random_profile
 
@@ -376,3 +378,121 @@ def test_mutated_games_rejected_with_exact_rule():
     # a nature policy that does not sum to one trips exactly that rule
     bad = _club_variant(bad_nature_sum=True)
     assert validate_game(bad).rules() == {"probability-sum"}
+
+
+def stack_walk_reach(tree, dists, start=None):
+    """Reference: a per-call stack walk of the nodes weakly below ``start``,
+    raising on a positive-reach node whose info set has no distribution."""
+    start = tree.root if start is None else start
+    reach = {start: 1.0}
+    stack = [start]
+    while stack:
+        n = stack.pop()
+        kids = tree.children[n]
+        if not kids:
+            continue
+        r = reach[n]
+        dist = dists.get(tree.info_set_of[n])
+        if dist is None:
+            if r > 0.0:
+                raise UncoveredInfoSetError(f"no distribution for info set {tree.info_set_of[n]!r}")
+            dist = {}
+        for a, child in kids.items():
+            reach[child] = r * dist.get(a, 0.0)
+            stack.append(child)
+    return reach
+
+
+def exact_items(reach):
+    """Keys in order with their exact values; a leading term as (c, k)."""
+    return [(n, (r.c, r.k) if isinstance(r, LeadingTerm) else r) for n, r in reach.items()]
+
+
+def walk_outcome(walk, *args):
+    try:
+        return exact_items(walk(*args))
+    except UncoveredInfoSetError as err:
+        return str(err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_compiled_reach_matches_per_call_walker(seed):
+    """node_reach on the walk compiled on the tree equals the per-call stack
+    walk exactly, key order included: from the root and from interior
+    starts, for float and leading-term steps of a profile with zeros, with
+    each info set left uncovered in turn (an error where the set is reached
+    with positive probability), and on repeated calls."""
+    rng = random.Random(seed)
+    tree = random_game(rng, 40)
+    profile = random_profile(rng, tree)
+    exact = tuple(tree.player_info_sets()[:1])
+    starts = [None] + rng.sample(tree.nodes, min(4, len(tree.nodes)))
+    for dists in (profile.full(tree), limit_dists(tree, profile),
+                  limit_dists(tree, profile, exact)):
+        for start in starts * 2:
+            assert walk_outcome(node_reach, tree, dists, start) == \
+                walk_outcome(stack_walk_reach, tree, dists, start)
+        for iid in tree.info_sets:
+            partial = {j: d for j, d in dists.items() if j != iid}
+            assert walk_outcome(node_reach, tree, partial) == \
+                walk_outcome(stack_walk_reach, tree, partial)
+
+
+def ancestor_product(tree, dists, node):
+    """Reference: the step probabilities along ``tree.ancestors``, nearest
+    first, 0 at the first uncovered set or zero step."""
+    prob, child = 1.0, node
+    for anc in tree.ancestors(node):
+        dist = dists.get(tree.info_set_of[anc])
+        if dist is None:
+            return 0.0
+        prob *= dist.get(tree.action_in[child], 0.0)
+        if prob == 0.0:
+            return 0.0
+        child = anc
+    return prob
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_compiled_upward_reach_matches_ancestor_product(seed):
+    """The compiled (info set, action) paths give every owner node's path
+    probability exactly as the ancestor product, in node order: under the
+    full view of a profile with zeros, under half of that view, under its
+    conjectures, which leave sets out, and on repeated calls."""
+    rng = random.Random(seed)
+    tree = random_game(rng, 40)
+    part = coarsest_valid_partition(tree)
+    profile = random_profile(rng, tree)
+    reach = limit_reach(tree, profile)
+    for owner in tree.player_info_sets() * 2:
+        conj = cursed_conjecture(tree, part, profile, owner, require_mixed=False, reach=reach)
+        for dists in (profile.full(tree), dict(list(profile.full(tree).items())[::2]),
+                      conj.dists):
+            got = _upward_reach(tree, dists, owner)
+            want = {h: ancestor_product(tree, dists, h) for h in tree.info_sets[owner].nodes}
+            assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_causal_reach_matches_whole_walk_of_forced_profile(seed):
+    """Each causal (owner, action) reach, re-walked below the owner's nodes
+    from the profile's own reach, equals the whole walk of the profile that
+    plays the action surely, exactly and in key order: with float steps of
+    a fully mixed profile (a floor stage) and with the leading terms of a
+    profile with zeros, the forced owner untrembled (the limit)."""
+    rng = random.Random(seed)
+    tree = random_game(rng, 40)
+    mixed, pure = random_profile(rng, tree, mixed=True), random_profile(rng, tree)
+    for profile, dists_of in ((mixed, lambda p, exact: p.full(tree)),
+                              (pure, lambda p, exact: limit_dists(tree, p, exact))):
+        base = node_reach(tree, dists_of(profile, ()))
+        for o in tree.player_info_sets():
+            for a in tree.info_sets[o].actions:
+                forced = BehaviorProfile({**profile.dists,
+                                          o: {b: float(b == a) for b in profile.dists[o]}})
+                dists = dists_of(forced, (o,))
+                assert exact_items(reach_below(tree, dists, base, o)) == \
+                    exact_items(stack_walk_reach(tree, dists))

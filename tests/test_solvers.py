@@ -154,6 +154,38 @@ def test_causal_demo(paper):
     assert ok
 
 
+def test_causal_stage_and_limit_walk_the_tree_once(paper, monkeypatch):
+    """A causal floor stage and a causal limit evaluation each walk the
+    whole tree once; every (owner, action) reach re-walks only the subtrees
+    below the owner's nodes."""
+    import cursedeq.conjectures
+    import cursedeq.solvers
+    import cursedeq.tree
+    real, real_values = cursedeq.tree.node_reach, cursedeq.solvers._values
+    walks, floors = [], []
+
+    def counted(tree, *args, **kwargs):
+        walks.append(tree.title)
+        return real(tree, *args, **kwargs)
+
+    def values(*args):
+        floors.append(args[6])
+        return real_values(*args)
+
+    for mod in (cursedeq.tree, cursedeq.conjectures, cursedeq.solvers):
+        monkeypatch.setattr(mod, "node_reach", counted)
+    tree, part = paper["running-example"]
+    owners = sorted(tree.player_info_sets())
+    cursedeq.solvers.LimitOracle(tree, part, "causal-sce", 1.0, SolverConfig()).artifacts(
+        BehaviorProfile.uniform(tree), owners)
+    assert len(walks) == 1
+    walks.clear()
+    monkeypatch.setattr(cursedeq.solvers, "_values", values)
+    solve_causal_sce(tree, part, SolverConfig(seed=7, restarts=0))
+    assert 0.0 in floors and any(f > 0.0 for f in floors)
+    assert len(walks) == len(floors)
+
+
 def test_causal_single_player_backward_induction():
     from cursedeq.tree import GameBuilder
     b = GameBuilder("solo", ["1"])
