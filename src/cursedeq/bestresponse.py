@@ -1,11 +1,12 @@
 """Local best responses against conjectures.
 
-The single-agent problem: starting from a belief over one information set,
-with everyone else (including nature) fixed by the conjecture, optimize the
-owner's continuation plan by backward induction over the owner's own
-information sets.  Replanning is allowed, so the continuation need not agree
-with the owner's equilibrium strategy, and the plan is optimized per
-information set (the owner cannot distinguish histories pooled together).
+The single-agent problem: from a belief over one information set, with
+everyone else (nature included) fixed by the conjecture, optimize the
+owner's continuation plan by backward induction over its own information
+sets.  Replanning is allowed, so the continuation need not agree with the
+owner's equilibrium strategy; the plan is optimized per information set (the
+owner cannot tell pooled histories apart).  The induction is a flat program
+compiled once per tree; the owner's own plan is floored only when read.
 """
 
 from __future__ import annotations
@@ -30,10 +31,27 @@ class Scenario:
 
 @dataclass
 class PlanResult:
-    value: float
+    """Action values and optimal actions at the owner, and the plan of every
+    own set; the owner's own plan (and ``value``) is floored when first read."""
+
     action_values: dict[str, float]
     optimal_actions: tuple[str, ...]
-    plan: dict[str, dict[str, float]]
+    _plan: dict[str, dict[str, float]]
+    _owner: str
+    _floor: float
+    _tie_tol: float
+
+    @property
+    def plan(self) -> dict[str, dict[str, float]]:
+        if self._owner not in self._plan:
+            q = self.action_values
+            self._plan[self._owner] = _floor_dist(tuple(q), q, self._floor, self._tie_tol)
+        return self._plan
+
+    @property
+    def value(self) -> float:
+        dist = self.plan[self._owner]
+        return sum(dist[a] * q for a, q in self.action_values.items())
 
 
 def _floor_dist(actions, values, floor: float, tie_tol: float,
@@ -58,22 +76,27 @@ def _floor_dist(actions, values, floor: float, tie_tol: float,
 
 
 def _plan_walk(tree: GameTree, player: str, roots):
-    """The shape of :func:`optimize_plan`'s forward pass from the belief
-    nodes ``roots`` (one tuple per scenario), compiled once per tree: the
-    weight edges ``(child, parent, info set or None at own nodes, action,
-    child is a root)`` of a stack walk from the roots that leads to own
-    nodes, in pop order, and the own sets deepest first with their members."""
+    """:func:`optimize_plan`'s passes from the belief nodes ``roots`` (one
+    tuple per scenario), compiled once per tree and free of payoffs: the weight
+    edges ``(child, parent, info set or None at own nodes, action, child is a
+    root)`` of a stack walk from the roots to own nodes, in pop order; the own
+    sets deepest first, each with the steps that evaluate, children first, the
+    internal nodes below its members that no deeper set evaluates; and per
+    scenario, the terminals read."""
     entry = tree.compiled.get(("plan", player, roots))
     if entry is not None:
         return entry
+    children = tree.children
     stack = [(si, h) for si, nodes in enumerate(roots) for h in nodes]
     seen, edges, parent, own_sets = set(stack), [], {}, {}
     while stack:
         si, n = key = stack.pop()
         own = tree.player_of.get(n) == player
-        if own and tree.children[n]:
+        if own and children[n]:
             own_sets.setdefault(tree.info_set_of[n], []).append(key)
-        for a, child in tree.children[n].items():
+        for a, child in children[n].items():
+            if not children[child]:
+                continue  # no own node below a terminal
             ck = (si, child)
             parent[ck] = key
             edges.append((ck, key, None if own else tree.info_set_of[n], a, ck in seen))
@@ -92,8 +115,23 @@ def _plan_walk(tree: GameTree, player: str, roots):
             d, p = d + 1, n_predecessor(tree, p, player)
         return d
 
-    entry = ([e for e in edges if e[0] in needed],
-             [(i, own_sets[i]) for i in sorted(own_sets, key=lambda i: (-own_depth(i), i))])
+    program, terminals = [], [[] for _ in roots]
+    for iid in sorted(own_sets, key=lambda i: (-own_depth(i), i)):
+        steps = []
+        for si, g in own_sets[iid]:
+            # a pre-order, reversed to put children first; below an own node
+            # a deeper set has evaluated everything
+            stack, order = list(children[g].values()), []
+            while stack:
+                n = stack.pop()
+                order.append(n)
+                if tree.player_of.get(n) != player:
+                    stack.extend(children[n].values())
+            steps += [(si, n, tree.info_set_of[n], tree.player_of[n] == player, children[n])
+                      for n in reversed(order) if children[n]]
+            terminals[si] += [n for n in order if not children[n]]
+        program.append((iid, tree.info_sets[iid].actions, own_sets[iid], steps))
+    entry = [e for e in edges if e[0] in needed], program, terminals
     tree.compiled[("plan", player, roots)] = entry
     return entry
 
@@ -109,12 +147,10 @@ def optimize_plan(tree: GameTree, owner: str, scenarios, player: str,
     the action taken at the owner set itself when evaluating per-action
     conjectures.
     """
-    oset = tree.info_sets[owner]
-    edges, own_sets = _plan_walk(tree, player, tuple(tuple(sc.belief) for sc in scenarios))
-    weight = {}
-    for si, sc in enumerate(scenarios):
-        for h, p in sc.belief.items():
-            weight[(si, h)] = sc.weight * p
+    edges, program, terminals = _plan_walk(tree, player,
+                                           tuple(tuple(sc.belief) for sc in scenarios))
+    weight = {(si, h): sc.weight * p
+              for si, sc in enumerate(scenarios) for h, p in sc.belief.items()}
     for ck, key, iid, a, add in edges:
         w = weight[key]
         if iid is not None:
@@ -122,44 +158,27 @@ def optimize_plan(tree: GameTree, owner: str, scenarios, player: str,
         weight[ck] = weight[ck] + w if add else w
 
     children, payoffs = tree.children, tree.payoffs
-    plan: dict[str, dict[str, float]] = {}
-    values: dict[tuple[int, str], float] = {}
-
-    def node_value(si, n):
-        kids = children[n]
-        if not kids:
-            return payoffs[n][player]
-        key = (si, n)
-        if key in values:
-            return values[key]
-        iid = tree.info_set_of[n]
-        if tree.player_of[n] == player:
-            dist = plan[iid]
-        else:
-            dist = scenarios[si].dists.get(iid, {})
-        v = sum(p * node_value(si, kids[a]) for a, p in dist.items() if p != 0.0)
-        values[key] = v
-        return v
-
-    q_owner = None
-    for iid, members in own_sets:
-        actions = tree.info_sets[iid].actions
-        q = {a: sum(weight[(si, g)] * node_value(si, children[g][a])
-                    for (si, g) in members)
-             for a in actions}
-        if iid == owner:
-            q_owner = q
+    values = [{t: payoffs[t][player] for t in terms} for terms in terminals]
+    plan, q_owner = {}, None
+    for iid, actions, members, steps in program:
+        for si, n, sid, own, kids in steps:
+            v = values[si]
+            dist = plan[sid] if own else scenarios[si].dists.get(sid, {})
+            v[n] = sum(p * v[kids[a]] for a, p in dist.items() if p != 0.0)
+        rows = [(weight[key], values[key[0]], children[key[1]]) for key in members]
+        q = {a: sum(w * v[kids[a]] for w, v, kids in rows) for a in actions}
+        q_owner = q if iid == owner else q_owner
         if iid == owner and forced is not None:
             plan[iid] = {a: (1.0 if a == forced else 0.0) for a in actions}
-        else:
+        elif iid != owner or owner != program[-1][0]:
+            # no step reads the last set's plan: the owner's waits until read
             plan[iid] = _floor_dist(actions, q, floor, tie_tol)
 
     if q_owner is None:
         raise ValueError(f"owner set {owner!r} unreachable from its own belief")
     best = max(q_owner.values())
-    opt = tuple(a for a in oset.actions if q_owner[a] >= best - tie_tol)
-    value = sum(plan[owner][a] * q_owner[a] for a in oset.actions)
-    return PlanResult(value, q_owner, opt, plan)
+    opt = tuple(a for a in q_owner if q_owner[a] >= best - tie_tol)
+    return PlanResult(q_owner, opt, plan, owner, floor, tie_tol)
 
 
 def respond(tree: GameTree, owner: str, conjecture: Conjecture | None, chi: float = 1.0,

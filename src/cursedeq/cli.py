@@ -358,7 +358,13 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early (``| head``)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

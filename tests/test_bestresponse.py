@@ -81,3 +81,76 @@ def test_indifferent_actions_always_pass():
     system = limit_system(tree, part, prof)
     report = check_local_best_response(tree, part, prof, system)
     assert report.ok
+
+
+def _price_responses(tree, owners):
+    """Every owner's best response on a price cell, as the price harness
+    asks for them: trader 1 against its Bayes belief under uniform play,
+    trader 2 against its cursed conjecture of uniform play."""
+    from cursedeq.bestresponse import respond
+    from cursedeq.conjectures import cursed_conjecture
+    from cursedeq.partition import coarsest_valid_partition
+    from cursedeq.tree import node_reach
+    uniform = BehaviorProfile.uniform(tree)
+    full = uniform.full(tree)
+    reach = node_reach(tree, full)
+    part = coarsest_valid_partition(tree)
+    out = {}
+    for iid in owners:
+        if iid.startswith("T1"):
+            nodes = tree.info_sets[iid].nodes
+            total = sum(reach[h] for h in nodes)
+            res = respond(tree, iid, None, 0.0, {h: reach[h] / total for h in nodes}, full)
+        else:
+            res = respond(tree, iid, cursed_conjecture(tree, part, uniform, iid, reach=reach))
+        out[iid] = (res.value, res.action_values, res.optimal_actions, res.plan)
+    return out
+
+
+@pytest.mark.parametrize("treatment", ["simultaneous", "sequential"])
+def test_compiled_plan_holds_no_payoffs(treatment):
+    """Two price cells of one skeleton share its compiled best-response
+    program; asked in alternating order, every trader-1 and trader-2
+    response equals the one on a fresh tree of its cell."""
+    from cursedeq.games import price_grid, prices_cell, prices_game, prices_skeleton
+    g = 5
+    skeleton = prices_skeleton(g, treatment)
+    prices = price_grid(g)[1], price_grid(g)[3]
+    cells = {p1: prices_cell(skeleton, g, p1) for p1 in prices}
+    owners = [o for j in range(g) for o in (f"T1:{j}", *sorted(
+        i for i in skeleton.player_info_sets("T2") if i.split(":")[1] == str(j)))]
+    shared = {p1: {} for p1 in prices}
+    for k, owner in enumerate(owners):
+        for p1 in (prices if k % 2 == 0 else prices[::-1]):
+            shared[p1].update(_price_responses(cells[p1], [owner]))
+    fresh = {p1: _price_responses(prices_game(g, treatment, p1), owners) for p1 in prices}
+    assert shared == fresh
+    assert shared[prices[0]] != shared[prices[1]]
+
+
+def test_own_set_below_zero_probability_action():
+    """Player 1's later set J lies only below nature's zero-probability
+    action x, and the conjecture lacks player 2's set K.  The compiled pass
+    evaluates the whole subtree anyway; the values read stay those of the
+    reachable play: L is worth 1 (through y), R is worth 0 (K unconjectured)."""
+    from cursedeq.bestresponse import Scenario, optimize_plan
+    b = GameBuilder("unread", ["1", "2"])
+    b.player("r", None, None, "1")
+    b.chance("m", "r", "L", {"x": 0.5, "y": 0.5})
+    b.player("d", "m", "x", "1")
+    b.terminal("du", "d", "u", {"1": 5.0, "2": 0.0})
+    b.terminal("dv", "d", "v", {"1": -5.0, "2": 0.0})
+    b.terminal("my", "m", "y", {"1": 1.0, "2": 0.0})
+    b.player("k", "r", "R", "2")
+    b.terminal("kp", "k", "p", {"1": 9.0, "2": 0.0})
+    b.terminal("kq", "k", "q", {"1": 9.0, "2": 0.0})
+    b.info_set("I", "1", ["r"])
+    b.info_set("J", "1", ["d"])
+    b.info_set("K", "2", ["k"])
+    tree = b.build()
+    dists = {"is:m": {"x": 0.0, "y": 1.0}}
+    res = optimize_plan(tree, "I", [Scenario(1.0, {"r": 1.0}, dists)], "1")
+    assert res.action_values == {"L": 1.0, "R": 0.0}
+    assert res.optimal_actions == ("L",)
+    # J carries no weight, so its q values tie at 0 and its plan is uniform
+    assert res.plan == {"J": {"u": 0.5, "v": 0.5}, "I": {"L": 1.0, "R": 0.0}}

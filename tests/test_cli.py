@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cursedeq
 from cursedeq.cli import cli_main
 from cursedeq.games import bundled_game_text
 
@@ -214,6 +219,32 @@ def test_experiment_learning_from_prices(tmp_path, capsys):
     assert cli_main(["experiment", "--spec", str(spec)]) == 0
     header = capsys.readouterr().out.split("\n")[0]
     assert re.fullmatch(r"learning-from-prices under wpce: (\d+)/\1 cells match", header)
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    """``cursedeq experiment ... | head -1``: once the reader closes after the
+    first line, the command exits 0 with no traceback.  The pipe holds one
+    page, so the 32 kB report cannot all be written before the close."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity cannot be set here")
+    spec = tmp_path / "prices.spec"
+    spec.write_text("experiment learning-from-prices\nconcept wpce\nG 9\n", encoding="utf-8")
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    src = str(Path(cursedeq.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from cursedeq.cli import main; main()",
+         "experiment", "--spec", str(spec)],
+        stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        first = reader.readline()
+    err = proc.communicate(timeout=120)[1]
+    assert first.startswith(b"learning-from-prices under wpce:")
+    assert b"Traceback" not in err, err.decode()
+    assert proc.returncode == 0
 
 
 @pytest.mark.parametrize("spec, message", [

@@ -301,9 +301,12 @@ def test_compiled_conjecture_matches_per_call_walker(seed):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_compiled_plan_matches_per_call_walker(seed):
     """optimize_plan on the walk compiled on the tree equals the per-call
-    walker exactly, for one scenario, for the two of the chi-SCE mixture and
-    for a belief over nested nodes, with and without a floor, with a forced
-    action, and on repeated calls."""
+    walker exactly, for one scenario, for the two of the chi-SCE mixture,
+    for a belief over nested nodes and for a conjecture that lacks one set,
+    with and without a floor, with a forced action, and on repeated calls.
+    The compiled pass also evaluates nodes below zero-probability actions
+    (the pure profile has many) and at the missing set, which the walker
+    skips: those values are never read, and nothing raises."""
     rng = random.Random(seed)
     tree = random_game(rng, 40)
     part = coarsest_valid_partition(tree)
@@ -321,13 +324,17 @@ def test_compiled_plan_matches_per_call_walker(seed):
                 continue
             total = sum(reach[h] for h in oset.nodes)
             bayes = {h: reach[h] / total for h in oset.nodes}
-            # the last belief also holds an ancestor of an owner node, whose
-            # walk reaches that node a second time
+            # ``nested`` also holds an ancestor of an owner node, whose walk
+            # reaches that node a second time
             nested = {tree.root: 0.5, oset.nodes[0]: 0.5}
+            others = sorted(i for i in conj.dists if i != owner)
+            dropped = rng.choice(others) if others else None
+            lacking = {i: d for i, d in conj.dists.items() if i != dropped}
             for scenarios in ([Scenario(1.0, cursed, conj.dists)],
                               [Scenario(0.5, cursed, conj.dists),
                                Scenario(0.5, bayes, profile.full(tree))],
-                              [Scenario(1.0, nested, conj.dists)]):
+                              [Scenario(1.0, nested, conj.dists)],
+                              [Scenario(1.0, cursed, lacking)]):
                 for kwargs in ({}, {"floor": 0.05}, {"forced": oset.actions[-1]}):
                     res = optimize_plan(tree, owner, scenarios, oset.player, **kwargs)
                     reference = walker_plan(tree, owner, scenarios, oset.player, **kwargs)

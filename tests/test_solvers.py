@@ -186,6 +186,56 @@ def test_causal_stage_and_limit_walk_the_tree_once(paper, monkeypatch):
     assert len(walks) == len(floors)
 
 
+def test_floor_stage_floors_each_owner_once(paper, monkeypatch):
+    """In a floor stage the homotopy floors each free owner's values once;
+    optimize_plan floors only the own sets strictly below its owner (G:2
+    below G:1 in the club game) and leaves the owner's plan until read."""
+    import cursedeq.bestresponse as br
+    import cursedeq.solvers as sv
+
+    class StageDone(Exception):
+        pass
+
+    real_floor, real_plan, real_values = br._floor_dist, br.optimize_plan, sv._values
+    events, owner_values = [], []
+
+    def floored(where):
+        def run(actions, values, *args, **kwargs):
+            events.append((where, values))
+            return real_floor(actions, values, *args, **kwargs)
+        return run
+
+    def plan(*args, **kwargs):
+        res = real_plan(*args, **kwargs)
+        owner_values.append(res.action_values)
+        return res
+
+    def stage(*args):
+        if args[6] > 0.0:
+            if any(e == ("stage", None) for e in events):
+                raise StageDone
+            events.append(("stage", None))
+        return real_values(*args)
+
+    monkeypatch.setattr(br, "_floor_dist", floored("plan"))
+    monkeypatch.setattr(sv, "_floor_dist", floored("homotopy"))
+    monkeypatch.setattr(br, "optimize_plan", plan)
+    monkeypatch.setattr(sv, "_values", stage)
+    tree, part = paper["club-membership"]
+    with pytest.raises(StageDone):
+        solve_sce(tree, part, SolverConfig(seed=7, restarts=0))
+    where = [w for w, _ in events[events.index(("stage", None)) + 1:]]
+    assert where.count("homotopy") == len(tree.player_info_sets()) == 4
+    assert where.count("plan") == 1
+    assert not any(v is q for w, v in events if w == "plan" for q in owner_values)
+    monkeypatch.undo()
+    conj = sv.cursed_conjecture(tree, part, BehaviorProfile.uniform(tree), "G:1")
+    res = br.respond(tree, "G:1", conj, floor=0.05)
+    assert list(res.plan) == ["G:2", "G:1"]
+    assert res.plan["G:1"] == br._floor_dist(("d", "a"), res.action_values, 0.05, br.TIE_TOL)
+    assert res.value == sum(res.plan["G:1"][a] * q for a, q in res.action_values.items())
+
+
 def test_causal_single_player_backward_induction():
     from cursedeq.tree import GameBuilder
     b = GameBuilder("solo", ["1"])
