@@ -125,9 +125,6 @@ class ConditionalTables:
     empty_cells: list = field(default_factory=list)
     source: str = "monte-carlo"
 
-    def interp(self, column: str, x):
-        return np.interp(x, self.grid, getattr(self, column))
-
 
 def uniform_grid(model: SignalModel, g: int) -> np.ndarray:
     """Cell midpoints of a uniform partition of the signal support."""
@@ -250,8 +247,6 @@ RATIO_FLOOR = 1e-30
 ODE_ALLOWANCE = 1e-3
 # leading share of the signal range that ``ode_residuals`` skips
 ODE_SKIP_FRACTION = 0.02
-# quit prices the silent English optimality search tries per signal
-QUIT_PRICE_CANDIDATES = 64
 
 
 def _integrate_ode(grid, start_x, start_b, coeffs):
@@ -349,36 +344,17 @@ def bid_second_price(model: SignalModel, tables: ConditionalTables) -> BidFuncti
 def bid_silent_english(model: SignalModel, tables: ConditionalTables) -> BidFunction:
     """Quit at v_lower(x, x); requires it to be increasing on the grid.
 
-    The waiting and quitting optimality conditions are verified by a grid
-    search over candidate quit prices, recorded in the notes.
+    With b = v_lower nondecreasing, quitting above b(x) adds only wins
+    against signals y >= x, each worth v_lower(x) - b(y) <= 0, and quitting
+    below drops only wins worth v_lower(x) - b(y) >= 0.  So under a
+    nonnegative density, which every table built here has, b(x) is optimal
+    and nothing is searched; a column that is not increasing is noted as a
+    failed premise.
     """
-    vals = tables.v_lower.copy()
-    bf = BidFunction("silent", tables.grid, vals, se=tables.v_lower_se.copy())
+    bf = BidFunction("silent", tables.grid, tables.v_lower.copy(), se=tables.v_lower_se.copy())
     if not bf.monotone:
         bf.notes.append("v_lower(x, x) is not increasing: theorem premise fails")
-        return bf
-    grid = tables.grid
-    dens = np.interp(grid, grid, tables.f_y1)
-    candidates = np.linspace(vals[0], vals[-1], QUIT_PRICE_CANDIDATES)
-    issues = 0
-    idxs = np.linspace(0, len(grid) - 1, min(9, len(grid))).astype(int)
-    for i in idxs:
-        x = grid[i]
-        # quitting: beta = b(x) maximizes the stopped payoff at own signal
-        value = _silent_objective(bf, tables, dens, x, x, np.append(vals[i], candidates))
-        issues += bool((value[1:] > value[0] + 1e-9).any())
-    bf.notes.append(f"quit-price grid search: {issues} violations over {len(idxs)} signals")
     return bf
-
-
-def _silent_objective(bf, tables, dens, x, xprime, betas):
-    """E[(v_lower(x, x') - b(Y1)) 1{b(Y1) <= beta}] via the grid measure with
-    density ``dens``, one entry per quit price in ``betas``."""
-    grid = tables.grid
-    target = float(np.interp(x, grid, tables.v_lower))
-    w = dens * ((bf.bids <= betas[:, None]) & (grid >= xprime))
-    h = grid[1] - grid[0] if len(grid) > 1 else 1.0
-    return np.where(w.sum(axis=1) == 0, 0.0, ((target - bf.bids) * w).sum(axis=1) * h)
 
 
 def bid_canonical_english(model: SignalModel, observed_signals,
@@ -545,7 +521,7 @@ def ode_residuals(tables: ConditionalTables, bf: BidFunction) -> np.ndarray:
                 tables.f_y1[i], tables.F_y1[i])
         if not all(np.isfinite(v) for v in vals):
             continue
-        rate = tables.f_y1[i] / max(tables.F_y1[i], 1e-30)
+        rate = tables.f_y1[i] / max(tables.F_y1[i], RATIO_FLOOR)
         if rate * (g[1] - g[0]) > 1.0:
             continue  # stiffer than the grid can resolve; the start layer
         fd = (bf.bids[i + 1] - bf.bids[i - 1]) / (g[i + 1] - g[i - 1])

@@ -15,8 +15,9 @@ import itertools
 import random
 from dataclasses import dataclass
 
+from .bestresponse import support_gaps
 from .partition import coarsest_valid_partition
-from .solvers import SolverConfig, _homotopy, solve_sce
+from .solvers import SolverConfig, _homotopy, sce_witness_check, solve_sce
 from .tree import GameBuilder, GameError, GameTree
 
 
@@ -120,20 +121,19 @@ def type_action_values(game: BayesianGame, sigma: TypeStrategy, player: str,
 def _solve_static(game: BayesianGame, config: SolverConfig, independent: bool,
                   frozen: dict | None, concept: str) -> TypeStrategy:
     """CE/ICE on the shared homotopy driver: the type-wise action values
-    serve as stage, trial and final values alike."""
+    serve as stage and limit values alike, and every limit is sound."""
     frozen = frozen or {}
     cells = sorted((pl, k) for pl in game.players
                    for k in range(len(game.types[pl])))
     free = [c for c in cells if c not in frozen]
 
-    def q_trial(sigma, owners):
+    def q_limit(sigma, owners):
         return {c: type_action_values(game, sigma, c[0], c[1], independent)
-                for c in owners}
+                for c in owners}, True, None
 
     sigma, _, _, _ = _homotopy(
         concept, config, cells, lambda c: game.actions[c[0]], frozen, free,
-        lambda sigma, eps: q_trial(sigma, free), q_trial,
-        lambda sigma: (q_trial(sigma, free), True, None))
+        lambda sigma, eps: q_limit(sigma, free)[0], q_limit)
     return sigma
 
 
@@ -232,27 +232,14 @@ def crosscheck_equivalence(game: BayesianGame, config: SolverConfig | None = Non
                 gap = max(gap, abs(p - tdist[a]))
 
     # each side certified by the other's optimality conditions
-    ice_ok = True
-    for pl in game.players:
-        for k in range(len(game.types[pl])):
-            q = type_action_values(game, ice, pl, k, True)
-            best = max(q.values())
-            for a, p in ice[(pl, k)].items():
-                if p > tol and q[a] < best - tol:
-                    ice_ok = False
-    from .solvers import sce_witness_check
+    def passes_ice(sigma):
+        q = {c: type_action_values(game, sigma, c[0], c[1], True) for c in sigma}
+        return all(g <= tol for g in support_gaps(q, sigma, tol).values())
+
     sce_of_ice_ok, _, _ = sce_witness_check(tree, partition,
                                             strategy_to_profile(game, ice), config)
-    sigma_sce = profile_to_strategy(game, sce.profile)
-    sce_as_ice_ok = True
-    for pl in game.players:
-        for k in range(len(game.types[pl])):
-            q = type_action_values(game, sigma_sce, pl, k, True)
-            best = max(q.values())
-            for a, p in sigma_sce[(pl, k)].items():
-                if p > tol and q[a] < best - tol:
-                    sce_as_ice_ok = False
-    return CrosscheckReport(gap, sce_of_ice_ok and ice_ok, sce_as_ice_ok,
+    sce_as_ice_ok = passes_ice(profile_to_strategy(game, sce.profile))
+    return CrosscheckReport(gap, sce_of_ice_ok and passes_ice(ice), sce_as_ice_ok,
                             {"sce_gaps": sce.gaps})
 
 

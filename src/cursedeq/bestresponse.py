@@ -7,6 +7,13 @@ sets.  Replanning is allowed, so the continuation need not agree with the
 owner's equilibrium strategy; the plan is optimized per information set (the
 owner cannot tell pooled histories apart).  The induction is a flat program
 compiled once per tree; the owner's own plan is floored only when read.
+
+Every verdict on a strategy is taken by two functions here, and nowhere else:
+:func:`optimal` gives the actions within a tolerance of the best value (the
+floored plans, the solver's polish and support enumeration), and
+:func:`support_gaps` how far each strategy's played actions fall short of the
+best (the solver's final test and every certifier).  Each caller passes its
+own tolerance.
 """
 
 from __future__ import annotations
@@ -18,6 +25,23 @@ from .partition import CoarsePartition
 from .tree import GameTree, n_predecessor
 
 TIE_TOL = 1e-9
+
+
+def optimal(values: dict, tol: float) -> tuple:
+    """The actions within ``tol`` of the best value, in the order of ``values``."""
+    best = max(values.values())
+    return tuple(a for a, v in values.items() if v >= best - tol)
+
+
+def support_gaps(values: dict, dists: dict, tol: float) -> dict:
+    """Per key of ``values``: how far the worst action that ``dists`` plays
+    with probability above ``tol`` falls short of the best value (0 when it
+    plays none)."""
+    gaps = {}
+    for k, q in values.items():
+        best = max(q.values())
+        gaps[k] = max((best - q[a] for a, p in dists[k].items() if p > tol), default=0.0)
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -59,8 +83,7 @@ def _floor_dist(actions, values, floor: float, tie_tol: float,
     """Floor-constrained optimum: every action keeps the floor, the excess
     goes to the optimal set.  Ties keep the incumbent mixture renormalized
     over the optimal set; with no incumbent mass there, split uniformly."""
-    best = max(values[a] for a in actions)
-    opt = [a for a in actions if values[a] >= best - tie_tol]
+    opt = optimal(values, tie_tol)
     excess = 1.0 - floor * len(actions)
     if excess < 0:
         raise ValueError(f"floor {floor} too large for {len(actions)} actions")
@@ -176,9 +199,7 @@ def optimize_plan(tree: GameTree, owner: str, scenarios, player: str,
 
     if q_owner is None:
         raise ValueError(f"owner set {owner!r} unreachable from its own belief")
-    best = max(q_owner.values())
-    opt = tuple(a for a in q_owner if q_owner[a] >= best - tie_tol)
-    return PlanResult(q_owner, opt, plan, owner, floor, tie_tol)
+    return PlanResult(q_owner, optimal(q_owner, tie_tol), plan, owner, floor, tie_tol)
 
 
 def respond(tree: GameTree, owner: str, conjecture: Conjecture | None, chi: float = 1.0,
@@ -231,19 +252,19 @@ def check_local_best_response(tree: GameTree, partition: CoarsePartition,
                               profile, system, tol: float = 1e-6) -> BestResponseReport:
     """Pass iff at every information set the support of the played mixture
     lies inside the optimal action set of that set's conjecture."""
-    gaps = {}
+    values = {owner: respond(tree, owner, conj, tie_tol=tol).action_values
+              for owner, conj in system.items()}
+    gaps = support_gaps(values, profile.dists, tol)
     issues = []
-    for owner, conj in system.items():
-        res = respond(tree, owner, conj, tie_tol=tol)
-        best = max(res.action_values.values())
-        support = [a for a, p in profile.dists[owner].items() if p > tol]
-        gap = max((best - res.action_values[a]) for a in support) if support else 0.0
-        gaps[owner] = gap
+    for owner, gap in gaps.items():
         if gap > tol:
-            worst = max(support, key=lambda a: best - res.action_values[a])
-            better = max(res.action_values, key=res.action_values.get)
+            q = values[owner]
+            better = max(q, key=q.get)
+            # the first action played above tol that falls short by the gap
+            worst = next(a for a, p in profile.dists[owner].items()
+                         if p > tol and q[better] - q[a] == gap)
             issues.append(BestResponseIssue(
                 owner, gap,
-                f"played {worst!r} (value {res.action_values[worst]:.6g}) but "
-                f"{better!r} is worth {best:.6g}"))
+                f"played {worst!r} (value {q[worst]:.6g}) but "
+                f"{better!r} is worth {q[better]:.6g}"))
     return BestResponseReport(gaps, tuple(issues))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bayesian import solve_ce, voting_bayesian, voting_computer_freeze
+from .bayesian import solve_ce, solve_ice, voting_bayesian, voting_computer_freeze
 from .bestresponse import respond
 from .conjectures import cursed_conjecture
 from .games import (DEFAULT_TYPES, VOTING_P, VOTING_Q, ExperimentSpec, bundled_game, price_grid,
@@ -108,7 +108,7 @@ def _voting_cell(concept, p, q, treatment, config):
     if concept in ("ce", "ice"):
         game = voting_bayesian(p, q, treatment)
         frozen = voting_computer_freeze(game, q)
-        sigma = solve_ce(game, config, frozen=frozen)
+        sigma = (solve_ice if concept == "ice" else solve_ce)(game, config, frozen=frozen)
         dist = sigma[("subj", 0)]
         if treatment == "simultaneous":
             return _pure_vote(dist)
@@ -167,7 +167,9 @@ def _trader1_beliefs(tree, g):
 def _solve_prices(tree, partition, g, beliefs):
     """Two best-response sweeps: trader 1 first, against the Bayes belief
     under uniform play (chi = 0, ``beliefs`` from :func:`_trader1_beliefs`),
-    then trader 2 against the cursed conjectures of trader 1's play (chi = 1)."""
+    then trader 2 against the cursed conjectures of trader 1's play (chi = 1).
+    Each owner plays its response's plan at floor 0: uniform over the optimal
+    actions."""
     eps = 1e-9
     profile = BehaviorProfile.uniform(tree)
     grid = type_grid(g)
@@ -175,8 +177,8 @@ def _solve_prices(tree, partition, g, beliefs):
     full, bayes = beliefs
     for i, t1 in enumerate(grid):
         iid = f"T1:{i}"
-        res = respond(tree, iid, None, 0.0, bayes[iid], full, tie_tol=1e-12)
-        profile.dists[iid] = _uniform_over(res.optimal_actions, tree.info_sets[iid].actions)
+        profile.dists[iid] = respond(tree, iid, None, 0.0, bayes[iid], full,
+                                     tie_tol=1e-12).plan[iid]
         sigma1[t1] = profile.dists[iid]["buy"]
 
     floored = BehaviorProfile({i: {a: (1 - eps * len(d)) * pr + eps for a, pr in d.items()}
@@ -184,14 +186,8 @@ def _solve_prices(tree, partition, g, beliefs):
     reach = node_reach(tree, floored.full(tree))
     for iid in tree.player_info_sets("T2"):
         conj = cursed_conjecture(tree, partition, floored, iid, reach=reach)
-        profile.dists[iid] = _uniform_over(respond(tree, iid, conj).optimal_actions,
-                                           tree.info_sets[iid].actions)
+        profile.dists[iid] = respond(tree, iid, conj).plan[iid]
     return profile, sigma1
-
-
-def _uniform_over(optimal, actions):
-    """Uniform play over the optimal actions, none elsewhere."""
-    return {a: (1.0 / len(optimal) if a in optimal else 0.0) for a in actions}
 
 
 def _branch_probability(g, t2, a1, sigma1):
@@ -366,7 +362,10 @@ def two_stage_predictions(types=DEFAULT_TYPES, bid_lo: int = 0,
 
 def trading_predictions(concept: str = "sce",
                         config: SolverConfig | None = None) -> GoldenReport:
-    """Trade or no trade per trading-game variant for the solved concept."""
+    """Trade or no trade per trading-game variant for the solved concept:
+    SCE, which also answers WPCE because every SCE is a WPCE."""
+    if concept not in ("sce", "wpce"):
+        raise GameError(f"unsupported concept {concept!r} for the trading games")
     config = config or SolverConfig()
     report = GoldenReport("trading", concept)
     variants = {
@@ -402,6 +401,8 @@ def run_golden_predictions(spec: ExperimentSpec) -> GoldenReport:
         return prices_predictions(spec.concept if spec.concept != "sce" else "wpce",
                                   p.get("G", 21), treatments)
     if spec.kind == "two-stage-auction":
+        if spec.concept != "sce":
+            raise GameError(f"unsupported concept {spec.concept!r} for the two-stage auction")
         return two_stage_predictions(p.get("types", DEFAULT_TYPES), p.get("bid_lo", 0),
                                      p.get("bid_hi", 120))
     if spec.kind in ("trading", "fictitious-player-trading"):

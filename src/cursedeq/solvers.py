@@ -12,6 +12,13 @@ detects the support and solves the exact indifference conditions of the
 limit conjectures with a Newton-type root finder, then certifies local best
 responses under the limit conjectures.
 
+The driver reads two oracles: a stage oracle gives the action values at a
+floor, and a limit oracle gives the limit values with a soundness flag and a
+payload (the conjecture system) for the polish, support enumeration and the
+final test.  Which actions are optimal, and how far a strategy's support
+falls short, is decided by ``bestresponse.optimal`` and
+``bestresponse.support_gaps`` alone.
+
 One function, :func:`_values`, gives the action values at a floor stage and
 in the limit alike: each owner's best response comes from
 ``bestresponse.respond`` against its cursed conjecture (mixed with the Bayes
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 
 from scipy import optimize
 
-from .bestresponse import _floor_dist, check_local_best_response, respond
+from .bestresponse import _floor_dist, check_local_best_response, optimal, respond, support_gaps
 from .conjectures import (check_cursed_plausible, cursed_conjecture, limit_diagnostics,
                           limit_dists)
 from .games import ComputerPlayerSet
@@ -190,17 +197,17 @@ class LimitOracle:
 # The homotopy driver, shared by the tree concepts and static CE/ICE
 # ---------------------------------------------------------------------------
 
-def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_trial, certify):
+def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit):
     """Floor homotopy over strategies ``{key: {action: probability}}``.
 
     ``keys`` lists every strategy key in the order random starts draw them;
     ``frozen`` fixes the strategy at some keys and ``free`` lists the others.
-    The oracles return action values per free key: ``q_stage(dists, eps)``
-    at a floor stage, ``q_trial(dists, owners)`` in the limit for the keys
-    ``owners`` (used by the polish and support enumeration), and
-    ``certify(dists)`` gives ``(values, sound, payload)`` for a final
-    candidate, which passes when ``sound`` holds and every free support is
-    optimal within ``gap_tol``.
+    Two oracles give action values: the stage oracle ``q_stage(dists, eps)``
+    per free key at a floor stage, and the limit oracle
+    ``q_limit(dists, owners)`` gives ``(values, sound, payload)`` for the keys
+    ``owners``.  The polish and support enumeration read its values; a final
+    candidate passes when ``sound`` holds and every free support is optimal
+    within ``gap_tol``.
 
     Returns ``(dists, gaps, payload, iterations)``.
     """
@@ -211,11 +218,8 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_trial,
 
     def judge(dists):
         nonlocal best_gap, best_gaps, unsound
-        q, sound, payload = certify(dists)
-        gaps = {}
-        for k in free:
-            best = max(q[k].values())
-            gaps[k] = max(best - q[k][a] for a, p in dists[k].items() if p > 0.0)
+        q, sound, payload = q_limit(dists, free)
+        gaps = support_gaps(q, dists, 0.0)
         if sound and all(g <= config.gap_tol for g in gaps.values()):
             return gaps, payload
         unsound += not sound
@@ -276,14 +280,14 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_trial,
             kept = {a: p for a, p in d.items() if p > 5.0 * EPS_FLOOR}
             total = sum(kept.values())
             candidate[k] = {a: kept.get(a, 0.0) / total for a in d}
-        candidate = _polish(candidate, free, q_trial)
+        candidate = _polish(candidate, free, q_limit)
         gaps, payload = judge(candidate)
         if gaps is not None:
             return candidate, gaps, payload, iterations
 
     # last resort for stubborn cycles: enumerate supports outright
     found = enumerate_support_equilibrium(
-        free, actions_of, lambda assignment: q_trial({**assignment, **frozen}, free),
+        free, actions_of, lambda assignment: q_limit({**assignment, **frozen}, free)[0],
         config.gap_tol)
     if found is not None:
         candidate = {k: dict(d) for k, d in found.items()}
@@ -300,27 +304,27 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_trial,
         best_gap, best_gaps)
 
 
-def _polish(dists, free, q_trial):
+def _polish(dists, free, q_limit):
     """Support polish: solve the exact indifference conditions of the limit
-    values on the detected support.
+    values (from the limit oracle ``q_limit``) on the detected support.
 
     Damped-iteration averages can leave stray mass on dominated actions;
     failed polishes retry with the support pruned by the value gaps."""
-    q0 = q_trial(dists, free)
+    q0 = q_limit(dists, free)[0]
     for prune in (None, 1e-3, 1e-6):
         mixing = []
         for k in free:
             support = [a for a, p in dists[k].items() if p > 0.0]
             if prune is not None:
-                best = max(q0[k].values())
-                support = [a for a in support if q0[k][a] >= best - prune] or support
+                opt = optimal(q0[k], prune)
+                support = [a for a in support if a in opt] or support
             if len(support) > 1:
                 mixing.append((k, support))
         if not mixing:
             break
         owners = [k for k, _ in mixing]
         x0 = [dists[k][a] for k, sup in mixing for a in sup[1:]]
-        trial = _root_support(dists, mixing, x0, lambda d: q_trial(d, owners), 1e-7)
+        trial = _root_support(dists, mixing, x0, lambda d: q_limit(d, owners)[0], 1e-7)
         if trial is not None:
             return trial
     return dists
@@ -402,7 +406,7 @@ def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol):
         else:
             assignment = _fill(base, supports, [])
         q = q_fn(assignment)
-        if all(q[k][a] >= max(q[k].values()) - gap_tol for k, sup in supports for a in sup):
+        if all(set(sup) <= set(optimal(q[k], gap_tol)) for k, sup in supports):
             return assignment
     return None
 
@@ -420,16 +424,13 @@ def _solve(tree: GameTree, partition: CoarsePartition, config: SolverConfig,
         return _values(tree, partition, BehaviorProfile(dists), free, concept, chi, eps,
                        config.tie_tol, lambda p, exact: p.full(tree))[0]
 
-    def q_trial(dists, owners):
-        return oracle.artifacts(BehaviorProfile(dists), owners)[0]
-
-    def certify(dists):
-        q, conjs, diag = oracle.artifacts(BehaviorProfile(dists), free)
+    def q_limit(dists, owners):
+        q, conjs, diag = oracle.artifacts(BehaviorProfile(dists), owners)
         return q, diag is None or diag.ok, conjs
 
     dists, gaps, conjs, iterations = _homotopy(
         concept, config, tree.player_info_sets(), lambda o: tree.info_sets[o].actions,
-        frozen_dists, free, q_stage, q_trial, certify)
+        frozen_dists, free, q_stage, q_limit)
     return EquilibriumResult(concept, BehaviorProfile(dists), conjs, gaps, True,
                              iterations, config.seed)
 
@@ -531,10 +532,6 @@ def sce_witness_check(tree: GameTree, partition: CoarsePartition,
     config = config or SolverConfig()
     owners = sorted(tree.player_info_sets())
     q, conjs, _ = LimitOracle(tree, partition, concept, chi, config).artifacts(profile, owners)
-    gaps = {}
-    for o in owners:
-        support = [a for a, p in profile.dists[o].items() if p > config.gap_tol]
-        best = max(q[o].values())
-        gaps[o] = max(best - q[o][a] for a in support) if support else 0.0
+    gaps = support_gaps(q, profile.dists, config.gap_tol)
     ok = all(g <= 1e-6 for g in gaps.values())
     return ok, gaps, conjs

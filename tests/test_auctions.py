@@ -3,8 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cursedeq.auctions import (BidFunction, OracleConfig, _signal_cells, _silent_objective,
-                               bid_canonical_english,
+from cursedeq.auctions import (BidFunction, OracleConfig, _signal_cells, bid_canonical_english,
                                bid_second_price, bid_silent_english, clearing_prices,
                                estimate_conditionals, mean_value_model, ode_residuals,
                                solve_dutch, solve_first_price, uniform_grid,
@@ -385,38 +384,13 @@ def _scalar_ode_bid(model, tables, target_col, fmt):
     return bf
 
 
-def _scalar_silent_objective(bf, tables, x, xprime, beta):
-    """The silent English stopped payoff for one quit price (the former form)."""
-    grid = tables.grid
-    target = float(np.interp(x, grid, tables.v_lower))
-    mask = (bf.bids <= beta) & (grid >= xprime)
-    dens = np.interp(grid, grid, tables.f_y1)
-    w = dens * mask
-    if w.sum() == 0:
-        return 0.0
-    h = grid[1] - grid[0] if len(grid) > 1 else 1.0
-    return float(((target - bf.bids) * w).sum() * h)
-
-
 def _loop_silent_english(tables):
-    """The silent English quit rule with its search one quit price at a time,
-    stopping at a signal's first violation (the former loop)."""
+    """The silent English quit rule: quit at v_lower(x, x), noting a column
+    that is not increasing."""
     vals = tables.v_lower.copy()
     bf = BidFunction("silent", tables.grid, vals, se=tables.v_lower_se.copy())
     if not bf.monotone:
         bf.notes.append("v_lower(x, x) is not increasing: theorem premise fails")
-        return bf
-    grid = tables.grid
-    issues = 0
-    idxs = np.linspace(0, len(grid) - 1, min(9, len(grid))).astype(int)
-    for i in idxs:
-        x = grid[i]
-        best = _scalar_silent_objective(bf, tables, x, x, vals[i])
-        for beta in np.linspace(vals[0], vals[-1], 64):
-            if _scalar_silent_objective(bf, tables, x, x, beta) > best + 1e-9:
-                issues += 1
-                break
-    bf.notes.append(f"quit-price grid search: {issues} violations over {len(idxs)} signals")
     return bf
 
 
@@ -458,34 +432,12 @@ def test_ode_bids_match_scalar_rk4(bid_cases):
 
 
 def test_silent_english_matches_per_quit_price_loop(bid_cases):
-    searched = 0
+    monotone = 0
     for name, model, tables in bid_cases:
         got = bid_silent_english(model, tables)
         _same_bids(got, _loop_silent_english(tables))
-        searched += got.notes[-1].startswith("quit-price grid search")
-    assert searched >= 9  # the closed-form tables run the search
-
-
-def test_silent_english_violations_match_per_quit_price_loop():
-    # with a nonnegative density the own quit price is the exact maximiser,
-    # so signed density columns are what make the search find violations
-    model = mean_value_model(3)
-    rng = np.random.Generator(np.random.PCG64(3))
-    counts = set()
-    for g in (50, 200):
-        tables = estimate_conditionals(model, uniform_grid(model, g), ORACLE)
-        grid, vals = tables.grid, tables.v_lower
-        betas = np.linspace(vals[0], vals[-1], 64)
-        for dens in [np.cos(k * np.pi * grid) for k in (1, 2)] + \
-                [rng.normal(size=g) for _ in range(4)]:
-            tables.f_y1 = dens
-            got = bid_silent_english(model, tables)
-            _same_bids(got, _loop_silent_english(tables))
-            counts.add(got.notes[-1])
-            for x in grid[::7]:
-                ref = [_scalar_silent_objective(got, tables, x, x, b) for b in betas]
-                assert _silent_objective(got, tables, dens, x, x, betas).tolist() == ref
-    assert len(counts) > 1 and not any(": 0 violations" in c for c in counts), counts
+        monotone += got.monotone
+    assert monotone >= 9  # the closed-form tables meet the premise
 
 
 @pytest.mark.parametrize("g", [2, 7, 200, 5_000])

@@ -1,7 +1,8 @@
 import pytest
 
 from cursedeq import games
-from cursedeq.bestresponse import check_local_best_response, local_best_response_value
+from cursedeq.bestresponse import (check_local_best_response, local_best_response_value, optimal,
+                                   support_gaps)
 from cursedeq.conjectures import limit_conjecture_system
 from cursedeq.tree import BehaviorProfile, GameBuilder
 
@@ -154,3 +155,21 @@ def test_own_set_below_zero_probability_action():
     assert res.optimal_actions == ("L",)
     # J carries no weight, so its q values tie at 0 and its plan is uniform
     assert res.plan == {"J": {"u": 0.5, "v": 0.5}, "I": {"L": 1.0, "R": 0.0}}
+
+
+def test_optimal_keeps_ties_within_tol_in_value_order():
+    values = {"c": 1.0, "a": 2.0 - 1e-10, "b": 2.0, "d": 2.0 - 1e-6}
+    assert optimal(values, 1e-9) == ("a", "b")
+    assert optimal(values, 1e-5) == ("a", "b", "d")
+    assert optimal(values, 0.0) == ("b",)
+
+
+def test_support_gaps_threshold_empty_support_and_key_order():
+    values = {"y": {"l": 1.0, "r": 0.25}, "x": {"l": 0.0, "r": 1.0}, "z": {"l": 3.0, "r": 3.0}}
+    dists = {"x": {"l": 0.5, "r": 0.5}, "y": {"l": 0.999, "r": 0.001},
+             "z": {"l": 0.0, "r": 0.0}}
+    gaps = support_gaps(values, dists, 1e-3)
+    # "r" at exactly the threshold is not played; an empty support has gap 0
+    assert gaps == {"y": 0.0, "x": 1.0, "z": 0.0}
+    assert list(gaps) == ["y", "x", "z"]
+    assert support_gaps(values, dists, 0.0)["y"] == 0.75

@@ -212,6 +212,29 @@ def test_experiment_command(tmp_path, capsys):
     assert "65/65" in out
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("experiment trading\nconcept ce\n", "unsupported concept 'ce' for the trading games"),
+    ("experiment fictitious-player-trading\nconcept chi-sce\n",
+     "unsupported concept 'chi-sce' for the trading games"),
+    ("experiment two-stage-auction\nconcept causal-sce\n",
+     "unsupported concept 'causal-sce' for the two-stage auction"),
+    ("experiment two-stage-auction\nconcept wpce\n",
+     "unsupported concept 'wpce' for the two-stage auction"),
+])
+def test_experiment_concept_the_harness_does_not_compute(tmp_path, capsys, spec, message):
+    path = tmp_path / "exp.spec"
+    path.write_text(spec, encoding="utf-8")
+    assert cli_main(["experiment", "--spec", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_experiment_trading_under_wpce(tmp_path, capsys):
+    path = tmp_path / "trading.spec"
+    path.write_text("experiment trading\nconcept wpce\n", encoding="utf-8")
+    assert cli_main(["experiment", "--spec", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("trading under wpce: 3/3 cells match")
+
+
 def test_experiment_learning_from_prices(tmp_path, capsys):
     spec = tmp_path / "prices.spec"
     spec.write_text("experiment learning-from-prices\nconcept wpce\nG 5\n",

@@ -13,7 +13,7 @@ from cursedeq.golden import (prices_predictions, run_golden_predictions,
                              voting_predictions)
 from cursedeq.partition import coarsest_valid_partition
 from cursedeq.solvers import SolverConfig
-from cursedeq.tree import BehaviorProfile
+from cursedeq.tree import BehaviorProfile, GameError
 
 
 def test_two_stage_full_grid():
@@ -40,6 +40,29 @@ def test_voting_subset_sce_and_ce():
     ce_seq = [c for c in ce.cells
               if c.cell["treatment"] == "sequential" and c.cell["p"] == 0.6]
     assert sce_seq[0].predicted == "b" and ce_seq[0].predicted == "r"
+
+
+def test_voting_under_ice_solves_ice(monkeypatch):
+    """Concept ice runs the ICE solver (three players: not the same as CE)."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("frozen"))
+        return real(*args, **kwargs)
+
+    real = cursedeq.golden.solve_ice
+    monkeypatch.setattr(cursedeq.golden, "solve_ice", spy)
+    monkeypatch.setattr(cursedeq.golden, "solve_ce", None)
+    rep = voting_predictions("ice", ps=(0.2,), qs=(0.5,), config=SolverConfig(seed=0))
+    assert rep.ok, str(rep)
+    assert len(calls) == 2 and all(calls)
+
+
+def test_harnesses_reject_concepts_they_do_not_compute():
+    with pytest.raises(GameError, match="unsupported concept 'ce' for the trading games"):
+        trading_predictions("ce")
+    with pytest.raises(GameError, match="for the two-stage auction"):
+        run_golden_predictions(ExperimentSpec("two-stage-auction", "causal-sce", {}))
 
 
 def test_prices_small_grid_both_treatments():

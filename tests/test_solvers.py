@@ -360,3 +360,34 @@ def test_seeded_determinism(paper):
     assert a.to_text() == b.to_text()
     c = solve_sce(tree, part, SolverConfig(seed=12))
     assert c.converged
+
+
+@pytest.fixture(scope="module")
+def bundled_solves():
+    """Every bundled game solved at seed 7 under SCE, chi-SCE (0.5) and
+    causal SCE, keyed by game name and concept."""
+    config = SolverConfig(seed=7)
+    out = {}
+    for name in games.BUNDLED_DOCUMENTS:
+        tree = games.bundled_game(name)
+        part = coarsest_valid_partition(tree)
+        out[name] = (tree, part, {"sce": solve_sce(tree, part, config),
+                                  "chi-sce": solve_chi_sce(tree, part, 0.5, config),
+                                  "causal-sce": solve_causal_sce(tree, part, config)})
+    return out
+
+
+@pytest.mark.parametrize("concept, chi", [("sce", 1.0), ("chi-sce", 0.5), ("causal-sce", 1.0)])
+def test_witness_check_accepts_solver_output(bundled_solves, concept, chi):
+    """The public certifier accepts what the solver's final test accepted."""
+    for name, (tree, part, results) in bundled_solves.items():
+        ok, gaps, _ = sce_witness_check(tree, part, results[concept].profile,
+                                        SolverConfig(seed=7), concept, chi)
+        assert ok, (name, gaps)
+
+
+def test_check_wpce_accepts_sce_output(bundled_solves):
+    for name, (tree, part, results) in bundled_solves.items():
+        res = results["sce"]
+        report = check_wpce(tree, part, res.profile, res.conjectures)
+        assert report.ok, (name, str(report))
