@@ -6,11 +6,12 @@ best-response map, found by damped simultaneous iteration with seeded
 restarts.  The schedule is fixed: floors from ``EPS_START`` halved
 (``EPS_DECAY``) down to ``EPS_FLOOR``, each stage at most ``MAX_ITERS``
 steps of weight ``DAMPING`` that stop within ``FP_TOL``; ``SolverConfig``
-sets only the tolerances, the restart count and the seed.  Interior mixing
-defeats plain damped iteration, so after the floor schedule the solver
-detects the support and solves the exact indifference conditions of the
-limit conjectures with a Newton-type root finder, then certifies local best
-responses under the limit conjectures.
+sets only the tolerances, the restart count and the seed.  After every
+stage the solver strips the floor-level mass from the stage's last iterate
+(nothing is averaged), detects the support, solves the exact indifference
+conditions of the limit conjectures with a Newton-type root finder, and
+certifies local best responses under the limit conjectures; it returns at
+the first stage whose candidate passes.
 
 The driver reads two oracles: a stage oracle gives the action values at a
 floor, and a limit oracle gives the limit values with a soundness flag and a
@@ -205,9 +206,13 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
     Two oracles give action values: the stage oracle ``q_stage(dists, eps)``
     per free key at a floor stage, and the limit oracle
     ``q_limit(dists, owners)`` gives ``(values, sound, payload)`` for the keys
-    ``owners``.  The polish and support enumeration read its values; a final
+    ``owners``.  The polish and support enumeration read its values; a
     candidate passes when ``sound`` holds and every free support is optimal
     within ``gap_tol``.
+
+    Every floor stage ends with a verdict on its last iterate (nothing is
+    averaged): stripped of its mass at or below ``max(5 EPS_FLOOR, 2 eps)``,
+    polished and judged; the first candidate that passes is returned.
 
     Returns ``(dists, gaps, payload, iterations)``.
     """
@@ -246,44 +251,29 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
             dists = {k: {a: eps + (1.0 - eps * len(d)) * p
                          for a, p in frozen.get(k, d).items()}
                      for k, d in dists.items()}
-            avg = {k: dict(d) for k, d in dists.items()}
-            count = 1
             for _ in range(MAX_ITERS):
                 iterations += 1
-                q = q_stage(dists, eps)
-                target = dict(dists)
-                for k in free:
-                    target[k] = _floor_dist(actions_of(k), q[k], eps, config.tie_tol,
-                                            incumbent=dists[k])
+                target = _stage_step(dists, q_stage(dists, eps), free, frozen, actions_of, eps,
+                                     config.tie_tol)
                 resid = max((abs(p - target[k][a]) for k, d in dists.items()
                              for a, p in d.items()), default=0.0)
                 dists = {k: {a: (1 - DAMPING) * p + DAMPING * target[k][a]
                              for a, p in d.items()}
                          for k, d in dists.items()}
-                count += 1
-                for k, d in dists.items():
-                    acc = avg[k]
-                    for a, p in d.items():
-                        acc[a] += (p - acc[a]) / count
                 if resid <= max(FP_TOL, eps * 1e-3):
                     break
-            else:
-                # cycling around interior mixing: carry the stage average
-                dists = avg
-
-        # strip floor-level mass and renormalize; frozen entries stay exact
-        candidate = {}
-        for k, d in dists.items():
-            if k in frozen:
-                candidate[k] = dict(frozen[k])
-                continue
-            kept = {a: p for a, p in d.items() if p > 5.0 * EPS_FLOOR}
-            total = sum(kept.values())
-            candidate[k] = {a: kept.get(a, 0.0) / total for a in d}
-        candidate = _polish(candidate, free, q_limit)
-        gaps, payload = judge(candidate)
-        if gaps is not None:
-            return candidate, gaps, payload, iterations
+            # strip floor-level mass and renormalize; a strategy the cut would
+            # empty (uniform at a start floor 0.5/|A|) stays whole, frozen ones exact
+            cut, candidate = max(5.0 * EPS_FLOOR, 2.0 * eps), {}
+            for k, d in dists.items():
+                kept = {a: p for a, p in d.items() if p > cut} or d
+                total = sum(kept.values())
+                candidate[k] = (dict(frozen[k]) if k in frozen
+                                else {a: kept.get(a, 0.0) / total for a in d})
+            candidate = _polish(candidate, free, q_limit)
+            gaps, payload = judge(candidate)
+            if gaps is not None:
+                return candidate, gaps, payload, iterations
 
     # last resort for stubborn cycles: enumerate supports outright
     found = enumerate_support_equilibrium(
@@ -304,12 +294,24 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
         best_gap, best_gaps)
 
 
+def _stage_step(dists, q, free, frozen, actions_of, eps, tie_tol):
+    """One element of the floor-constrained best-response map: each free key
+    floored onto its optimal actions under the values ``q`` (ties keep the
+    incumbent mixture), each frozen key clamped to the floor."""
+    out = dict(dists)
+    for k in free:
+        out[k] = _floor_dist(actions_of(k), q[k], eps, tie_tol, incumbent=dists[k])
+    for k, d in frozen.items():
+        out[k] = {a: eps + (1.0 - eps * len(d)) * p for a, p in d.items()}
+    return out
+
+
 def _polish(dists, free, q_limit):
     """Support polish: solve the exact indifference conditions of the limit
     values (from the limit oracle ``q_limit``) on the detected support.
 
-    Damped-iteration averages can leave stray mass on dominated actions;
-    failed polishes retry with the support pruned by the value gaps."""
+    A stage's iterate can leave stray mass on dominated actions; failed
+    polishes retry with the support pruned by the value gaps."""
     q0 = q_limit(dists, free)[0]
     for prune in (None, 1e-3, 1e-6):
         mixing = []
@@ -456,13 +458,8 @@ def epsilon_best_response(tree: GameTree, partition: CoarsePartition,
         raise GameError("cursed conjecture requires a fully mixed profile")
     q = _values(tree, partition, profile, free, "sce", 1.0, eps, tie_tol,
                 lambda p, exact: p.full(tree))[0]
-    out = profile.copy()
-    for o in free:
-        acts = tree.info_sets[o].actions
-        out.dists[o] = _floor_dist(acts, q[o], eps, tie_tol, incumbent=profile.dists[o])
-    for iid, d in frozen_dists.items():
-        out.dists[iid] = {a: eps + (1.0 - eps * len(d)) * p for a, p in d.items()}
-    return out
+    return BehaviorProfile(_stage_step(profile.copy().dists, q, free, frozen_dists,
+                                       lambda o: tree.info_sets[o].actions, eps, tie_tol))
 
 
 def solve_sce(tree: GameTree, partition: CoarsePartition,

@@ -321,6 +321,35 @@ def test_mixing_polish_reaches_the_exact_root(paper):
     assert abs(res.profile.dists["I1"]["L"] - (3 - 3 ** 0.5) / 6) <= 1e-15
 
 
+def test_random_game_20048_solves_to_a_mixed_sce():
+    """A 30-node random game with no pure SCE under the uniform witness,
+    whose damped stages cycle: judging each stage's own last iterate finds a
+    mixed SCE, which both certifiers accept."""
+    tree = random_game(random.Random(20048), 30)
+    part = coarsest_valid_partition(tree)
+    res = solve_sce(tree, part, SolverConfig(seed=48, restarts=0))
+    assert any(0.0 < p < 1.0 for d in res.profile.dists.values() for p in d.values())
+    assert check_wpce(tree, part, res.profile, res.conjectures, tol=1e-6).ok
+    assert sce_witness_check(tree, part, res.profile)[0]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_flat_decision_solves_to_uniform_at_first_stage(n):
+    """n equal actions start at the floor 0.5/n, where the uniform strategy
+    puts 2 eps (to rounding) on every action: where the cut would strip it
+    all, the strategy stays whole, and the first stage's verdict passes."""
+    from cursedeq.tree import GameBuilder
+    b = GameBuilder("flat", ["1"])
+    b.player("r", None, None, "1")
+    for i in range(n):
+        b.terminal(f"r{i}", "r", f"a{i}", {"1": 1.0})
+    tree = b.build()
+    res = solve_sce(tree, coarsest_valid_partition(tree), SolverConfig(restarts=0))
+    assert res.iterations == 1
+    assert res.profile.dists["is:r"] == pytest.approx({f"a{i}": 1.0 / n for i in range(n)},
+                                                      abs=1e-15)
+
+
 def test_untrembled_limit_zero_is_exact(paper):
     """An action that only a tremble reaches has limit frequency exactly 0."""
     tree, part = paper["leader-follower"]
