@@ -12,6 +12,7 @@ class, which the crosscheck verifies numerically on the tree embedding.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -52,70 +53,39 @@ class BayesianGame:
                 return k
         raise GameError(f"state {state!r} not in any type of {player!r}")
 
-    def payoff(self, state, profile, player):
-        return self.payoffs[(state, profile)][self.players.index(player)]
-
 
 TypeStrategy = dict  # (player, type index) -> action distribution
 
 
-def _opponent_beliefs(game: BayesianGame, sigma: TypeStrategy, player: str,
-                      tix: int, independent: bool) -> dict[tuple, float]:
-    """Distribution over opponent action profiles conditional on own type,
-    treated as independent of the state.  ``independent`` additionally
-    factors it into per-opponent marginals."""
-    cell = game.types[player][tix]
-    weight = {w: game.prior[w] for w in cell}
-    total = sum(weight.values())
-    others = [m for m in game.players if m != player]
-    if independent:
-        marg = {}
-        for m in others:
-            marg[m] = {a: sum(weight[w] * sigma[(m, game.type_of(m, w))][a]
-                              for w in cell) / total
-                       for a in game.actions[m]}
-        out = {}
-        for combo in itertools.product(*(game.actions[m] for m in others)):
-            p = 1.0
-            for m, a in zip(others, combo):
-                p *= marg[m][a]
-            out[combo] = p
-        return out
-    out = {}
-    for combo in itertools.product(*(game.actions[m] for m in others)):
-        p = 0.0
-        for w in cell:
-            q = weight[w]
-            for m, a in zip(others, combo):
-                q *= sigma[(m, game.type_of(m, w))][a]
-            p += q
-        out[combo] = p / total
-    return out
-
-
 def type_action_values(game: BayesianGame, sigma: TypeStrategy, player: str,
                        tix: int, independent: bool) -> dict[str, float]:
-    """Expected utility of each own action under the cursed belief,
-    conditional on the type (normalizing does not change the argmax)."""
+    """Expected utility of each own action under the cursed belief: the
+    opponents' action profile averaged over the states of the type cell and
+    treated as independent of the state, or with ``independent`` the product
+    of each opponent's averaged marginal.  Profiles of zero belief are
+    skipped; the values are not normalized (the argmax is the same)."""
     cell = game.types[player][tix]
-    total = sum(game.prior[w] for w in cell)
-    beliefs = _opponent_beliefs(game, sigma, player, tix, independent)
-    others = [m for m in game.players if m != player]
-    pidx = game.players.index(player)
-    out = {}
-    for a in game.actions[player]:
-        v = 0.0
-        for w in cell:
-            pw = game.prior[w] / total
-            for combo, bp in beliefs.items():
-                if bp == 0.0:
-                    continue
-                full = dict(zip(others, combo))
-                full[player] = a
-                profile = tuple(full[m] for m in game.players)
-                v += pw * bp * game.payoffs[(w, profile)][pidx]
-        out[a] = v
-    return out
+    prior = game.prior
+    total = sum(prior[w] for w in cell)
+    i = game.players.index(player)
+    others = game.players[:i] + game.players[i + 1:]
+    # the opponents' strategies in each state of the cell
+    plays = [[sigma[(m, game.type_of(m, w))] for m in others] for w in cell]
+    if independent:
+        marg = [{a: sum(prior[w] * play[n][a] for w, play in zip(cell, plays)) / total
+                 for a in game.actions[m]} for n, m in enumerate(others)]
+    beliefs = []
+    for combo in itertools.product(*(game.actions[m] for m in others)):
+        if independent:
+            bp = math.prod(mg[a] for mg, a in zip(marg, combo))
+        else:
+            bp = sum(math.prod((d[a] for d, a in zip(play, combo)), start=prior[w])
+                     for w, play in zip(cell, plays)) / total
+        if bp != 0.0:
+            beliefs.append((combo, bp))
+    return {a: sum(prior[w] / total * bp * game.payoffs[(w, combo[:i] + (a,) + combo[i:])][i]
+                   for w in cell for combo, bp in beliefs)
+            for a in game.actions[player]}
 
 
 def _solve_static(game: BayesianGame, config: SolverConfig, independent: bool,

@@ -133,12 +133,13 @@ def prices_predictions(concept: str = "wpce", g: int = 21,
 
     The game is dominance-solvable: trader 1's cutoff play is optimal
     against anything, and trader 2 then best-responds to the unique cursed
-    conjecture, which is the weak perfect prediction.  Cells where the
+    conjecture, which is the weak perfect prediction; no tremble limit is
+    certified, so ``wpce`` is the only concept accepted.  Cells where the
     trader is exactly indifferent are reported as ties and exempted.
     Only payoffs depend on p1, so each treatment's tree, partition and
     trader 1's beliefs are built once and shared by its price cells.
     """
-    if concept not in ("wpce", "sce"):
+    if concept != "wpce":
         raise GameError(f"unsupported concept {concept!r} for the price game")
     report = GoldenReport("learning-from-prices", concept)
     grid = type_grid(g)
@@ -398,8 +399,7 @@ def run_golden_predictions(spec: ExperimentSpec) -> GoldenReport:
     if spec.kind == "learning-from-prices":
         treatments = ([p["treatment"]] if "treatment" in p
                       else ("simultaneous", "sequential"))
-        return prices_predictions(spec.concept if spec.concept != "sce" else "wpce",
-                                  p.get("G", 21), treatments)
+        return prices_predictions(spec.concept, p.get("G", 21), treatments)
     if spec.kind == "two-stage-auction":
         if spec.concept != "sce":
             raise GameError(f"unsupported concept {spec.concept!r} for the two-stage auction")

@@ -5,11 +5,12 @@ whose stages are approximate fixed points of the floor-constrained cursed
 best-response map, found by damped simultaneous iteration with seeded
 restarts.  The schedule is fixed: floors from ``EPS_START`` halved
 (``EPS_DECAY``) down to ``EPS_FLOOR``, each stage at most ``MAX_ITERS``
-steps of weight ``DAMPING`` that stop within ``FP_TOL``; ``SolverConfig``
-sets only the tolerances, the restart count and the seed.  After every
-stage the solver strips the floor-level mass from the stage's last iterate
-(nothing is averaged), detects the support, solves the exact indifference
-conditions of the limit conjectures with a Newton-type root finder, and
+steps of weight ``DAMPING`` that stop within ``FP_TOL``, and ties are
+within ``bestresponse.TIE_TOL``; ``SolverConfig`` sets only the verdict's
+tolerance ``gap_tol``, the restart count and the seed.  After every stage
+the solver strips the floor-level mass from the stage's last iterate
+(nothing is averaged), roots the exact indifference conditions of the limit
+values on the remaining support once with a Newton-type root finder, and
 certifies local best responses under the limit conjectures; it returns at
 the first stage whose candidate passes.
 
@@ -39,7 +40,8 @@ from dataclasses import dataclass
 
 from scipy import optimize
 
-from .bestresponse import _floor_dist, check_local_best_response, optimal, respond, support_gaps
+from .bestresponse import (TIE_TOL, _floor_dist, check_local_best_response, optimal, respond,
+                           support_gaps)
 from .conjectures import (check_cursed_plausible, cursed_conjecture, limit_diagnostics,
                           limit_dists)
 from .games import ComputerPlayerSet
@@ -68,12 +70,11 @@ MAX_ITERS = 80
 @dataclass
 class SolverConfig:
     gap_tol: float = 1e-8
-    tie_tol: float = 1e-9
     restarts: int = 20
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.gap_tol < math.inf and 0 < self.tie_tol < math.inf):
+        if not 0 < self.gap_tol < math.inf:
             raise GameError("tolerances must be positive and finite")
         if self.restarts < 0:
             raise GameError(f"need restarts at least 0, got {self.restarts}")
@@ -134,7 +135,7 @@ def _bayes_belief(tree, reach, owner):
     return {h: reach[h] / total for h in nodes}
 
 
-def _values(tree, partition, profile, owners, concept, chi, floor, tie_tol, dists_of):
+def _values(tree, partition, profile, owners, concept, chi, floor, dists_of):
     """Action values and conjectures of ``owners`` under ``profile``.
 
     ``dists_of(profile, exact)`` gives the steps to walk: floats at a floor
@@ -156,8 +157,7 @@ def _values(tree, partition, profile, owners, concept, chi, floor, tie_tol, dist
                 below = reach_below(tree, dists_of(forced, (o,)), reach, o)
                 conj = cursed_conjecture(tree, partition, forced, o, False, below)
                 conjs[(o, a)] = conj
-                q[o][a] = respond(tree, o, conj, floor=floor, tie_tol=tie_tol,
-                                  forced=a).action_values[a]
+                q[o][a] = respond(tree, o, conj, floor=floor, forced=a).action_values[a]
         return q, conjs
     full = profile.full(tree) if chi < 1.0 else None
     for o in owners:
@@ -165,7 +165,7 @@ def _values(tree, partition, profile, owners, concept, chi, floor, tie_tol, dist
         conjs[o] = conj = cursed_conjecture(tree, partition, profile, o, require_mixed=False,
                                             reach=reach) if chi > 0.0 or not floor else None
         bayes = _bayes_belief(tree, reach, o) if chi < 1.0 else None
-        q[o] = respond(tree, o, conj, chi, bayes, full, floor, tie_tol).action_values
+        q[o] = respond(tree, o, conj, chi, bayes, full, floor).action_values
     return q, conjs
 
 
@@ -179,17 +179,15 @@ class LimitOracle:
     diagnostics (None).
     """
 
-    def __init__(self, tree, partition, concept, chi, config):
+    def __init__(self, tree, partition, concept, chi):
         self.tree = tree
         self.partition = partition
         self.concept = concept
         self.chi = chi if concept == "chi-sce" else 1.0
-        self.config = config
 
     def artifacts(self, profile, owners):
         q, conjs = _values(self.tree, self.partition, profile, owners, self.concept, self.chi,
-                           0.0, self.config.tie_tol,
-                           lambda p, exact: limit_dists(self.tree, p, exact))
+                           0.0, lambda p, exact: limit_dists(self.tree, p, exact))
         diag = None if self.concept == "causal-sce" else limit_diagnostics(self.tree, conjs)
         return q, conjs, diag
 
@@ -253,8 +251,7 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
                      for k, d in dists.items()}
             for _ in range(MAX_ITERS):
                 iterations += 1
-                target = _stage_step(dists, q_stage(dists, eps), free, frozen, actions_of, eps,
-                                     config.tie_tol)
+                target = _stage_step(dists, q_stage(dists, eps), free, frozen, actions_of, eps)
                 resid = max((abs(p - target[k][a]) for k, d in dists.items()
                              for a, p in d.items()), default=0.0)
                 dists = {k: {a: (1 - DAMPING) * p + DAMPING * target[k][a]
@@ -294,42 +291,31 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
         best_gap, best_gaps)
 
 
-def _stage_step(dists, q, free, frozen, actions_of, eps, tie_tol):
+def _stage_step(dists, q, free, frozen, actions_of, eps):
     """One element of the floor-constrained best-response map: each free key
     floored onto its optimal actions under the values ``q`` (ties keep the
     incumbent mixture), each frozen key clamped to the floor."""
     out = dict(dists)
     for k in free:
-        out[k] = _floor_dist(actions_of(k), q[k], eps, tie_tol, incumbent=dists[k])
+        out[k] = _floor_dist(actions_of(k), q[k], eps, TIE_TOL, incumbent=dists[k])
     for k, d in frozen.items():
         out[k] = {a: eps + (1.0 - eps * len(d)) * p for a, p in d.items()}
     return out
 
 
 def _polish(dists, free, q_limit):
-    """Support polish: solve the exact indifference conditions of the limit
-    values (from the limit oracle ``q_limit``) on the detected support.
-
-    A stage's iterate can leave stray mass on dominated actions; failed
-    polishes retry with the support pruned by the value gaps."""
-    q0 = q_limit(dists, free)[0]
-    for prune in (None, 1e-3, 1e-6):
-        mixing = []
-        for k in free:
-            support = [a for a, p in dists[k].items() if p > 0.0]
-            if prune is not None:
-                opt = optimal(q0[k], prune)
-                support = [a for a in support if a in opt] or support
-            if len(support) > 1:
-                mixing.append((k, support))
-        if not mixing:
-            break
-        owners = [k for k, _ in mixing]
-        x0 = [dists[k][a] for k, sup in mixing for a in sup[1:]]
-        trial = _root_support(dists, mixing, x0, lambda d: q_limit(d, owners)[0], 1e-7)
-        if trial is not None:
-            return trial
-    return dists
+    """Support polish: root the exact indifference conditions of the limit
+    values (from the limit oracle ``q_limit``) once, on the support of the
+    stripped candidate ``dists``.  Returns the rooted strategy, or ``dists``
+    unchanged when no free key mixes or the root fails."""
+    supports = [(k, [a for a, p in dists[k].items() if p > 0.0]) for k in free]
+    mixing = [(k, sup) for k, sup in supports if len(sup) > 1]
+    if not mixing:
+        return dists
+    owners = [k for k, _ in mixing]
+    x0 = [dists[k][a] for k, sup in mixing for a in sup[1:]]
+    trial = _root_support(dists, mixing, x0, lambda d: q_limit(d, owners)[0], 1e-7)
+    return dists if trial is None else trial
 
 
 def _fill(base, supports, x):
@@ -420,11 +406,11 @@ def _solve(tree: GameTree, partition: CoarsePartition, config: SolverConfig,
     oracle, whose diagnostics must pass for a candidate to count."""
     frozen_dists = frozen.info_set_dists() if frozen else {}
     free = [o for o in sorted(tree.player_info_sets()) if o not in frozen_dists]
-    oracle = LimitOracle(tree, partition, concept, chi, config)
+    oracle = LimitOracle(tree, partition, concept, chi)
 
     def q_stage(dists, eps):
         return _values(tree, partition, BehaviorProfile(dists), free, concept, chi, eps,
-                       config.tie_tol, lambda p, exact: p.full(tree))[0]
+                       lambda p, exact: p.full(tree))[0]
 
     def q_limit(dists, owners):
         q, conjs, diag = oracle.artifacts(BehaviorProfile(dists), owners)
@@ -443,8 +429,7 @@ def _solve(tree: GameTree, partition: CoarsePartition, config: SolverConfig,
 
 def epsilon_best_response(tree: GameTree, partition: CoarsePartition,
                           profile: BehaviorProfile, eps: float,
-                          frozen: ComputerPlayerSet | None = None,
-                          tie_tol: float = 1e-9) -> BehaviorProfile:
+                          frozen: ComputerPlayerSet | None = None) -> BehaviorProfile:
     """One element of the floor-constrained cursed best-response map."""
     frozen_dists = frozen.info_set_dists() if frozen else {}
     for iid in tree.player_info_sets():
@@ -456,10 +441,10 @@ def epsilon_best_response(tree: GameTree, partition: CoarsePartition,
     free = [o for o in tree.player_info_sets() if o not in frozen_dists]
     if free and not profile.is_fully_mixed():
         raise GameError("cursed conjecture requires a fully mixed profile")
-    q = _values(tree, partition, profile, free, "sce", 1.0, eps, tie_tol,
+    q = _values(tree, partition, profile, free, "sce", 1.0, eps,
                 lambda p, exact: p.full(tree))[0]
     return BehaviorProfile(_stage_step(profile.copy().dists, q, free, frozen_dists,
-                                       lambda o: tree.info_sets[o].actions, eps, tie_tol))
+                                       lambda o: tree.info_sets[o].actions, eps))
 
 
 def solve_sce(tree: GameTree, partition: CoarsePartition,
@@ -528,7 +513,7 @@ def sce_witness_check(tree: GameTree, partition: CoarsePartition,
     """
     config = config or SolverConfig()
     owners = sorted(tree.player_info_sets())
-    q, conjs, _ = LimitOracle(tree, partition, concept, chi, config).artifacts(profile, owners)
+    q, conjs, _ = LimitOracle(tree, partition, concept, chi).artifacts(profile, owners)
     gaps = support_gaps(q, profile.dists, config.gap_tol)
     ok = all(g <= 1e-6 for g in gaps.values())
     return ok, gaps, conjs

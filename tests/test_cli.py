@@ -85,6 +85,7 @@ def test_solve_nonconvergent_exit_three(seqtrading, tmp_path, failing_certificat
     ("max_iters 80\n", "unknown config key 'max_iters'"),
     ("restarts -1\n", "restarts at least 0"),
     ("gap_tol nan\n", "tolerances must be positive and finite"),
+    ("tie_tol 1e-9\n", "unknown config key 'tie_tol'"),
 ])
 def test_bad_config_is_a_usage_error(seqtrading, tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
@@ -220,6 +221,8 @@ def test_experiment_command(tmp_path, capsys):
      "unsupported concept 'causal-sce' for the two-stage auction"),
     ("experiment two-stage-auction\nconcept wpce\n",
      "unsupported concept 'wpce' for the two-stage auction"),
+    ("experiment learning-from-prices\nconcept sce\nG 3\n",
+     "unsupported concept 'sce' for the price game"),
 ])
 def test_experiment_concept_the_harness_does_not_compute(tmp_path, capsys, spec, message):
     path = tmp_path / "exp.spec"

@@ -63,6 +63,9 @@ def test_harnesses_reject_concepts_they_do_not_compute():
         trading_predictions("ce")
     with pytest.raises(GameError, match="for the two-stage auction"):
         run_golden_predictions(ExperimentSpec("two-stage-auction", "causal-sce", {}))
+    # the price harness certifies no tremble limit, so it computes WPCE only
+    with pytest.raises(GameError, match="unsupported concept 'sce' for the price game"):
+        run_golden_predictions(ExperimentSpec("learning-from-prices", "sce", {"G": 3}))
 
 
 def test_prices_small_grid_both_treatments():

@@ -6,7 +6,8 @@ The determinism tests compare two calls of the same code; this one compares
 against outputs recorded earlier, so a refactor of the solver driver that
 changes any result, draw order or fallback path shows up here.  The static
 game 121 at ``restarts=2`` fails all three starts and is settled by support
-enumeration.
+enumeration.  The static games are 2-player, where CE and ICE coincide,
+except the 3-player game 90021, whose CE and ICE profiles differ by 0.75.
 
 Regenerate the data file only for a deliberate change of results:
 ``PYTHONPATH=src python tests/test_pinned.py``.
@@ -41,6 +42,10 @@ def pinned_outputs():
         config = SolverConfig(restarts=restarts)
         out[f"ce:{s}:{restarts}"] = repr(solve_ce(game, config))
         out[f"ice:{s}:{restarts}"] = repr(solve_ice(game, config))
+    game = random_bayesian_game(random.Random(90021), n_states=2, n_players=3)
+    config = SolverConfig(restarts=0)
+    out["ce:3p:90021:0"] = repr(solve_ce(game, config))
+    out["ice:3p:90021:0"] = repr(solve_ice(game, config))
     out["prices:wpce:7"] = "".join(f"{cell!r}\n" for cell in prices_predictions("wpce", 7).cells)
     return out
 

@@ -106,13 +106,13 @@ def test_chi_half_mixture_value(paper):
     from cursedeq.solvers import LimitOracle
     prof = BehaviorProfile.pure(tree, {"1:lo": "a", "1:hi": "d",
                                        "2:t2": "d", "2:t2p": "a"})
-    oracle = LimitOracle(tree, part, "chi-sce", 0.5, SolverConfig())
+    oracle = LimitOracle(tree, part, "chi-sce", 0.5)
     q, _, _ = oracle.artifacts(prof, ["2:t2p"])
     assert q["2:t2p"]["a"] == pytest.approx(0.0, abs=1e-9)
-    oracle1 = LimitOracle(tree, part, "chi-sce", 1.0, SolverConfig())
+    oracle1 = LimitOracle(tree, part, "chi-sce", 1.0)
     q1, _, _ = oracle1.artifacts(prof, ["2:t2p"])
     assert q1["2:t2p"]["a"] == pytest.approx(0.5, abs=1e-9)
-    oracle0 = LimitOracle(tree, part, "chi-sce", 0.0, SolverConfig())
+    oracle0 = LimitOracle(tree, part, "chi-sce", 0.0)
     q0, _, _ = oracle0.artifacts(prof, ["2:t2p"])
     assert q0["2:t2p"]["a"] == pytest.approx(-0.5, abs=1e-9)
 
@@ -135,7 +135,7 @@ def test_chi_limit_walks_the_tree_once(paper, monkeypatch):
     prof = BehaviorProfile.pure(tree, {"1:lo": "a", "1:hi": "d",
                                        "2:t2": "d", "2:t2p": "a"})
     owners = sorted(tree.player_info_sets())
-    LimitOracle(tree, part, "chi-sce", 0.5, SolverConfig()).artifacts(prof, owners)
+    LimitOracle(tree, part, "chi-sce", 0.5).artifacts(prof, owners)
     assert len(walks) == 1
 
 
@@ -176,7 +176,7 @@ def test_causal_stage_and_limit_walk_the_tree_once(paper, monkeypatch):
         monkeypatch.setattr(mod, "node_reach", counted)
     tree, part = paper["running-example"]
     owners = sorted(tree.player_info_sets())
-    cursedeq.solvers.LimitOracle(tree, part, "causal-sce", 1.0, SolverConfig()).artifacts(
+    cursedeq.solvers.LimitOracle(tree, part, "causal-sce", 1.0).artifacts(
         BehaviorProfile.uniform(tree), owners)
     assert len(walks) == 1
     walks.clear()
@@ -357,10 +357,8 @@ def test_untrembled_limit_zero_is_exact(paper):
     assert res.conjectures["I1"].dists["I2L"]["l"] == 0.0
 
 
-@pytest.mark.parametrize("bad", [{"gap_tol": 0.0}, {"tie_tol": 0.0}, {"restarts": -1},
-                                 {"gap_tol": -1e-8}, {"tie_tol": -1e-9},
-                                 {"gap_tol": math.nan}, {"tie_tol": math.nan},
-                                 {"gap_tol": math.inf}])
+@pytest.mark.parametrize("bad", [{"gap_tol": 0.0}, {"restarts": -1}, {"gap_tol": -1e-8},
+                                 {"gap_tol": math.nan}, {"gap_tol": math.inf}])
 def test_solver_config_rejects_bad_values(bad):
     with pytest.raises(GameError):
         SolverConfig(**bad)
