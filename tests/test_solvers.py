@@ -357,8 +357,13 @@ def test_untrembled_limit_zero_is_exact(paper):
     assert res.conjectures["I1"].dists["I2L"]["l"] == 0.0
 
 
-@pytest.mark.parametrize("bad", [{"gap_tol": 0.0}, {"restarts": -1}, {"gap_tol": -1e-8},
-                                 {"gap_tol": math.nan}, {"gap_tol": math.inf}])
+# The ids are fixed so that each case keeps its name when a case is removed;
+# bad1, bad4 and bad6 were the cases of the former `tie_tol` field.
+@pytest.mark.parametrize("bad", [pytest.param({"gap_tol": 0.0}, id="bad0"),
+                                 pytest.param({"restarts": -1}, id="bad2"),
+                                 pytest.param({"gap_tol": -1e-8}, id="bad3"),
+                                 pytest.param({"gap_tol": math.nan}, id="bad5"),
+                                 pytest.param({"gap_tol": math.inf}, id="bad7")])
 def test_solver_config_rejects_bad_values(bad):
     with pytest.raises(GameError):
         SolverConfig(**bad)
