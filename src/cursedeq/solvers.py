@@ -2,17 +2,18 @@
 
 The driver follows the existence construction: a probability-floor homotopy
 whose stages are approximate fixed points of the floor-constrained cursed
-best-response map, found by damped simultaneous iteration with seeded
-restarts.  The schedule is fixed: floors from ``EPS_START`` halved
+best-response map, found by damped simultaneous iteration from the uniform
+start.  The schedule is fixed: floors from ``EPS_START`` halved
 (``EPS_DECAY``) down to ``EPS_FLOOR``, each stage at most ``MAX_ITERS``
 steps of weight ``DAMPING`` that stop within ``FP_TOL``, and ties are
 within ``bestresponse.TIE_TOL``; ``SolverConfig`` sets only the verdict's
-tolerance ``gap_tol``, the restart count and the seed.  After every stage
-the solver strips the floor-level mass from the stage's last iterate
+tolerance ``gap_tol`` and the seed that labels the result.  After every
+stage the solver strips the floor-level mass from the stage's last iterate
 (nothing is averaged), roots the exact indifference conditions of the limit
 values on the remaining support once with a Newton-type root finder, and
 certifies local best responses under the limit conjectures; it returns at
-the first stage whose candidate passes.
+the first stage whose candidate passes, and otherwise tries support
+enumeration once.  A result depends on the game alone.
 
 The driver reads two oracles: a stage oracle gives the action values at a
 floor, and a limit oracle gives the limit values with a soundness flag and a
@@ -35,8 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from scipy import optimize
 
@@ -50,7 +50,7 @@ from .tree import BehaviorProfile, GameError, GameTree, node_reach, reach_below
 
 
 class NonConvergenceError(GameError):
-    """Solver failed after all restarts; carries the best gap found."""
+    """No stage verdict and no support enumeration passed; carries the best gap."""
 
     def __init__(self, message, best_gap=None, gaps=None):
         super().__init__(message)
@@ -69,15 +69,17 @@ MAX_ITERS = 80
 
 @dataclass
 class SolverConfig:
+    """The verdict's tolerance and a seed that only labels the result; a solve
+    runs one start, so the compatibility keyword ``restarts`` accepts only 0."""
     gap_tol: float = 1e-8
-    restarts: int = 20
     seed: int = 0
+    restarts: InitVar[int] = 0
 
-    def __post_init__(self):
+    def __post_init__(self, restarts):
         if not 0 < self.gap_tol < math.inf:
             raise GameError("tolerances must be positive and finite")
-        if self.restarts < 0:
-            raise GameError(f"need restarts at least 0, got {self.restarts}")
+        if restarts != 0:
+            raise GameError(f"a solve runs one start: restarts must be 0, got {restarts}")
 
 
 def _schedule(max_actions: int):
@@ -107,7 +109,8 @@ class EquilibriumResult:
         return max(self.gaps.values(), default=0.0)
 
     def to_text(self) -> str:
-        """Canonical rendering; identical configs and seeds give identical bytes."""
+        """Canonical rendering; the same game gives the same bytes, apart from
+        the ``seed`` line, which only labels the solve."""
         lines = [f"concept {self.concept}", f"seed {self.seed}",
                  f"converged {self.converged}", f"max_gap {self.max_gap!r}"]
         for iid in sorted(self.profile.dists):
@@ -199,8 +202,8 @@ class LimitOracle:
 def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit):
     """Floor homotopy over strategies ``{key: {action: probability}}``.
 
-    ``keys`` lists every strategy key in the order random starts draw them;
-    ``frozen`` fixes the strategy at some keys and ``free`` lists the others.
+    ``keys`` lists every strategy key; ``frozen`` fixes the strategy at some
+    keys and ``free`` lists the others, which start uniform.
     Two oracles give action values: the stage oracle ``q_stage(dists, eps)``
     per free key at a floor stage, and the limit oracle
     ``q_limit(dists, owners)`` gives ``(values, sound, payload)`` for the keys
@@ -210,11 +213,11 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
 
     Every floor stage ends with a verdict on its last iterate (nothing is
     averaged): stripped of its mass at or below ``max(5 EPS_FLOOR, 2 eps)``,
-    polished and judged; the first candidate that passes is returned.
+    polished and judged; the first candidate that passes is returned.  When
+    none does, support enumeration is tried once.
 
     Returns ``(dists, gaps, payload, iterations)``.
     """
-    rng = random.Random(config.seed)
     max_actions = max((len(actions_of(k)) for k in keys), default=2)
     best_gap, best_gaps, unsound = float("inf"), {}, 0
     iterations = 0
@@ -231,46 +234,35 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
             best_gap, best_gaps = worst, gaps
         return None, None
 
-    for attempt in range(config.restarts + 1):
-        dists = {}
-        for k in keys:
-            acts = actions_of(k)
-            if k in frozen:
-                dists[k] = dict(frozen[k])
-            elif attempt == 0:
-                dists[k] = {a: 1.0 / len(acts) for a in acts}
-            else:
-                raw = [rng.random() + 1e-3 for _ in acts]
-                s = sum(raw)
-                dists[k] = {a: w / s for a, w in zip(acts, raw)}
-
-        for eps in _schedule(max_actions):
-            # clamp into the eps-constrained simplex, frozen strategies included
-            dists = {k: {a: eps + (1.0 - eps * len(d)) * p
-                         for a, p in frozen.get(k, d).items()}
+    # the uniform start; the first clamp below sets the frozen strategies
+    dists = {k: dict.fromkeys(actions_of(k), 1.0 / len(actions_of(k))) for k in keys}
+    for eps in _schedule(max_actions):
+        # clamp into the eps-constrained simplex, frozen strategies included
+        dists = {k: {a: eps + (1.0 - eps * len(d)) * p
+                     for a, p in frozen.get(k, d).items()}
+                 for k, d in dists.items()}
+        for _ in range(MAX_ITERS):
+            iterations += 1
+            target = _stage_step(dists, q_stage(dists, eps), free, frozen, actions_of, eps)
+            resid = max((abs(p - target[k][a]) for k, d in dists.items()
+                         for a, p in d.items()), default=0.0)
+            dists = {k: {a: (1 - DAMPING) * p + DAMPING * target[k][a]
+                         for a, p in d.items()}
                      for k, d in dists.items()}
-            for _ in range(MAX_ITERS):
-                iterations += 1
-                target = _stage_step(dists, q_stage(dists, eps), free, frozen, actions_of, eps)
-                resid = max((abs(p - target[k][a]) for k, d in dists.items()
-                             for a, p in d.items()), default=0.0)
-                dists = {k: {a: (1 - DAMPING) * p + DAMPING * target[k][a]
-                             for a, p in d.items()}
-                         for k, d in dists.items()}
-                if resid <= max(FP_TOL, eps * 1e-3):
-                    break
-            # strip floor-level mass and renormalize; a strategy the cut would
-            # empty (uniform at a start floor 0.5/|A|) stays whole, frozen ones exact
-            cut, candidate = max(5.0 * EPS_FLOOR, 2.0 * eps), {}
-            for k, d in dists.items():
-                kept = {a: p for a, p in d.items() if p > cut} or d
-                total = sum(kept.values())
-                candidate[k] = (dict(frozen[k]) if k in frozen
-                                else {a: kept.get(a, 0.0) / total for a in d})
-            candidate = _polish(candidate, free, q_limit)
-            gaps, payload = judge(candidate)
-            if gaps is not None:
-                return candidate, gaps, payload, iterations
+            if resid <= max(FP_TOL, eps * 1e-3):
+                break
+        # strip floor-level mass and renormalize; a strategy the cut would
+        # empty (uniform at a start floor 0.5/|A|) stays whole, frozen ones exact
+        cut, candidate = max(5.0 * EPS_FLOOR, 2.0 * eps), {}
+        for k, d in dists.items():
+            kept = {a: p for a, p in d.items() if p > cut} or d
+            total = sum(kept.values())
+            candidate[k] = (dict(frozen[k]) if k in frozen
+                            else {a: kept.get(a, 0.0) / total for a in d})
+        candidate = _polish(candidate, free, q_limit)
+        gaps, payload = judge(candidate)
+        if gaps is not None:
+            return candidate, gaps, payload, iterations
 
     # last resort for stubborn cycles: enumerate supports outright
     found = enumerate_support_equilibrium(
@@ -286,9 +278,7 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
     detail = f"best gap {best_gap:.3g}"
     if unsound:
         detail += f"; {unsound} candidate(s) failed the limit certification"
-    raise NonConvergenceError(
-        f"{concept} solve failed after {config.restarts + 1} starts ({detail})",
-        best_gap, best_gaps)
+    raise NonConvergenceError(f"{concept} solve failed ({detail})", best_gap, best_gaps)
 
 
 def _stage_step(dists, q, free, frozen, actions_of, eps):
@@ -508,12 +498,14 @@ def sce_witness_check(tree: GameTree, partition: CoarsePartition,
     along the tremble path (1 - t) profile + t uniform and test local best
     responses against it.
 
+    Every action of positive probability counts as played, as in the
+    solver's verdict, and a gap passes within ``max(gap_tol, 1e-6)``.
     Returns (ok, gaps, conjectures).  This is witness-based certification,
     not a search over all paths.
     """
     config = config or SolverConfig()
     owners = sorted(tree.player_info_sets())
     q, conjs, _ = LimitOracle(tree, partition, concept, chi).artifacts(profile, owners)
-    gaps = support_gaps(q, profile.dists, config.gap_tol)
-    ok = all(g <= 1e-6 for g in gaps.values())
+    gaps = support_gaps(q, profile.dists, 0.0)
+    ok = all(g <= max(config.gap_tol, 1e-6) for g in gaps.values())
     return ok, gaps, conjs

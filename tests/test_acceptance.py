@@ -181,7 +181,7 @@ def test_criterion_4_theorem_property_suites():
             tree = random_game(rng, 30)
             part = coarsest_valid_partition(tree)
             try:
-                res = solve_sce(tree, part, SolverConfig(seed=seed, restarts=5))
+                res = solve_sce(tree, part, SolverConfig(seed=seed))
             except NonConvergenceError:
                 continue
             solved += 1
@@ -193,7 +193,7 @@ def test_criterion_4_theorem_property_suites():
         for seed in range(25):
             rng = random.Random(30_000 + seed)
             game = random_bayesian_game(rng)
-            rep = crosscheck_equivalence(game, SolverConfig(seed=seed, restarts=6))
+            rep = crosscheck_equivalence(game, SolverConfig(seed=seed))
             assert rep.ok, f"theorem-5 seed {seed}: gap {rep.max_profile_gap}"
             assert rep.max_profile_gap <= 1e-6
 

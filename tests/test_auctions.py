@@ -180,6 +180,22 @@ def test_canonical_english_stage_one_oracle():
     assert est == pytest.approx(bf.at(x), abs=0.01)
 
 
+def test_canonical_english_monte_carlo_branch():
+    """The three-bidder wallet has no stage form, so its stage-one bids come
+    from the Monte Carlo branch.  After one quit at y the bidder at x expects
+    x + y plus the last signal, uniform above max(x, y)."""
+    model = wallet_model(3)
+    grid = uniform_grid(model, 20)
+    oracle = OracleConfig(samples=100_000, seed=1)
+    tables = estimate_conditionals(model, grid, oracle)
+    y = 0.3
+    bf = bid_canonical_english(model, [y], tables, oracle)
+    assert bf.format == "canon-1"
+    assert not np.isnan(bf.bids).any() and not bf.notes
+    want = grid + y + (1.0 + np.maximum(grid, y)) / 2.0
+    assert np.all(np.abs(bf.bids - want) <= 4.0 * bf.se), np.abs(bf.bids - want) / bf.se
+
+
 def test_quit_price_inversion(wallet):
     model, grid, closed, _ = wallet
     b0 = bid_canonical_english(model, [], closed)
@@ -206,6 +222,15 @@ def test_winner_curse_k2_matches_silent_english_accounting():
     lo = signals.min(axis=1)
     silent_quits = model.closed_forms["v_stage"](lo, [], lo)
     assert np.allclose(prices, silent_quits)
+
+
+def test_clearing_prices_two_bidder_wallet():
+    """Two wallet bidders have no stage form: the winner pays the loser's
+    quit price v_lower(lo, lo) = lo + (1 + lo) / 2, lo the lower signal."""
+    model = wallet_model(2)
+    _, signals = model.sample(np.random.Generator(np.random.PCG64(9)), 10_000)
+    lo = signals.min(axis=1)
+    assert np.array_equal(clearing_prices(model, signals), lo + (1.0 + lo) / 2.0)
 
 
 def _stage_rule(k, x, quits, floor):

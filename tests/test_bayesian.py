@@ -71,7 +71,7 @@ def test_crosscheck_random_games():
     for seed in range(10):
         rng = random.Random(3000 + seed)
         g = random_bayesian_game(rng)
-        rep = crosscheck_equivalence(g, SolverConfig(seed=seed, restarts=6))
+        rep = crosscheck_equivalence(g, SolverConfig(seed=seed))
         assert rep.ok, f"seed {seed}: gap {rep.max_profile_gap}"
 
 
@@ -81,7 +81,7 @@ def test_crosscheck_three_players():
     for seed in range(6):
         rng = random.Random(90_000 + seed)
         g = random_bayesian_game(rng, n_states=2, n_players=3)
-        rep = crosscheck_equivalence(g, SolverConfig(seed=seed, restarts=6))
+        rep = crosscheck_equivalence(g, SolverConfig(seed=seed))
         assert rep.ok, f"seed {seed}: gap {rep.max_profile_gap}"
 
 

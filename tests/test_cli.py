@@ -69,21 +69,18 @@ def test_solve_json_deterministic(seqtrading, capsys):
     assert payload["concept"] == "sce"
 
 
-def test_solve_nonconvergent_exit_three(seqtrading, tmp_path, failing_certification):
+def test_solve_nonconvergent_exit_three(seqtrading, failing_certification):
     """A solve whose every candidate fails the limit certification exits 3."""
-    cfg = tmp_path / "once.cfg"
-    cfg.write_text("restarts 0\n", encoding="utf-8")
-    assert cli_main(["solve", str(seqtrading), "--concept", "sce",
-                     "--config", str(cfg)]) == 3
+    assert cli_main(["solve", str(seqtrading), "--concept", "sce"]) == 3
 
 
 @pytest.mark.parametrize("text, message", [
     ("bogus 3\n", "unknown config key 'bogus'"),
-    ("restarts x\n", "config key 'restarts': expected int"),
+    ("seed x\n", "config key 'seed': expected int"),
     ("seed\n", "config key 'seed': expected int"),
     ("limit_steps 40\n", "unknown config key 'limit_steps'"),
     ("max_iters 80\n", "unknown config key 'max_iters'"),
-    ("restarts -1\n", "restarts at least 0"),
+    ("restarts 0\n", "unknown config key 'restarts'"),
     ("gap_tol nan\n", "tolerances must be positive and finite"),
     ("tie_tol 1e-9\n", "unknown config key 'tie_tol'"),
 ])
@@ -114,7 +111,7 @@ def test_solve_concept_ce_is_a_usage_error(seqtrading):
 
 def test_config_keys_follow_solver_config(seqtrading, tmp_path, capsys):
     cfg = tmp_path / "ok.cfg"
-    cfg.write_text("# comment\nrestarts 0\ngap-tol\t1e-8\n", encoding="utf-8")
+    cfg.write_text("# comment\nseed 3\ngap-tol\t1e-8\n", encoding="utf-8")
     assert cli_main(["solve", str(seqtrading), "--concept", "sce", "--seed", "7",
                      "--config", str(cfg)]) == 0
     assert "2:hi\ta:0.0 d:1.0" in capsys.readouterr().out
@@ -149,6 +146,20 @@ def test_check_chi_zero_flags_deviation(tmp_path):
                      "--concept", "sce-witness"]) == 0
     assert cli_main(["check", str(game), "--assessment", str(assessment),
                      "--concept", "chi-sce", "--chi", "0"]) == 1
+
+
+@pytest.mark.parametrize("config", ["", "gap_tol 0.5\n"], ids=["default", "loose"])
+def test_witness_check_counts_every_played_action(seqtrading, tmp_path, capsys, config):
+    """Trader 2 plays the worse action a with probability 3/10 at 2:hi, a gap
+    of 1.0; a loose tolerance bounds the gap but does not hide the action."""
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    assessment = tmp_path / "mixed.assess"
+    assessment.write_text("play 1:hi a:0 d:1\nplay 1:lo a:1 d:0\n"
+                          "play 2:hi a:3/10 d:7/10\nplay 2:w1 a:0 d:1\n", encoding="utf-8")
+    assert cli_main(["check", str(seqtrading), "--assessment", str(assessment),
+                     "--concept", "sce-witness", "--config", str(cfg)]) == 1
+    assert "infoset=2:hi\tgap=1.0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text, message", [

@@ -181,7 +181,7 @@ def test_causal_stage_and_limit_walk_the_tree_once(paper, monkeypatch):
     assert len(walks) == 1
     walks.clear()
     monkeypatch.setattr(cursedeq.solvers, "_values", values)
-    solve_causal_sce(tree, part, SolverConfig(seed=7, restarts=0))
+    solve_causal_sce(tree, part, SolverConfig(seed=7))
     assert 0.0 in floors and any(f > 0.0 for f in floors)
     assert len(walks) == len(floors)
 
@@ -223,7 +223,7 @@ def test_floor_stage_floors_each_owner_once(paper, monkeypatch):
     monkeypatch.setattr(sv, "_values", stage)
     tree, part = paper["club-membership"]
     with pytest.raises(StageDone):
-        solve_sce(tree, part, SolverConfig(seed=7, restarts=0))
+        solve_sce(tree, part, SolverConfig(seed=7))
     where = [w for w, _ in events[events.index(("stage", None)) + 1:]]
     assert where.count("homotopy") == len(tree.player_info_sets()) == 4
     assert where.count("plan") == 1
@@ -310,7 +310,7 @@ def test_failed_limit_diagnostics_are_not_an_equilibrium(paper, failing_certific
     enumeration, may be reported as converged."""
     tree, part = paper["leader-follower"]
     with pytest.raises(NonConvergenceError, match="limit certification"):
-        solve_sce(tree, part, SolverConfig(restarts=0))
+        solve_sce(tree, part, SolverConfig())
 
 
 def test_mixing_polish_reaches_the_exact_root(paper):
@@ -327,7 +327,7 @@ def test_random_game_20048_solves_to_a_mixed_sce():
     mixed SCE, which both certifiers accept."""
     tree = random_game(random.Random(20048), 30)
     part = coarsest_valid_partition(tree)
-    res = solve_sce(tree, part, SolverConfig(seed=48, restarts=0))
+    res = solve_sce(tree, part, SolverConfig(seed=48))
     assert any(0.0 < p < 1.0 for d in res.profile.dists.values() for p in d.values())
     assert check_wpce(tree, part, res.profile, res.conjectures, tol=1e-6).ok
     assert sce_witness_check(tree, part, res.profile)[0]
@@ -344,7 +344,7 @@ def test_flat_decision_solves_to_uniform_at_first_stage(n):
     for i in range(n):
         b.terminal(f"r{i}", "r", f"a{i}", {"1": 1.0})
     tree = b.build()
-    res = solve_sce(tree, coarsest_valid_partition(tree), SolverConfig(restarts=0))
+    res = solve_sce(tree, coarsest_valid_partition(tree), SolverConfig())
     assert res.iterations == 1
     assert res.profile.dists["is:r"] == pytest.approx({f"a{i}": 1.0 / n for i in range(n)},
                                                       abs=1e-15)
@@ -358,12 +358,14 @@ def test_untrembled_limit_zero_is_exact(paper):
 
 
 # The ids are fixed so that each case keeps its name when a case is removed;
-# bad1, bad4 and bad6 were the cases of the former `tie_tol` field.
+# bad1, bad4 and bad6 were the cases of the former `tie_tol` field.  A solve
+# runs one start, so the compatibility keyword `restarts` accepts only 0.
 @pytest.mark.parametrize("bad", [pytest.param({"gap_tol": 0.0}, id="bad0"),
                                  pytest.param({"restarts": -1}, id="bad2"),
                                  pytest.param({"gap_tol": -1e-8}, id="bad3"),
                                  pytest.param({"gap_tol": math.nan}, id="bad5"),
-                                 pytest.param({"gap_tol": math.inf}, id="bad7")])
+                                 pytest.param({"gap_tol": math.inf}, id="bad7"),
+                                 pytest.param({"restarts": 1}, id="bad8")])
 def test_solver_config_rejects_bad_values(bad):
     with pytest.raises(GameError):
         SolverConfig(**bad)
@@ -376,7 +378,7 @@ def test_every_solve_passes_wpce_on_random_games():
         tree = random_game(rng, 26)
         part = coarsest_valid_partition(tree)
         try:
-            res = solve_sce(tree, part, SolverConfig(seed=seed, restarts=5))
+            res = solve_sce(tree, part, SolverConfig(seed=seed))
         except NonConvergenceError:
             continue
         solved += 1
@@ -386,12 +388,20 @@ def test_every_solve_passes_wpce_on_random_games():
 
 
 def test_seeded_determinism(paper):
+    """The seed only labels a solve: two seeds give the same bytes apart from
+    the ``seed`` line."""
     tree, part = paper["mixing"]
     a = solve_sce(tree, part, SolverConfig(seed=11))
     b = solve_sce(tree, part, SolverConfig(seed=11))
     assert a.to_text() == b.to_text()
     c = solve_sce(tree, part, SolverConfig(seed=12))
     assert c.converged
+
+    def unlabelled(res):
+        return [line for line in res.to_text().splitlines() if not line.startswith("seed ")]
+
+    assert "seed 11" in a.to_text().splitlines() and "seed 12" in c.to_text().splitlines()
+    assert unlabelled(a) == unlabelled(c)
 
 
 @pytest.fixture(scope="module")
