@@ -364,9 +364,15 @@ def bid_canonical_english(model: SignalModel, observed_signals,
 
     Uses the model's stage form when available, otherwise Monte Carlo
     conditional expectations with window conditioning on the quit signals.
+    At most ``bidders - 1`` others can quit, each at a signal in [lo, hi];
+    anything else raises ValueError.
     """
     quits = sorted(float(y) for y in observed_signals)
     k = len(quits)
+    if k > model.bidders - 1:
+        raise ValueError(f"{k} quits, but only {model.bidders - 1} other bidders")
+    if not all(model.lo <= y <= model.hi for y in quits):
+        raise ValueError(f"quit signals must lie in [{model.lo}, {model.hi}]")
     grid = tables.grid
     if k == 0 and model.bidders == 2:
         return BidFunction("canon-0", grid, tables.v_lower.copy(),

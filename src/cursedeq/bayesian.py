@@ -184,8 +184,8 @@ class CrosscheckReport:
         return self.max_profile_gap <= 1e-6 and self.ice_passes_sce and self.sce_passes_ice
 
 
-def crosscheck_equivalence(game: BayesianGame, config: SolverConfig | None = None,
-                           tol: float = 1e-6) -> CrosscheckReport:
+def crosscheck_equivalence(game: BayesianGame,
+                           config: SolverConfig | None = None) -> CrosscheckReport:
     """Solve the embedding sequentially and the normal form independently,
     then verify the profiles coincide and each passes the other's check."""
     config = config or SolverConfig()
@@ -204,7 +204,7 @@ def crosscheck_equivalence(game: BayesianGame, config: SolverConfig | None = Non
     # each side certified by the other's optimality conditions
     def passes_ice(sigma):
         q = {c: type_action_values(game, sigma, c[0], c[1], True) for c in sigma}
-        return all(g <= tol for g in support_gaps(q, sigma, tol).values())
+        return all(g <= 1e-6 for g in support_gaps(q, sigma).values())
 
     sce_of_ice_ok, _, _ = sce_witness_check(tree, partition,
                                             strategy_to_profile(game, ice), config)

@@ -12,8 +12,9 @@ Every verdict on a strategy is taken by two functions here, and nowhere else:
 :func:`optimal` gives the actions within a tolerance of the best value (the
 floored plans, the solver's polish and support enumeration), and
 :func:`support_gaps` how far each strategy's played actions fall short of the
-best (the solver's final test and every certifier).  Each caller passes its
-own tolerance.
+best (the solver's final test and every certifier).  Only :func:`optimal`
+takes a caller's tolerance: an action is played when its probability is
+positive, and the plans break ties within the one ``TIE_TOL``.
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ def optimal(values: dict, tol: float) -> tuple:
     return tuple(a for a, v in values.items() if v >= best - tol)
 
 
-def support_gaps(values: dict, dists: dict, tol: float) -> dict:
+def support_gaps(values: dict, dists: dict) -> dict:
     """Per key of ``values``: how far the worst action that ``dists`` plays
-    with probability above ``tol`` falls short of the best value (0 when it
-    plays none)."""
+    with positive probability falls short of the best value (0 when it plays
+    none)."""
     gaps = {}
     for k, q in values.items():
         best = max(q.values())
-        gaps[k] = max((best - q[a] for a, p in dists[k].items() if p > tol), default=0.0)
+        gaps[k] = max((best - q[a] for a, p in dists[k].items() if p > 0.0), default=0.0)
     return gaps
 
 
@@ -63,13 +64,12 @@ class PlanResult:
     _plan: dict[str, dict[str, float]]
     _owner: str
     _floor: float
-    _tie_tol: float
 
     @property
     def plan(self) -> dict[str, dict[str, float]]:
         if self._owner not in self._plan:
             q = self.action_values
-            self._plan[self._owner] = _floor_dist(tuple(q), q, self._floor, self._tie_tol)
+            self._plan[self._owner] = _floor_dist(tuple(q), q, self._floor)
         return self._plan
 
     @property
@@ -78,18 +78,18 @@ class PlanResult:
         return sum(dist[a] * q for a, q in self.action_values.items())
 
 
-def _floor_dist(actions, values, floor: float, tie_tol: float,
+def _floor_dist(actions, values, floor: float,
                 incumbent: dict[str, float] | None = None) -> dict[str, float]:
     """Floor-constrained optimum: every action keeps the floor, the excess
     goes to the optimal set.  Ties keep the incumbent mixture renormalized
     over the optimal set; with no incumbent mass there, split uniformly."""
-    opt = optimal(values, tie_tol)
+    opt = optimal(values, TIE_TOL)
     excess = 1.0 - floor * len(actions)
     if excess < 0:
         raise ValueError(f"floor {floor} too large for {len(actions)} actions")
     weights = {a: 0.0 for a in actions}
     inc_mass = sum(incumbent.get(a, 0.0) for a in opt) if incumbent else 0.0
-    if incumbent and inc_mass > tie_tol:
+    if incumbent and inc_mass > TIE_TOL:
         for a in opt:
             weights[a] = incumbent.get(a, 0.0) / inc_mass
     else:
@@ -160,8 +160,7 @@ def _plan_walk(tree: GameTree, player: str, roots):
 
 
 def optimize_plan(tree: GameTree, owner: str, scenarios, player: str,
-                  floor: float = 0.0, tie_tol: float = TIE_TOL,
-                  forced: str | None = None) -> PlanResult:
+                  floor: float = 0.0, forced: str | None = None) -> PlanResult:
     """Backward induction over the owner's compatible information sets.
 
     ``scenarios`` supplies one or more weighted worlds (for mixtures of
@@ -195,16 +194,16 @@ def optimize_plan(tree: GameTree, owner: str, scenarios, player: str,
             plan[iid] = {a: (1.0 if a == forced else 0.0) for a in actions}
         elif iid != owner or owner != program[-1][0]:
             # no step reads the last set's plan: the owner's waits until read
-            plan[iid] = _floor_dist(actions, q, floor, tie_tol)
+            plan[iid] = _floor_dist(actions, q, floor)
 
     if q_owner is None:
         raise ValueError(f"owner set {owner!r} unreachable from its own belief")
-    return PlanResult(q_owner, optimal(q_owner, tie_tol), plan, owner, floor, tie_tol)
+    return PlanResult(q_owner, optimal(q_owner, TIE_TOL), plan, owner, floor)
 
 
 def respond(tree: GameTree, owner: str, conjecture: Conjecture | None, chi: float = 1.0,
             bayes: dict[str, float] | None = None, full=None, floor: float = 0.0,
-            tie_tol: float = TIE_TOL, forced: str | None = None) -> PlanResult:
+            forced: str | None = None) -> PlanResult:
     """The owner's best response to a conjecture, weighted ``chi``, mixed
     with weight ``1 - chi`` with the Bayes belief ``bayes`` over the owner's
     nodes under the full profile ``full`` (chi = 1 is SCE, chi = 0 plain
@@ -215,14 +214,14 @@ def respond(tree: GameTree, owner: str, conjecture: Conjecture | None, chi: floa
     if chi < 1.0:
         scenarios.append(Scenario(1.0 - chi, bayes, full))
     return optimize_plan(tree, owner, scenarios, tree.info_sets[owner].player,
-                         floor=floor, tie_tol=tie_tol, forced=forced)
+                         floor=floor, forced=forced)
 
 
 def local_best_response_value(tree: GameTree, partition: CoarsePartition,
-                              conjecture: Conjecture, tie_tol: float = TIE_TOL):
+                              conjecture: Conjecture):
     """Max value, optimal actions at the owner, and an optimal plan, for the
     single-agent problem defined by a conjecture."""
-    res = respond(tree, conjecture.owner, conjecture, tie_tol=tie_tol)
+    res = respond(tree, conjecture.owner, conjecture)
     return max(res.action_values.values()), res.optimal_actions, res.plan
 
 
@@ -250,19 +249,20 @@ class BestResponseReport:
 
 def check_local_best_response(tree: GameTree, partition: CoarsePartition,
                               profile, system, tol: float = 1e-6) -> BestResponseReport:
-    """Pass iff at every information set the support of the played mixture
-    lies inside the optimal action set of that set's conjecture."""
-    values = {owner: respond(tree, owner, conj, tie_tol=tol).action_values
+    """Pass iff at every information set each action played with positive
+    probability falls short of the best under that set's conjecture by at
+    most ``tol``."""
+    values = {owner: respond(tree, owner, conj).action_values
               for owner, conj in system.items()}
-    gaps = support_gaps(values, profile.dists, tol)
+    gaps = support_gaps(values, profile.dists)
     issues = []
     for owner, gap in gaps.items():
         if gap > tol:
             q = values[owner]
             better = max(q, key=q.get)
-            # the first action played above tol that falls short by the gap
+            # the first played action that falls short by the gap
             worst = next(a for a, p in profile.dists[owner].items()
-                         if p > tol and q[better] - q[a] == gap)
+                         if p > 0.0 and q[better] - q[a] == gap)
             issues.append(BestResponseIssue(
                 owner, gap,
                 f"played {worst!r} (value {q[worst]:.6g}) but "

@@ -221,9 +221,15 @@ def cmd_auction(args):
     from .auctions import (bid_canonical_english, bid_second_price, bid_silent_english,
                            solve_dutch, solve_first_price)
     model, oracle, tables = _auction_tables(args)
+
+    def canon(m, t):
+        try:
+            return bid_canonical_english(m, args.observed, t, oracle)
+        except ValueError as exc:
+            raise GameError(f"--observed: {exc}") from None
+
     formats = {"1p": solve_first_price, "dutch": solve_dutch, "2p": bid_second_price,
-               "silent": bid_silent_english,
-               "canon": lambda m, t: bid_canonical_english(m, args.observed, t, oracle)}
+               "silent": bid_silent_english, "canon": canon}
     bf = formats[args.format](model, tables)
     if args.json:
         print(json.dumps({"format": bf.format, "notes": bf.notes,

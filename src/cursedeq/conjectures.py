@@ -128,7 +128,7 @@ def _region_mass(sub, chain, reach) -> dict:
 def _cell_freq(cells, mass, cid: str):
     """Action frequencies of coarse cell ``cid`` conditional on passing
     through the owner set, or None when that event has mass zero."""
-    nodes, kids = cells.get(cid, ((), {}))
+    nodes, kids = cells[cid]
     denom = sum(map(mass.__getitem__, nodes))
     if denom <= 0.0:
         return None
@@ -183,28 +183,6 @@ def _forced_action(tree: GameTree, iset, owner_set):
     return None
 
 
-def accords_with(tree: GameTree, conjecture: Conjecture,
-                 profile: BehaviorProfile, tol: float = CHECK_TOL) -> list[str]:
-    """Violations of clause 1: own partial strategy must force the actions
-    leading to the owner set at own predecessors and copy the strategy
-    elsewhere."""
-    oset = tree.info_sets[conjecture.owner]
-    problems = []
-    for iid, dist in conjecture.dists.items():
-        iset = tree.info_sets[iid]
-        if iset.player != oset.player:
-            continue
-        forced = None if iid == conjecture.owner else _forced_action(tree, iset, oset)
-        if forced is not None:
-            if abs(dist.get(forced, 0.0) - 1.0) > tol:
-                problems.append(f"{iid}: must force {forced!r} toward {conjecture.owner}")
-        else:
-            base = profile.dists[iid]
-            if any(abs(dist.get(a, 0.0) - base[a]) > tol for a in base):
-                problems.append(f"{iid}: does not match the base strategy")
-    return problems
-
-
 @dataclass(frozen=True)
 class PlausibilityIssue:
     owner: str
@@ -231,36 +209,41 @@ class PlausibilityReport:
 def check_cursed_plausible(tree: GameTree, partition: CoarsePartition,
                            profile: BehaviorProfile, system: ConjectureSystem,
                            tol: float = CHECK_TOL) -> PlausibilityReport:
-    """Three-clause test of cursed plausibility for a whole system.
+    """Three-clause test of cursed plausibility for a whole system, read off
+    :func:`cursed_conjecture` of the profile (one float reach per call).
 
-    Clause 2 is only enforced where the joint event (owner set, coarse cell)
-    has positive probability under the profile itself.
+    Clause 1: an own set must play as that conjecture does, the action
+    toward the owner at an earlier own set and the profile elsewhere.
+    Clause 2: an opponent set must play its coarse cell's frequency, looked
+    up by cell, so a set outside the owner's region is checked too; it is
+    only enforced where the joint event (owner set, coarse cell) has
+    positive probability under the profile itself.  Clause 3: the opponent
+    part must be coarse.  Each entry is matched within ``tol``.
     """
     issues = []
-    full = profile.full(tree)
-    reach = node_reach(tree, full)
+    reach = node_reach(tree, profile.full(tree))
     for owner, conj in system.items():
-        oset = tree.info_sets[owner]
-        for p in accords_with(tree, conj, profile, tol):
-            issues.append(PlausibilityIssue(owner, 1, p.split(":")[0], p))
-
-        sub, chain, _, cells = _owner_region(tree, partition, owner)
-        mass = _region_mass(sub, chain, reach)
+        player = tree.info_sets[owner].player
+        ref = cursed_conjecture(tree, partition, profile, owner, False, reach).dists
+        freq = {partition.cell_of[tree.info_sets[iid].nodes[0]]: d
+                for iid, d in ref.items() if tree.info_sets[iid].player != player}
         for iid, dist in conj.dists.items():
             iset = tree.info_sets[iid]
-            if iset.player == oset.player:
-                continue
-            freq = _cell_freq(cells, mass, partition.cell_of[iset.nodes[0]])
-            if freq is None:
-                continue
+            if iset.player == player:
+                clause, label, want = 1, "own play", ref.get(iid, profile.dists[iid])
+            else:
+                clause, label, want = 2, "empirical", freq.get(partition.cell_of[iset.nodes[0]])
+                if want is None:
+                    continue
             for a in iset.actions:
-                prob, emp = dist.get(a, 0.0), freq[a]
-                if abs(prob - emp) > tol:
+                prob = dist.get(a, 0.0)
+                if abs(prob - want[a]) > tol:
                     issues.append(PlausibilityIssue(
-                        owner, 2, iid, f"action {a!r} conjectured {prob:.6g}, empirical {emp:.6g}"))
+                        owner, clause, iid,
+                        f"action {a!r} conjectured {prob:.6g}, {label} {want[a]:.6g}"))
 
         opponent = {iid: d for iid, d in conj.dists.items()
-                    if tree.info_sets[iid].player != oset.player}
+                    if tree.info_sets[iid].player != player}
         if not is_coarse(opponent, partition, tree, tol):
             issues.append(PlausibilityIssue(owner, 3, "-",
                                             "opponent partial strategy is not coarse"))

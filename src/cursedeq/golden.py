@@ -178,8 +178,7 @@ def _solve_prices(tree, partition, g, beliefs):
     full, bayes = beliefs
     for i, t1 in enumerate(grid):
         iid = f"T1:{i}"
-        profile.dists[iid] = respond(tree, iid, None, 0.0, bayes[iid], full,
-                                     tie_tol=1e-12).plan[iid]
+        profile.dists[iid] = respond(tree, iid, None, 0.0, bayes[iid], full).plan[iid]
         sigma1[t1] = profile.dists[iid]["buy"]
 
     floored = BehaviorProfile({i: {a: (1 - eps * len(d)) * pr + eps for a, pr in d.items()}

@@ -40,7 +40,7 @@ from dataclasses import InitVar, dataclass
 
 from scipy import optimize
 
-from .bestresponse import (TIE_TOL, _floor_dist, check_local_best_response, optimal, respond,
+from .bestresponse import (_floor_dist, check_local_best_response, optimal, respond,
                            support_gaps)
 from .conjectures import (check_cursed_plausible, cursed_conjecture, limit_diagnostics,
                           limit_dists)
@@ -179,10 +179,12 @@ class LimitOracle:
     profile, so the same path justifies every conjecture in the reported
     system.  Causal SCE evaluates each owner action under the limit
     conjecture of the profile that plays it surely, untrembled, and has no
-    diagnostics (None).
+    diagnostics (None).  A ``chi`` outside [0, 1] raises, for every concept.
     """
 
     def __init__(self, tree, partition, concept, chi):
+        if not 0.0 <= chi <= 1.0:
+            raise GameError("chi must lie in [0, 1]")
         self.tree = tree
         self.partition = partition
         self.concept = concept
@@ -225,7 +227,7 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
     def judge(dists):
         nonlocal best_gap, best_gaps, unsound
         q, sound, payload = q_limit(dists, free)
-        gaps = support_gaps(q, dists, 0.0)
+        gaps = support_gaps(q, dists)
         if sound and all(g <= config.gap_tol for g in gaps.values()):
             return gaps, payload
         unsound += not sound
@@ -287,7 +289,7 @@ def _stage_step(dists, q, free, frozen, actions_of, eps):
     incumbent mixture), each frozen key clamped to the floor."""
     out = dict(dists)
     for k in free:
-        out[k] = _floor_dist(actions_of(k), q[k], eps, TIE_TOL, incumbent=dists[k])
+        out[k] = _floor_dist(actions_of(k), q[k], eps, incumbent=dists[k])
     for k, d in frozen.items():
         out[k] = {a: eps + (1.0 - eps * len(d)) * p for a, p in d.items()}
     return out
@@ -446,8 +448,6 @@ def solve_sce(tree: GameTree, partition: CoarsePartition,
 def solve_chi_sce(tree: GameTree, partition: CoarsePartition, chi: float,
                   config: SolverConfig | None = None,
                   frozen: ComputerPlayerSet | None = None) -> EquilibriumResult:
-    if not 0.0 <= chi <= 1.0:
-        raise GameError("chi must lie in [0, 1]")
     return _solve(tree, partition, config or SolverConfig(), frozen, "chi-sce", chi)
 
 
@@ -506,6 +506,6 @@ def sce_witness_check(tree: GameTree, partition: CoarsePartition,
     config = config or SolverConfig()
     owners = sorted(tree.player_info_sets())
     q, conjs, _ = LimitOracle(tree, partition, concept, chi).artifacts(profile, owners)
-    gaps = support_gaps(q, profile.dists, 0.0)
+    gaps = support_gaps(q, profile.dists)
     ok = all(g <= max(config.gap_tol, 1e-6) for g in gaps.values())
     return ok, gaps, conjs

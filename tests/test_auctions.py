@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -194,6 +195,28 @@ def test_canonical_english_monte_carlo_branch():
     assert not np.isnan(bf.bids).any() and not bf.notes
     want = grid + y + (1.0 + np.maximum(grid, y)) / 2.0
     assert np.all(np.abs(bf.bids - want) <= 4.0 * bf.se), np.abs(bf.bids - want) / bf.se
+
+
+def test_canonical_english_checks_the_quits():
+    """Three bidders leave two others to quit, each at a signal in [lo, hi];
+    two quits are the last stage, under the stage form and Monte Carlo."""
+    mean3, wallet3 = mean_value_model(3), wallet_model(3)
+    oracle = OracleConfig(samples=100_000, seed=1)
+    for model in (mean3, wallet3):
+        tables = estimate_conditionals(model, uniform_grid(model, 20), oracle)
+        for quits, message in (([0.1, 0.2, 0.3], "3 quits, but only 2 other bidders"),
+                               ([float("nan")], "quit signals must lie in"),
+                               ([0.2, -0.1], "quit signals must lie in")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                bid_canonical_english(model, quits, tables, oracle)
+    grid = uniform_grid(mean3, 20)
+    last = bid_canonical_english(mean3, [0.4, 0.2], estimate_conditionals(mean3, grid, ORACLE))
+    assert last.format == "canon-2"
+    assert np.abs(last.bids - (grid + 0.6) / 3).max() < 1e-12
+    tables = estimate_conditionals(wallet3, grid, oracle)
+    last = bid_canonical_english(wallet3, [0.4, 0.2], tables, oracle)
+    assert last.format == "canon-2" and not np.isnan(last.bids).any()
+    assert np.all(np.abs(last.bids - (grid + 0.6)) <= 4.0 * last.se)
 
 
 def test_quit_price_inversion(wallet):

@@ -164,12 +164,30 @@ def test_optimal_keeps_ties_within_tol_in_value_order():
     assert optimal(values, 0.0) == ("b",)
 
 
-def test_support_gaps_threshold_empty_support_and_key_order():
-    values = {"y": {"l": 1.0, "r": 0.25}, "x": {"l": 0.0, "r": 1.0}, "z": {"l": 3.0, "r": 3.0}}
-    dists = {"x": {"l": 0.5, "r": 0.5}, "y": {"l": 0.999, "r": 0.001},
-             "z": {"l": 0.0, "r": 0.0}}
-    gaps = support_gaps(values, dists, 1e-3)
-    # "r" at exactly the threshold is not played; an empty support has gap 0
-    assert gaps == {"y": 0.0, "x": 1.0, "z": 0.0}
-    assert list(gaps) == ["y", "x", "z"]
-    assert support_gaps(values, dists, 0.0)["y"] == 0.75
+def test_support_gaps_positive_probability_empty_support_and_key_order():
+    values = {"y": {"l": 1.0, "r": 0.25}, "x": {"l": 0.0, "r": 1.0}, "z": {"l": 3.0, "r": 3.0},
+              "w": {"l": 2.0, "r": 0.0}}
+    dists = {"x": {"l": 0.5, "r": 0.5}, "y": {"l": 1.0 - 1e-12, "r": 1e-12},
+             "z": {"l": 0.0, "r": 0.0}, "w": {"l": 1.0, "r": 0.0}}
+    gaps = support_gaps(values, dists)
+    # any positive probability is play, however small; probability 0 is not,
+    # and an empty support has gap 0
+    assert gaps == {"y": 0.75, "x": 1.0, "z": 0.0, "w": 0.0}
+    assert list(gaps) == ["y", "x", "z", "w"]
+
+
+def test_check_local_best_response_counts_a_tiny_probability_as_played():
+    """Trader 2 plays a, worth 1.0 less than d at 2:hi, with probability
+    1e-7, below the check's tolerance 1e-6: the action is still played, and
+    the gap of 1.0 fails the check."""
+    tree = games.bundled_game("sequential-trading")
+    from cursedeq.partition import coarsest_valid_partition
+    part = coarsest_valid_partition(tree)
+    prof = BehaviorProfile({"1:hi": {"a": 0.0, "d": 1.0}, "1:lo": {"a": 1.0, "d": 0.0},
+                            "2:hi": {"a": 1e-7, "d": 1.0 - 1e-7}, "2:w1": {"a": 0.0, "d": 1.0}})
+    system = limit_system(tree, part, prof)
+    report = check_local_best_response(tree, part, prof, system, tol=1e-6)
+    assert not report.ok
+    assert [i.info_set for i in report.issues] == ["2:hi"]
+    assert report.gaps["2:hi"] == pytest.approx(1.0, abs=1e-9)
+    assert "played 'a'" in str(report)

@@ -148,6 +148,35 @@ def test_check_chi_zero_flags_deviation(tmp_path):
                      "--concept", "chi-sce", "--chi", "0"]) == 1
 
 
+@pytest.mark.parametrize("chi", ["2", "-1", "nan"])
+def test_check_chi_outside_unit_interval_is_a_usage_error(tmp_path, capsys, chi):
+    """check validates --chi as solve does: exit 2 with one message line,
+    not a verdict and not a traceback."""
+    game = tmp_path / "onlooker.game"
+    game.write_text(bundled_game_text("pennies-onlooker"), encoding="utf-8")
+    assessment = tmp_path / "onlooker.assess"
+    assessment.write_text(
+        "play I1 H:1/2 T:1/2\nplay I2 h:1/2 t:1/2\nplay I3 a:0 b:1\n", encoding="utf-8")
+    for command in (["check", str(game), "--assessment", str(assessment)], ["solve", str(game)]):
+        assert cli_main(command + ["--concept", "chi-sce", "--chi", chi]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: chi must lie in [0, 1]\n"
+
+
+def test_check_wpce_counts_every_played_action(seqtrading, tmp_path, capsys):
+    """Trader 2 plays the worse action a at 2:hi with probability 1e-7,
+    below the check's tolerance; it is still played, so wpce fails."""
+    assessment = tmp_path / "tiny.assess"
+    assessment.write_text("play 1:hi a:0 d:1\nplay 1:lo a:1 d:0\n"
+                          "play 2:hi a:1/10000000 d:9999999/10000000\nplay 2:w1 a:0 d:1\n",
+                          encoding="utf-8")
+    for concept in ("wpce", "sce-witness"):
+        assert cli_main(["check", str(seqtrading), "--assessment", str(assessment),
+                         "--concept", concept]) == 1
+    assert "[2:hi] gap 1: played 'a'" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("config", ["", "gap_tol 0.5\n"], ids=["default", "loose"])
 def test_witness_check_counts_every_played_action(seqtrading, tmp_path, capsys, config):
     """Trader 2 plays the worse action a with probability 3/10 at 2:hi, a gap
@@ -352,3 +381,26 @@ def test_bad_auction_input_is_a_usage_error(tmp_path, capsys, command, model, fl
     argv = [command, "--model", str(path)] + (["--format", "2p"] if command == "auction" else [])
     assert cli_main(argv + flags) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["mean-value", "wallet"])
+@pytest.mark.parametrize("observed, code, message", [
+    ("0.1,0.2,0.3", 2, "error: --observed: 3 quits, but only 2 other bidders\n"),
+    ("nan", 2, "error: --observed: quit signals must lie in [0.0, 1.0]\n"),
+    ("0.2,1.5", 2, "error: --observed: quit signals must lie in [0.0, 1.0]\n"),
+    ("0.1,0.2", 0, ""),
+])
+def test_canon_quits_are_checked(tmp_path, capsys, family, observed, code, message):
+    """Three bidders leave two others to quit, each at a signal in [0, 1]:
+    anything else is a usage error, under the stage form (mean value) and
+    the Monte Carlo branch (wallet) alike."""
+    path = tmp_path / "three.model"
+    path.write_text(f"signalmodel three\nfamily {family}\nbidders 3\n", encoding="utf-8")
+    assert cli_main(["auction", "--model", str(path), "--format", "canon", "--observed",
+                     observed, "--grid", "10", "--samples", "20000"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == message
+    if code == 0:
+        assert len(captured.out.strip().split("\n")) == 11 and "nan" not in captured.out
+    else:
+        assert captured.out == ""

@@ -98,7 +98,32 @@ def test_accords_violation_trips_clause_one(paper):
     system["G:2"].dists["G:1"] = {"a": 0.0, "d": 1.0}
     report = check_cursed_plausible(tree, part, prof, system)
     assert not report.ok
-    assert 1 in {i.clause for i in report.issues}
+    assert {(i.owner, i.clause, i.where) for i in report.issues} == {("G:2", 1, "G:1")}
+
+
+def test_clause_one_names_the_whole_set_id(paper):
+    """G:1's conjecture must copy the profile at the later own set G:2; an
+    issue there names the set ``G:2``, not its player prefix."""
+    tree, part = paper["club-membership"]
+    prof = BehaviorProfile.pure(tree, {"G:1": "a", "C:w1": "a",
+                                       "C:w2": "d", "G:2": "resign"})
+    system, _ = limit_conjecture_system(tree, part, prof)
+    system["G:1"].dists["G:2"] = {"resign": 0.0, "confirm": 1.0}
+    report = check_cursed_plausible(tree, part, prof, system)
+    assert {(i.owner, i.clause, i.where) for i in report.issues} == {("G:1", 1, "G:2")}
+
+
+def test_clause_two_checks_a_set_outside_the_owner_region(paper):
+    """2:w1 is incompatible with 1:I, but it shares a coarse cell with the
+    sets 1:I does reach, so an override there must match that cell's
+    frequency."""
+    tree, part = paper["running-example"]
+    prof = games.running_profile_y()
+    system, _ = limit_conjecture_system(tree, part, prof)
+    assert "2:w1" not in system["1:I"].dists
+    system["1:I"].dists["2:w1"] = {"l": 1.0, "r": 0.0}
+    report = check_cursed_plausible(tree, part, prof, system)
+    assert ("1:I", 2, "2:w1") in {(i.owner, i.clause, i.where) for i in report.issues}
 
 
 def test_belief_running(paper):

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cursedeq.bestresponse import Scenario, _floor_dist, optimize_plan
-from cursedeq.conjectures import (LeadingTerm, _forced_action, _upward_reach, belief,
-                                  cursed_conjecture, limit_dists, limit_reach)
+from cursedeq import games
+from cursedeq.bestresponse import TIE_TOL, Scenario, _floor_dist, optimize_plan
+from cursedeq.conjectures import (LeadingTerm, _cell_freq, _forced_action, _owner_region,
+                                  _region_mass, _upward_reach, belief, check_cursed_plausible,
+                                  cursed_conjecture, limit_conjecture_system, limit_dists,
+                                  limit_reach)
 from cursedeq.partition import _freeze, coarsest_valid_partition, is_coarse
 from cursedeq.tree import (BehaviorProfile, UncoveredInfoSetError, ZeroProbabilityError,
                            n_predecessor, node_reach, outcome_measure, reach_below,
@@ -191,7 +194,7 @@ def walker_conjecture(tree, partition, profile, owner, reach):
     return dists
 
 
-def walker_plan(tree, owner, scenarios, player, floor=0.0, tie_tol=1e-9, forced=None):
+def walker_plan(tree, owner, scenarios, player, floor=0.0, forced=None):
     """Reference: backward induction after a per-call stack walk of every
     node below the belief nodes, with own-set depths from n-predecessor
     chains."""
@@ -259,14 +262,14 @@ def walker_plan(tree, owner, scenarios, player, floor=0.0, tie_tol=1e-9, forced=
         if iid == owner:
             q_owner = q
             plan[iid] = ({a: (1.0 if a == forced else 0.0) for a in actions}
-                         if forced is not None else _floor_dist(actions, q, floor, tie_tol))
+                         if forced is not None else _floor_dist(actions, q, floor))
         else:
-            plan[iid] = _floor_dist(actions, q, floor, tie_tol)
+            plan[iid] = _floor_dist(actions, q, floor)
     if q_owner is None:
         raise ValueError(f"owner set {owner!r} unreachable from its own belief")
     oset = tree.info_sets[owner]
     best = max(q_owner.values())
-    opt = tuple(a for a in oset.actions if q_owner[a] >= best - tie_tol)
+    opt = tuple(a for a in oset.actions if q_owner[a] >= best - TIE_TOL)
     return (sum(plan[owner][a] * q_owner[a] for a in oset.actions), q_owner, opt, plan)
 
 
@@ -340,6 +343,110 @@ def test_compiled_plan_matches_per_call_walker(seed):
                     reference = walker_plan(tree, owner, scenarios, oset.player, **kwargs)
                     assert (res.value, res.action_values, res.optimal_actions,
                             res.plan) == reference
+
+
+def clause_by_clause_plausibility(tree, partition, profile, system, tol):
+    """Reference: the (owner, clause, set) triples of the three clauses
+    checked one by one.  Clause 1 tests the forced action at an earlier own
+    set and the profile at any other; clause 2 tests each conjectured
+    opponent set against its cell's frequency over the owner region, where
+    that has mass."""
+    reach = node_reach(tree, profile.full(tree))
+    issues = []
+    for owner, conj in system.items():
+        oset = tree.info_sets[owner]
+        sub, chain, _, cells = _owner_region(tree, partition, owner)
+        mass = _region_mass(sub, chain, reach)
+        for iid, dist in conj.dists.items():
+            iset = tree.info_sets[iid]
+            if iset.player != oset.player:
+                continue
+            forced = None if iid == owner else _forced_action(tree, iset, oset)
+            if forced is not None:
+                bad = abs(dist.get(forced, 0.0) - 1.0) > tol
+            else:
+                base = profile.dists[iid]
+                bad = any(abs(dist.get(a, 0.0) - base[a]) > tol for a in base)
+            if bad:
+                issues.append((owner, 1, iid))
+        for iid, dist in conj.dists.items():
+            iset = tree.info_sets[iid]
+            cid = partition.cell_of[iset.nodes[0]]
+            if iset.player == oset.player or cid not in cells:
+                continue
+            freq = _cell_freq(cells, mass, cid)
+            if freq is not None and any(abs(dist.get(a, 0.0) - freq[a]) > tol
+                                        for a in iset.actions):
+                issues.append((owner, 2, iid))
+        opponent = {iid: d for iid, d in conj.dists.items()
+                    if tree.info_sets[iid].player != oset.player}
+        if not is_coarse(opponent, partition, tree, tol):
+            issues.append((owner, 3, "-"))
+    return issues
+
+
+def perturbed(rng, tree, system, tol):
+    """A copy of ``system`` with a few entries replaced, at any info set of
+    the tree (inside the owner's region or not): a random distribution, a
+    point mass, or the entry with mass ``tol / 2`` or ``3 tol`` moved
+    between two actions."""
+    out = {o: c.copy() for o, c in system.items()}
+    for _ in range(rng.randrange(4) if out else 0):
+        conj = out[rng.choice(sorted(out))]
+        iid = rng.choice(sorted(tree.info_sets))
+        acts = tree.info_sets[iid].actions
+        kind = rng.randrange(3)
+        if kind == 0:
+            raw = [rng.random() for _ in acts]
+            conj.dists[iid] = {a: w / sum(raw) for a, w in zip(acts, raw)}
+        elif kind == 1:
+            surely = rng.choice(acts)
+            conj.dists[iid] = {a: float(a == surely) for a in acts}
+        elif iid in conj.dists:
+            d = conj.dists[iid]
+            src = max(acts, key=d.get)
+            dst = rng.choice([a for a in acts if a != src])
+            delta = min(d[src], rng.choice((tol / 2, 3 * tol)))
+            d[src], d[dst] = d[src] - delta, d[dst] + delta
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_plausibility_matches_clause_by_clause_reference(seed):
+    """check_cursed_plausible, which reads each clause off cursed_conjecture,
+    gives the same verdict and the same (owner, clause, set) triples as the
+    clause-by-clause reference: for the limit system of a profile with zeros
+    (cells of zero joint mass exempt), for the float conjectures of a fully
+    mixed profile, and for perturbed copies of both."""
+    rng = random.Random(seed)
+    tree = random_game(rng, 40)
+    part = coarsest_valid_partition(tree)
+    tol = 1e-6
+    pure, mixed = random_profile(rng, tree), random_profile(rng, tree, mixed=True)
+    reach = node_reach(tree, mixed.full(tree))
+    cases = [(pure, limit_conjecture_system(tree, part, pure)[0]),
+             (mixed, {o: cursed_conjecture(tree, part, mixed, o, reach=reach)
+                      for o in tree.player_info_sets()})]
+    cases += [(prof, perturbed(rng, tree, system, tol))
+              for prof, system in cases for _ in range(3)]
+    for prof, system in cases:
+        report = check_cursed_plausible(tree, part, prof, system, tol)
+        reference = clause_by_clause_plausibility(tree, part, prof, system, tol)
+        assert report.ok == (not reference)
+        assert {(i.owner, i.clause, i.where) for i in report.issues} == set(reference)
+
+
+def test_plausibility_matches_reference_on_an_override_outside_the_region():
+    tree = games.bundled_game("running-example")
+    part = coarsest_valid_partition(tree)
+    prof = games.running_profile_y()
+    system, _ = limit_conjecture_system(tree, part, prof)
+    system["1:I"].dists["2:w1"] = {"l": 1.0, "r": 0.0}
+    report = check_cursed_plausible(tree, part, prof, system)
+    reference = clause_by_clause_plausibility(tree, part, prof, system, 1e-6)
+    assert ("1:I", 2, "2:w1") in reference
+    assert {(i.owner, i.clause, i.where) for i in report.issues} == set(reference)
 
 
 def _club_variant(split_first_set=False, pool_nature=False, bad_nature_sum=False):

@@ -232,7 +232,7 @@ def test_floor_stage_floors_each_owner_once(paper, monkeypatch):
     conj = sv.cursed_conjecture(tree, part, BehaviorProfile.uniform(tree), "G:1")
     res = br.respond(tree, "G:1", conj, floor=0.05)
     assert list(res.plan) == ["G:2", "G:1"]
-    assert res.plan["G:1"] == br._floor_dist(("d", "a"), res.action_values, 0.05, br.TIE_TOL)
+    assert res.plan["G:1"] == br._floor_dist(("d", "a"), res.action_values, 0.05)
     assert res.value == sum(res.plan["G:1"][a] * q for a, q in res.action_values.items())
 
 
