@@ -237,9 +237,6 @@ class BidFunction:
     def at(self, x) -> float:
         return float(np.interp(x, self.grid, self.bids))
 
-    def inverse(self, price) -> float:
-        return float(np.interp(price, self.bids, self.grid))
-
 
 # the density-to-CDF ratio of the bidding ODEs reads a CDF of at least this
 RATIO_FLOOR = 1e-30

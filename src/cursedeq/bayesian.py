@@ -7,12 +7,12 @@ treated as independent of the state; independently cursed players also
 treat opponents' actions as independent of each other.  The two coincide
 for two players, and both coincide with the sequential concepts on this
 class, which the crosscheck verifies numerically on the tree embedding.
+Each solve builds its value tables once, and every sweep reads them.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -57,35 +57,70 @@ class BayesianGame:
 TypeStrategy = dict  # (player, type index) -> action distribution
 
 
-def type_action_values(game: BayesianGame, sigma: TypeStrategy, player: str,
-                       tix: int, independent: bool) -> dict[str, float]:
-    """Expected utility of each own action under the cursed belief: the
-    opponents' action profile averaged over the states of the type cell and
-    treated as independent of the state, or with ``independent`` the product
-    of each opponent's averaged marginal.  Profiles of zero belief are
-    skipped; the values are not normalized (the argmax is the same)."""
-    cell = game.types[player][tix]
-    prior = game.prior
-    total = sum(prior[w] for w in cell)
-    i = game.players.index(player)
-    others = game.players[:i] + game.players[i + 1:]
+def value_tables(game: BayesianGame, independent: bool) -> dict[tuple, tuple]:
+    """The table of every type cell, built once per solve: the flag
+    ``independent``, the cell's prior mass, per state its prior, its share
+    of that mass and the opponents' strategy keys, per opponent its actions,
+    and per own action the payoff in each state of each opponent profile (in
+    product order)."""
+    tables = {}
+    for i, pl in enumerate(game.players):
+        others = game.players[:i] + game.players[i + 1:]
+        actions = [game.actions[m] for m in others]
+        combos = list(itertools.product(*actions))
+        for k, cell in enumerate(game.types[pl]):
+            total = sum(game.prior[w] for w in cell)
+            tables[(pl, k)] = (
+                independent, total, [game.prior[w] for w in cell],
+                [game.prior[w] / total for w in cell],
+                [[(m, game.type_of(m, w)) for m in others] for w in cell], actions,
+                {a: [[game.payoffs[(w, c[:i] + (a,) + c[i:])][i] for c in combos] for w in cell]
+                 for a in game.actions[pl]})
+    return tables
+
+
+def _joint(start, dists, actions):
+    """``start * d1[a1] * d2[a2] * ...``, left to right, in product order."""
+    out = [start]
+    for d, acts in zip(dists, actions):
+        out = [x * d[a] for x in out for a in acts]
+    return out
+
+
+def type_action_values(tables: dict[tuple, tuple], sigma: TypeStrategy,
+                       cell: tuple) -> dict[str, float]:
+    """Expected utility of each own action of the type ``cell`` under the
+    cursed belief: the opponents' action profile averaged over the cell's
+    states and treated as independent of the state, or, for independent
+    tables, the product of each opponent's averaged marginal.  Profiles of
+    zero belief are skipped; the values are not normalized."""
+    independent, total, priors, weights, keys, actions, rows = tables[cell]
     # the opponents' strategies in each state of the cell
-    plays = [[sigma[(m, game.type_of(m, w))] for m in others] for w in cell]
+    plays = [[sigma[key] for key in ks] for ks in keys]
+    # plain loops: on Python 3.11, ``+=`` adds in the order and precision of ``sum``
     if independent:
-        marg = [{a: sum(prior[w] * play[n][a] for w, play in zip(cell, plays)) / total
-                 for a in game.actions[m]} for n, m in enumerate(others)]
-    beliefs = []
-    for combo in itertools.product(*(game.actions[m] for m in others)):
-        if independent:
-            bp = math.prod(mg[a] for mg, a in zip(marg, combo))
-        else:
-            bp = sum(math.prod((d[a] for d, a in zip(play, combo)), start=prior[w])
-                     for w, play in zip(cell, plays)) / total
-        if bp != 0.0:
-            beliefs.append((combo, bp))
-    return {a: sum(prior[w] / total * bp * game.payoffs[(w, combo[:i] + (a,) + combo[i:])][i]
-                   for w in cell for combo, bp in beliefs)
-            for a in game.actions[player]}
+        marg = []
+        for n, acts in enumerate(actions):
+            mg = {}
+            for a in acts:
+                s = 0
+                for pw, play in zip(priors, plays):
+                    s += pw * play[n][a]
+                mg[a] = s / total
+            marg.append(mg)
+        bps = _joint(1, marg, actions)
+    else:
+        bps = [sum(col) / total for col in
+               zip(*[_joint(pw, play, actions) for pw, play in zip(priors, plays)])]
+    beliefs = [(j, bp) for j, bp in enumerate(bps) if bp != 0.0]
+    out = {}
+    for a, row in rows.items():
+        v = 0
+        for wt, pay in zip(weights, row):
+            for j, bp in beliefs:
+                v += wt * bp * pay[j]
+        out[a] = v
+    return out
 
 
 def _solve_static(game: BayesianGame, config: SolverConfig, independent: bool,
@@ -96,10 +131,10 @@ def _solve_static(game: BayesianGame, config: SolverConfig, independent: bool,
     cells = sorted((pl, k) for pl in game.players
                    for k in range(len(game.types[pl])))
     free = [c for c in cells if c not in frozen]
+    tables = value_tables(game, independent)
 
     def q_limit(sigma, owners):
-        return {c: type_action_values(game, sigma, c[0], c[1], independent)
-                for c in owners}, True, None
+        return {c: type_action_values(tables, sigma, c) for c in owners}, True, None
 
     sigma, _, _, _ = _homotopy(
         concept, config, cells, lambda c: game.actions[c[0]], frozen, free,
@@ -202,8 +237,10 @@ def crosscheck_equivalence(game: BayesianGame,
                 gap = max(gap, abs(p - tdist[a]))
 
     # each side certified by the other's optimality conditions
+    tables = value_tables(game, True)
+
     def passes_ice(sigma):
-        q = {c: type_action_values(game, sigma, c[0], c[1], True) for c in sigma}
+        q = {c: type_action_values(tables, sigma, c) for c in sigma}
         return all(g <= 1e-6 for g in support_gaps(q, sigma).values())
 
     sce_of_ice_ok, _, _ = sce_witness_check(tree, partition,

@@ -33,17 +33,6 @@ class Conjecture:
     owner: str
     dists: dict[str, dict[str, float]]
 
-    def copy(self) -> "Conjecture":
-        return Conjecture(self.owner, {i: dict(d) for i, d in self.dists.items()})
-
-    def distance(self, other: "Conjecture") -> float:
-        gaps = [1.0 for i in self.dists if i not in other.dists]
-        gaps += [1.0 for i in other.dists if i not in self.dists]
-        gaps += [abs(p - other.dists[i][a])
-                 for i, d in self.dists.items() if i in other.dists
-                 for a, p in d.items()]
-        return max(gaps, default=0.0)
-
 
 ConjectureSystem = dict  # owner info-set id -> Conjecture
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .tree import BehaviorProfile, GameBuilder, GameError, GameTree
+from .tree import GameBuilder, GameError, GameTree
 
 
 @dataclass(frozen=True)
@@ -57,32 +57,6 @@ def bundled_game(name: str) -> GameTree:
     """A bundled game, parsed from its document, by short name."""
     from .gamefile import parse_game
     return parse_game(bundled_game_text(name))
-
-
-def running_profile_y() -> BehaviorProfile:
-    """Running example, depicted profile: 1 plays y; 2 plays l, l, r."""
-    return BehaviorProfile({
-        "1:I": {"x": 0.0, "y": 1.0},
-        "2:w1": {"l": 1.0, "r": 0.0},
-        "2:w2y": {"l": 1.0, "r": 0.0},
-        "2:w3y": {"l": 0.0, "r": 1.0},
-    })
-
-
-def running_profile_x() -> BehaviorProfile:
-    """Same as the depicted profile except player 1 keeps the move (x)."""
-    p = running_profile_y()
-    p.dists["1:I"] = {"x": 1.0, "y": 0.0}
-    return p
-
-
-def pennies_profile_b() -> BehaviorProfile:
-    """Pennies onlooker: both pennies players mix evenly; the onlooker picks b."""
-    return BehaviorProfile({
-        "I1": {"H": 0.5, "T": 0.5},
-        "I2": {"h": 0.5, "t": 0.5},
-        "I3": {"a": 0.0, "b": 1.0},
-    })
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,6 @@ class CoarsePartition:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def cell_node_sets(self) -> set[frozenset[str]]:
-        return {frozenset(nodes) for nodes in self.cells.values()}
-
 
 def _freeze(groups, tree):
     """Canonical cell ids: lexicographically smallest member node."""

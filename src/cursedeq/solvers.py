@@ -5,15 +5,16 @@ whose stages are approximate fixed points of the floor-constrained cursed
 best-response map, found by damped simultaneous iteration from the uniform
 start.  The schedule is fixed: floors from ``EPS_START`` halved
 (``EPS_DECAY``) down to ``EPS_FLOOR``, each stage at most ``MAX_ITERS``
-steps of weight ``DAMPING`` that stop within ``FP_TOL``, and ties are
-within ``bestresponse.TIE_TOL``; ``SolverConfig`` sets only the verdict's
-tolerance ``gap_tol`` and the seed that labels the result.  After every
-stage the solver strips the floor-level mass from the stage's last iterate
-(nothing is averaged), roots the exact indifference conditions of the limit
-values on the remaining support once with a Newton-type root finder, and
-certifies local best responses under the limit conjectures; it returns at
-the first stage whose candidate passes, and otherwise tries support
-enumeration once.  A result depends on the game alone.
+steps of weight ``DAMPING`` that stop within ``FP_TOL`` or skip to the end
+of an exact cycle, and ties are within ``bestresponse.TIE_TOL``;
+``SolverConfig`` sets only the verdict's tolerance ``gap_tol`` and the seed
+that labels the result.  After every stage the solver strips the
+floor-level mass from the stage's last iterate (nothing is averaged), roots
+the exact indifference conditions of the limit values on the remaining
+support once with a Newton-type root finder, and certifies local best
+responses under the limit conjectures; it returns at the first stage whose
+candidate passes, and otherwise tries support enumeration once.  A result
+depends on the game alone.
 
 The driver reads two oracles: a stage oracle gives the action values at a
 floor, and a limit oracle gives the limit values with a soundness flag and a
@@ -216,7 +217,9 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
     Every floor stage ends with a verdict on its last iterate (nothing is
     averaged): stripped of its mass at or below ``max(5 EPS_FLOOR, 2 eps)``,
     polished and judged; the first candidate that passes is returned.  When
-    none does, support enumeration is tried once.
+    none does, support enumeration is tried once.  A step reads only the
+    iterate and ``eps``, so a stage whose iterate repeats exactly ends where
+    its cycle is at step ``MAX_ITERS``.
 
     Returns ``(dists, gaps, payload, iterations)``.
     """
@@ -243,7 +246,14 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
         dists = {k: {a: eps + (1.0 - eps * len(d)) * p
                      for a, p in frozen.get(k, d).items()}
                  for k, d in dists.items()}
-        for _ in range(MAX_ITERS):
+        trail, seen = [], {}
+        for n in range(MAX_ITERS):
+            i = seen.setdefault(tuple(p for d in dists.values() for p in d.values()), n)
+            if i < n:  # steps i..n-1 cycle, and each failed the residual test
+                iterations += MAX_ITERS - n
+                dists = trail[i + (MAX_ITERS - i) % (n - i)]
+                break
+            trail.append(dists)
             iterations += 1
             target = _stage_step(dists, q_stage(dists, eps), free, frozen, actions_of, eps)
             resid = max((abs(p - target[k][a]) for k, d in dists.items()

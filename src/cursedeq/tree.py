@@ -393,19 +393,6 @@ class BehaviorProfile:
     def is_fully_mixed(self) -> bool:
         return all(p > 0 for d in self.dists.values() for p in d.values())
 
-    def mix(self, other: "BehaviorProfile", weight: float) -> "BehaviorProfile":
-        """(1 - weight) * self + weight * other, entrywise."""
-        d = {}
-        for iid, dist in self.dists.items():
-            o = other.dists[iid]
-            d[iid] = {a: (1 - weight) * p + weight * o[a] for a, p in dist.items()}
-        return BehaviorProfile(d)
-
-    def distance(self, other: "BehaviorProfile") -> float:
-        return max((abs(p - other.dists[i][a])
-                    for i, d in self.dists.items() for a, p in d.items()),
-                   default=0.0)
-
 
 @dataclass(frozen=True)
 class OutcomeMeasure:

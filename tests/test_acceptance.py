@@ -11,7 +11,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from cursedeq import games
 from cursedeq.bayesian import crosscheck_equivalence, random_bayesian_game, solve_ice
 from cursedeq.bestresponse import local_best_response_value
 from cursedeq.conjectures import check_cursed_plausible, limit_conjecture_system
@@ -19,6 +18,7 @@ from cursedeq.partition import coarsest_valid_partition
 from cursedeq.solvers import (NonConvergenceError, SolverConfig, check_wpce,
                               sce_witness_check, solve_sce)
 from cursedeq.tree import BehaviorProfile, outcome_measure
+from helpers import pennies_profile_b, running_profile_y
 from randgames import random_game, random_profile
 
 
@@ -36,7 +36,7 @@ def criterion(number, description):
 
 
 def cells_of(part):
-    return part.cell_node_sets()
+    return {frozenset(nodes) for nodes in part.cells.values()}
 
 
 def test_criterion_1_coarse_partitions(paper):
@@ -65,7 +65,7 @@ def test_criterion_1_coarse_partitions(paper):
 def test_criterion_2_conjecture_goldens(paper):
     with criterion(2, "conjecture goldens at 1e-6"):
         tree, part = paper["running-example"]
-        prof = games.running_profile_y()
+        prof = running_profile_y()
         system, diag = limit_conjecture_system(tree, part, prof)
         assert diag.ok
         conj = system["1:I"]
@@ -133,7 +133,7 @@ def test_criterion_3_sce_outcomes(paper):
 
         # (e) onlooker profile is an SCE, flagged under the Bayesian weight
         tree, part = paper["pennies-onlooker"]
-        prof = games.pennies_profile_b()
+        prof = pennies_profile_b()
         t0 = time.time()
         ok, gaps, _ = sce_witness_check(tree, part, prof)
         assert ok, gaps

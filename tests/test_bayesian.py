@@ -1,14 +1,23 @@
+import itertools
+import json
+import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cursedeq import solvers
 from cursedeq.bayesian import (BayesianGame, crosscheck_equivalence, embed_bayesian,
                                random_bayesian_game, solve_ce, solve_ice,
-                               trading_bayesian, type_action_values,
+                               trading_bayesian, type_action_values, value_tables,
                                voting_bayesian, voting_computer_freeze)
 from cursedeq.partition import coarsest_valid_partition
 from cursedeq.solvers import SolverConfig
 from cursedeq.tree import validate_game
+
+PINNED = Path(__file__).parent / "data" / "pinned_outputs.json"
 
 
 def test_trading_table_unique_ce():
@@ -23,7 +32,7 @@ def test_trading_table_unique_ce():
 def test_accepting_type_value():
     g = trading_bayesian()
     ce = solve_ce(g, SolverConfig(seed=3))
-    q = type_action_values(g, ce, "2", 1, False)
+    q = type_action_values(value_tables(g, False), ce, ("2", 1))
     assert q["a"] == pytest.approx(0.5)  # -1 and 3, each with conditional weight 1/4
     assert q["d"] == pytest.approx(0.0)
 
@@ -142,3 +151,66 @@ def test_frozen_players_stay_frozen():
     ce = solve_ce(g, SolverConfig(seed=0), frozen=frozen)
     assert ce[("c1", 1)]["b"] == pytest.approx(0.25)
     assert ce[("c2", 0)]["r"] == pytest.approx(1.0)
+
+
+def reference_type_action_values(game, sigma, player, tix, independent):
+    """The values as computed before the per-solve tables: every type cell,
+    opponent key and payoff looked up again on each call."""
+    cell = game.types[player][tix]
+    prior = game.prior
+    total = sum(prior[w] for w in cell)
+    i = game.players.index(player)
+    others = game.players[:i] + game.players[i + 1:]
+    plays = [[sigma[(m, game.type_of(m, w))] for m in others] for w in cell]
+    if independent:
+        marg = [{a: sum(prior[w] * play[n][a] for w, play in zip(cell, plays)) / total
+                 for a in game.actions[m]} for n, m in enumerate(others)]
+    beliefs = []
+    for combo in itertools.product(*(game.actions[m] for m in others)):
+        if independent:
+            bp = math.prod(mg[a] for mg, a in zip(marg, combo))
+        else:
+            bp = sum(math.prod((d[a] for d, a in zip(play, combo)), start=prior[w])
+                     for w, play in zip(cell, plays)) / total
+        if bp != 0.0:
+            beliefs.append((combo, bp))
+    return {a: sum(prior[w] / total * bp * game.payoffs[(w, combo[:i] + (a,) + combo[i:])][i]
+                   for w in cell for combo, bp in beliefs)
+            for a in game.actions[player]}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(2, 3), st.integers(2, 4),
+       st.data())
+def test_value_tables_match_the_reference_bit_for_bit(seed, n_players, n_actions, n_states,
+                                                       data):
+    """Table-based values equal the reference exactly, for strategies whose
+    exact zeros leave profiles of zero belief to skip."""
+    game = random_bayesian_game(random.Random(seed), n_states, n_actions, n_players)
+    weights = st.lists(st.integers(0, 3), min_size=n_actions, max_size=n_actions).filter(any)
+    sigma = {}
+    for pl in game.players:
+        for k in range(len(game.types[pl])):
+            w = data.draw(weights)
+            sigma[(pl, k)] = {a: x / sum(w) for a, x in zip(game.actions[pl], w)}
+    for independent in (False, True):
+        tables = value_tables(game, independent)
+        for pl, k in sigma:
+            got = type_action_values(tables, sigma, (pl, k))
+            want = reference_type_action_values(game, sigma, pl, k, independent)
+            assert got == want
+            assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("solve, key", [(solve_ce, "ce:121:2"), (solve_ice, "ice:121:2")],
+                         ids=["ce", "ice"])
+def test_game_121_stages_stop_at_exact_cycles(monkeypatch, solve, key):
+    """Every floor stage of game 121 cycles exactly; a stage stops at its
+    first repeated iterate, so the 25 stages run at most 1,600 steps (2,000
+    without the skip), and the result keeps its pinned bytes."""
+    calls = []
+    step = solvers._stage_step
+    monkeypatch.setattr(solvers, "_stage_step", lambda *a: calls.append(a) or step(*a))
+    sigma = solve(random_bayesian_game(random.Random(121)), SolverConfig())
+    assert repr(sigma) == json.loads(PINNED.read_text(encoding="utf-8"))[key]
+    assert len(calls) <= 1600

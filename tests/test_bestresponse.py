@@ -5,6 +5,7 @@ from cursedeq.bestresponse import (check_local_best_response, local_best_respons
                                    support_gaps)
 from cursedeq.conjectures import limit_conjecture_system
 from cursedeq.tree import BehaviorProfile, GameBuilder
+from helpers import running_profile_x, running_profile_y
 
 
 def limit_system(tree, part, prof):
@@ -14,7 +15,7 @@ def limit_system(tree, part, prof):
 
 def test_running_value_four_thirds(paper):
     tree, part = paper["running-example"]
-    prof = games.running_profile_y()
+    prof = running_profile_y()
     conj = limit_system(tree, part, prof)["1:I"]
     value, optimal, plan = local_best_response_value(tree, part, conj)
     assert value == pytest.approx(4 / 3, abs=1e-9)
@@ -49,7 +50,7 @@ def test_single_action_owner():
 
 def test_check_local_best_response_wpce(paper):
     tree, part = paper["running-example"]
-    prof = games.running_profile_x()
+    prof = running_profile_x()
     system = limit_system(tree, part, prof)
     # far-fetched but plausible conjecture: 2 plays l surely
     system["1:I"].dists["2:w2y"] = {"l": 1.0, "r": 0.0}

@@ -6,6 +6,7 @@ from cursedeq import games
 from cursedeq.conjectures import (belief, check_cursed_plausible, compatible,
                                   cursed_conjecture, limit_conjecture_system)
 from cursedeq.tree import BehaviorProfile
+from helpers import copy_conjecture, mix, pennies_profile_b, running_profile_x, running_profile_y
 from randgames import random_game, random_profile
 
 
@@ -20,9 +21,9 @@ def test_compatible(paper):
 
 def test_cursed_conjecture_running(paper):
     tree, part = paper["running-example"]
-    prof = games.running_profile_y()
+    prof = running_profile_y()
     uni = BehaviorProfile.uniform(tree)
-    trembled = prof.mix(uni, 1e-6)
+    trembled = mix(prof, uni, 1e-6)
     conj = cursed_conjecture(tree, part, trembled, "1:I")
     nat = conj.dists["is:r"]
     assert nat["w1"] == pytest.approx(0.0, abs=1e-5)
@@ -41,7 +42,7 @@ def test_cursed_conjecture_simultaneous_trading():
     part = coarsest_valid_partition(tree)
     prof = BehaviorProfile.pure(tree, {"1:lo": "a", "1:hi": "d",
                                        "2:t2": "d", "2:t2p": "d"})
-    trembled = prof.mix(BehaviorProfile.uniform(tree), 1e-7)
+    trembled = mix(prof, BehaviorProfile.uniform(tree), 1e-7)
     conj = cursed_conjecture(tree, part, trembled, "2:t2p")
     nat = conj.dists["is:r"]
     assert nat["w2"] == pytest.approx(0.5, abs=1e-5)
@@ -53,8 +54,8 @@ def test_cursed_conjecture_simultaneous_trading():
 
 def test_cursed_conjecture_pennies(paper):
     tree, part = paper["pennies-onlooker"]
-    prof = games.pennies_profile_b()
-    trembled = prof.mix(BehaviorProfile.uniform(tree), 1e-7)
+    prof = pennies_profile_b()
+    trembled = mix(prof, BehaviorProfile.uniform(tree), 1e-7)
     conj = cursed_conjecture(tree, part, trembled, "I3")
     assert conj.dists["I1"]["T"] == pytest.approx(2 / 3, abs=1e-5)
     assert conj.dists["I2"]["t"] == pytest.approx(2 / 3, abs=1e-5)
@@ -62,14 +63,14 @@ def test_cursed_conjecture_pennies(paper):
 
 def test_check_cursed_plausible_pass_and_fail(paper):
     tree, part = paper["running-example"]
-    prof = games.running_profile_y()
+    prof = running_profile_y()
     system, diag = limit_conjecture_system(tree, part, prof)
     assert diag.ok
     report = check_cursed_plausible(tree, part, prof, system)
     assert report.ok, str(report)
 
     # non-coarse opponent conjecture trips clause 3
-    broken = {k: c.copy() for k, c in system.items()}
+    broken = {k: copy_conjecture(c) for k, c in system.items()}
     broken["1:I"].dists["2:w2y"] = {"l": 1.0, "r": 0.0}
     report = check_cursed_plausible(tree, part, prof, broken)
     assert not report.ok
@@ -78,7 +79,7 @@ def test_check_cursed_plausible_pass_and_fail(paper):
 
 def test_plausibility_zero_probability_clause_vacuous(paper):
     tree, part = paper["running-example"]
-    prof = games.running_profile_x()
+    prof = running_profile_x()
     system, _ = limit_conjecture_system(tree, part, prof)
     # overriding with the far-fetched conjecture (2 plays l surely) is still
     # cursed-plausible because the joint event has probability zero
@@ -118,7 +119,7 @@ def test_clause_two_checks_a_set_outside_the_owner_region(paper):
     sets 1:I does reach, so an override there must match that cell's
     frequency."""
     tree, part = paper["running-example"]
-    prof = games.running_profile_y()
+    prof = running_profile_y()
     system, _ = limit_conjecture_system(tree, part, prof)
     assert "2:w1" not in system["1:I"].dists
     system["1:I"].dists["2:w1"] = {"l": 1.0, "r": 0.0}
@@ -128,7 +129,7 @@ def test_clause_two_checks_a_set_outside_the_owner_region(paper):
 
 def test_belief_running(paper):
     tree, part = paper["running-example"]
-    prof = games.running_profile_y()
+    prof = running_profile_y()
     system, _ = limit_conjecture_system(tree, part, prof)
     b = belief(tree, system["1:I"])
     assert b.probs["w2"] == pytest.approx(1 / 3, abs=1e-9)
@@ -165,7 +166,7 @@ def test_limit_of_fully_mixed_profile_is_its_conjecture(paper):
     prof = BehaviorProfile.uniform(tree)
     system, diag = limit_conjecture_system(tree, part, prof)
     direct = cursed_conjecture(tree, part, prof, "1:I")
-    assert system["1:I"].distance(direct) == 0.0
+    assert system["1:I"].dists == direct.dists
     assert diag.ok
 
 

@@ -6,6 +6,7 @@ from cursedeq.gamefile import (ParseError, format_number, parse_assessment,
                                parse_profile_lines, serialize_game, serialize_profile)
 from cursedeq.games import bundled_game_text
 from cursedeq.tree import validate_game
+from helpers import distance, running_profile_y
 
 
 def test_round_trip_all_bundled_games():
@@ -51,11 +52,11 @@ def test_fraction_and_decimal_numbers():
 
 def test_profile_round_trip(paper):
     tree, _ = paper["sequential-trading"]
-    prof = games.running_profile_y()
+    prof = running_profile_y()
     tree3, _ = paper["running-example"]
     text = serialize_profile(prof)
     again = parse_profile_lines(text.split("\n"), tree3)
-    assert prof.distance(again) < 1e-12
+    assert distance(prof, again) < 1e-12
 
 
 def test_assessment_with_overrides(paper):

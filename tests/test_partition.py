@@ -7,7 +7,7 @@ from randgames import random_game
 
 
 def cells_of(part):
-    return part.cell_node_sets()
+    return {frozenset(nodes) for nodes in part.cells.values()}
 
 
 def test_sequential_trading_cells(paper):

@@ -16,6 +16,7 @@ from cursedeq.partition import _freeze, coarsest_valid_partition, is_coarse
 from cursedeq.tree import (BehaviorProfile, UncoveredInfoSetError, ZeroProbabilityError,
                            n_predecessor, node_reach, outcome_measure, reach_below,
                            reach_probability)
+from helpers import copy_conjecture, running_profile_y
 from randgames import random_game, random_profile
 
 
@@ -390,7 +391,7 @@ def perturbed(rng, tree, system, tol):
     the tree (inside the owner's region or not): a random distribution, a
     point mass, or the entry with mass ``tol / 2`` or ``3 tol`` moved
     between two actions."""
-    out = {o: c.copy() for o, c in system.items()}
+    out = {o: copy_conjecture(c) for o, c in system.items()}
     for _ in range(rng.randrange(4) if out else 0):
         conj = out[rng.choice(sorted(out))]
         iid = rng.choice(sorted(tree.info_sets))
@@ -440,7 +441,7 @@ def test_plausibility_matches_clause_by_clause_reference(seed):
 def test_plausibility_matches_reference_on_an_override_outside_the_region():
     tree = games.bundled_game("running-example")
     part = coarsest_valid_partition(tree)
-    prof = games.running_profile_y()
+    prof = running_profile_y()
     system, _ = limit_conjecture_system(tree, part, prof)
     system["1:I"].dists["2:w1"] = {"l": 1.0, "r": 0.0}
     report = check_cursed_plausible(tree, part, prof, system)

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from cursedeq import games
+from cursedeq import games, solvers
 from cursedeq.bestresponse import local_best_response_value
 from cursedeq.partition import coarsest_valid_partition
 from cursedeq.solvers import (NonConvergenceError, SolverConfig, check_wpce,
                               epsilon_best_response, sce_witness_check, solve_causal_sce,
                               solve_chi_sce, solve_sce, solve_wpce)
 from cursedeq.tree import BehaviorProfile, GameError, outcome_measure
+from helpers import distance, pennies_profile_b
 from randgames import random_game
 
 
@@ -60,7 +61,7 @@ def test_sce_mixing_example(paper):
 
 def test_pennies_witness_and_chi_zero(paper):
     tree, part = paper["pennies-onlooker"]
-    prof = games.pennies_profile_b()
+    prof = pennies_profile_b()
     ok, gaps, conjs = sce_witness_check(tree, part, prof)
     assert ok, gaps
     conj = conjs["I3"]
@@ -83,7 +84,7 @@ def test_chi_one_matches_sce(paper):
     tree, part = paper["sequential-trading"]
     a = solve_sce(tree, part, SolverConfig(seed=5))
     b = solve_chi_sce(tree, part, 1.0, SolverConfig(seed=5))
-    assert a.profile.distance(b.profile) < 1e-9
+    assert distance(a.profile, b.profile) < 1e-9
 
 
 def test_chi_interval_on_trading_table(paper):
@@ -331,6 +332,19 @@ def test_random_game_20048_solves_to_a_mixed_sce():
     assert any(0.0 < p < 1.0 for d in res.profile.dists.values() for p in d.values())
     assert check_wpce(tree, part, res.profile, res.conjectures, tol=1e-6).ok
     assert sce_witness_check(tree, part, res.profile)[0]
+
+
+def test_random_game_20048_stages_stop_at_exact_cycles(monkeypatch):
+    """A stage step reads only the iterate and the floor, so a stage whose
+    iterate repeats exactly skips its remaining steps: the reported count
+    stays 133, over fewer calls of the stage step."""
+    calls = []
+    step = solvers._stage_step
+    monkeypatch.setattr(solvers, "_stage_step", lambda *a: calls.append(a) or step(*a))
+    tree = random_game(random.Random(20048), 30)
+    res = solve_sce(tree, coarsest_valid_partition(tree), SolverConfig(seed=48))
+    assert res.iterations == 133
+    assert len(calls) < 133
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])

@@ -4,6 +4,7 @@ from cursedeq import games
 from cursedeq.tree import (BehaviorProfile, GameBuilder, GameError, ZeroProbabilityError,
                            continuation_utility, expected_utility, n_predecessor,
                            outcome_measure, reach_probability, validate_game)
+from helpers import running_profile_y
 
 
 def seq_profile(a_lo="a", a_hi="d", two_w1="d", two_hi="d"):
@@ -74,7 +75,7 @@ def test_n_predecessor_club(paper):
 
 def test_reach_probability_running(paper):
     tree, _ = paper["running-example"]
-    prof = games.running_profile_y()
+    prof = running_profile_y()
     assert reach_probability(tree, prof, ["w2", "w3"]) == pytest.approx(0.6)
     assert reach_probability(tree, prof, ["r"]) == pytest.approx(1.0)
     assert reach_probability(tree, prof, ["w2yl"]) == pytest.approx(0.2)
@@ -82,7 +83,7 @@ def test_reach_probability_running(paper):
 
 def test_conditional_reach_and_zero_event(paper):
     tree, _ = paper["running-example"]
-    prof = games.running_profile_y()
+    prof = running_profile_y()
     # conditional on player 1's set, the w2 branch carries 1/3 of the mass
     p = reach_probability(tree, prof, ["w2"], given=["w2", "w3"])
     assert p == pytest.approx(1 / 3)
