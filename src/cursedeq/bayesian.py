@@ -7,14 +7,19 @@ treated as independent of the state; independently cursed players also
 treat opponents' actions as independent of each other.  The two coincide
 for two players, and both coincide with the sequential concepts on this
 class, which the crosscheck verifies numerically on the tree embedding.
-Each solve builds its value tables once, and every sweep reads them.
+Each solve builds per type, once, the payoff rows averaged over the type's
+states, and every sweep reads them; with two players a type's values are
+linear in the opponent's strategy, so a support roots by one linear solve.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bestresponse import support_gaps
 from .partition import coarsest_valid_partition
@@ -59,22 +64,24 @@ TypeStrategy = dict  # (player, type index) -> action distribution
 
 def value_tables(game: BayesianGame, independent: bool) -> dict[tuple, tuple]:
     """The table of every type cell, built once per solve: the flag
-    ``independent``, the cell's prior mass, per state its prior, its share
-    of that mass and the opponents' strategy keys, per opponent its actions,
-    and per own action the payoff in each state of each opponent profile (in
-    product order)."""
+    ``independent``; the cell's states grouped by the opponents' strategy
+    keys, each group with its posterior mass; per opponent its actions; and
+    per own action the type-averaged row ``R[a][j] = sum_w post(w) u(w, a, j)``
+    over the opponents' profiles j (in product order)."""
     tables = {}
     for i, pl in enumerate(game.players):
         others = game.players[:i] + game.players[i + 1:]
         actions = [game.actions[m] for m in others]
         combos = list(itertools.product(*actions))
         for k, cell in enumerate(game.types[pl]):
-            total = sum(game.prior[w] for w in cell)
+            total, groups = sum(game.prior[w] for w in cell), {}
+            for w in cell:
+                keys = tuple((m, game.type_of(m, w)) for m in others)
+                groups[keys] = groups.get(keys, 0.0) + game.prior[w] / total
             tables[(pl, k)] = (
-                independent, total, [game.prior[w] for w in cell],
-                [game.prior[w] / total for w in cell],
-                [[(m, game.type_of(m, w)) for m in others] for w in cell], actions,
-                {a: [[game.payoffs[(w, c[:i] + (a,) + c[i:])][i] for c in combos] for w in cell]
+                independent, [(p, keys) for keys, p in groups.items()], actions,
+                {a: [sum(game.prior[w] / total * game.payoffs[(w, c[:i] + (a,) + c[i:])][i]
+                         for w in cell) for c in combos]
                  for a in game.actions[pl]})
     return tables
 
@@ -90,37 +97,46 @@ def _joint(start, dists, actions):
 def type_action_values(tables: dict[tuple, tuple], sigma: TypeStrategy,
                        cell: tuple) -> dict[str, float]:
     """Expected utility of each own action of the type ``cell`` under the
-    cursed belief: the opponents' action profile averaged over the cell's
-    states and treated as independent of the state, or, for independent
-    tables, the product of each opponent's averaged marginal.  Profiles of
-    zero belief are skipped; the values are not normalized."""
-    independent, total, priors, weights, keys, actions, rows = tables[cell]
-    # the opponents' strategies in each state of the cell
-    plays = [[sigma[key] for key in ks] for ks in keys]
-    # plain loops: on Python 3.11, ``+=`` adds in the order and precision of ``sum``
+    cursed belief ``bp``: the opponents' action profile averaged over the
+    cell's states and treated as independent of the state, or, for
+    independent tables, the product of each opponent's averaged marginal.
+    Each value is ``q(a) = sum_j bp[j] R[a][j]`` on the averaged rows."""
+    independent, groups, actions, rows = tables[cell]
     if independent:
-        marg = []
-        for n, acts in enumerate(actions):
-            mg = {}
-            for a in acts:
-                s = 0
-                for pw, play in zip(priors, plays):
-                    s += pw * play[n][a]
-                mg[a] = s / total
-            marg.append(mg)
-        bps = _joint(1, marg, actions)
+        bps = _joint(1.0, [{a: sum(p * sigma[keys[n]][a] for p, keys in groups) for a in acts}
+                           for n, acts in enumerate(actions)], actions)
     else:
-        bps = [sum(col) / total for col in
-               zip(*[_joint(pw, play, actions) for pw, play in zip(priors, plays)])]
-    beliefs = [(j, bp) for j, bp in enumerate(bps) if bp != 0.0]
-    out = {}
-    for a, row in rows.items():
-        v = 0
-        for wt, pay in zip(weights, row):
-            for j, bp in beliefs:
-                v += wt * bp * pay[j]
-        out[a] = v
-    return out
+        bps = [sum(col) for col in zip(*[_joint(p, [sigma[key] for key in keys], actions)
+                                         for p, keys in groups])]
+    return {a: sum(map(operator.mul, bps, row)) for a, row in rows.items()}
+
+
+def _indifference_system(game: BayesianGame, tables: dict[tuple, tuple], frozen: dict):
+    """Two players: ``affine(base, supports)`` gives ``(M, c)``, the support's
+    indifference conditions ``M x + c = 0`` over ``solvers._fill``'s variables:
+    a key of ``supports`` plays its first action with the mass its other
+    actions leave (so a one-action support plays it surely), any other key
+    its strategy in ``frozen`` or ``base``."""
+    def affine(base, supports):
+        fixed, n = {**base, **frozen}, sum(len(sup) - 1 for _, sup in supports)
+        # each support key's strategy as a matrix on (x, 1)
+        unit, strat, j = np.eye(n + 1)[n], {}, 0
+        for k, sup in supports:
+            acts = game.actions[k[0]]
+            strat[k] = t = np.zeros((len(acts), n + 1))
+            t[acts.index(sup[0])] = unit
+            for b in sup[1:]:
+                t[acts.index(sup[0]), j], t[acts.index(b), j], j = -1.0, 1.0, j + 1
+        mc = []
+        for k, sup in supports:
+            _, groups, (acts,), rows = tables[k]
+            bp = sum(p * (strat[key] if key in strat else
+                          np.outer([fixed[key][a] for a in acts], unit)) for p, (key,) in groups)
+            mc += [np.subtract(rows[b], rows[sup[0]]) @ bp for b in sup[1:]]
+        mc = np.array(mc)
+        return mc[:, :n], mc[:, n]
+
+    return affine
 
 
 def _solve_static(game: BayesianGame, config: SolverConfig, independent: bool,
@@ -138,7 +154,8 @@ def _solve_static(game: BayesianGame, config: SolverConfig, independent: bool,
 
     sigma, _, _, _ = _homotopy(
         concept, config, cells, lambda c: game.actions[c[0]], frozen, free,
-        lambda sigma, eps: q_limit(sigma, free)[0], q_limit)
+        lambda sigma, eps: q_limit(sigma, free)[0], q_limit,
+        _indifference_system(game, tables, frozen) if len(game.players) == 2 else None)
     return sigma
 
 

@@ -3,18 +3,20 @@
 The driver follows the existence construction: a probability-floor homotopy
 whose stages are approximate fixed points of the floor-constrained cursed
 best-response map, found by damped simultaneous iteration from the uniform
-start.  The schedule is fixed: floors from ``EPS_START`` halved
-(``EPS_DECAY``) down to ``EPS_FLOOR``, each stage at most ``MAX_ITERS``
-steps of weight ``DAMPING`` that stop within ``FP_TOL`` or skip to the end
-of an exact cycle, and ties are within ``bestresponse.TIE_TOL``;
-``SolverConfig`` sets only the verdict's tolerance ``gap_tol`` and the seed
-that labels the result.  After every stage the solver strips the
-floor-level mass from the stage's last iterate (nothing is averaged), roots
-the exact indifference conditions of the limit values on the remaining
-support once with a Newton-type root finder, and certifies local best
-responses under the limit conjectures; it returns at the first stage whose
-candidate passes, and otherwise tries support enumeration once.  A result
-depends on the game alone.
+start on one flat list of floats.  The schedule is fixed: floors from
+``EPS_START`` halved (``EPS_DECAY``) down to ``EPS_FLOOR``, each stage at
+most ``MAX_ITERS`` steps of weight ``DAMPING`` that stop within ``FP_TOL``
+or skip to the end of an exact cycle, and ties are within
+``bestresponse.TIE_TOL``; a step writes a unique optimum's floor row, built
+once per stage.  ``SolverConfig`` sets only the verdict's tolerance
+``gap_tol`` and the seed that labels the result.  After every stage the
+solver strips the floor-level mass from the stage's last iterate (nothing is
+averaged), roots the exact indifference conditions of the limit values on
+the remaining support once (with a Newton-type root finder, or one linear
+solve for two-player static games), and certifies local best responses
+under the limit conjectures; it returns at the first stage whose candidate
+passes, and otherwise tries support enumeration once.  A result depends on
+the game alone.
 
 The driver reads two oracles: a stage oracle gives the action values at a
 floor, and a limit oracle gives the limit values with a soundness flag and a
@@ -37,12 +39,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import InitVar, dataclass
 
+import numpy as np
 from scipy import optimize
 
-from .bestresponse import (_floor_dist, check_local_best_response, optimal, respond,
-                           support_gaps)
+from .bestresponse import (TIE_TOL, _floor_dist, check_local_best_response, optimal,
+                           respond, support_gaps)
 from .conjectures import (check_cursed_plausible, cursed_conjecture, limit_diagnostics,
                           limit_dists)
 from .games import ComputerPlayerSet
@@ -101,7 +105,6 @@ class EquilibriumResult:
     profile: BehaviorProfile
     conjectures: dict
     gaps: dict[str, float]
-    converged: bool
     iterations: int
     seed: int
 
@@ -112,8 +115,7 @@ class EquilibriumResult:
     def to_text(self) -> str:
         """Canonical rendering; the same game gives the same bytes, apart from
         the ``seed`` line, which only labels the solve."""
-        lines = [f"concept {self.concept}", f"seed {self.seed}",
-                 f"converged {self.converged}", f"max_gap {self.max_gap!r}"]
+        lines = [f"concept {self.concept}", f"seed {self.seed}", f"max_gap {self.max_gap!r}"]
         for iid in sorted(self.profile.dists):
             entries = " ".join(f"{a}:{p!r}" for a, p in self.profile.dists[iid].items())
             lines.append(f"play {iid} {entries}")
@@ -202,7 +204,7 @@ class LimitOracle:
 # The homotopy driver, shared by the tree concepts and static CE/ICE
 # ---------------------------------------------------------------------------
 
-def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit):
+def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit, affine=None):
     """Floor homotopy over strategies ``{key: {action: probability}}``.
 
     ``keys`` lists every strategy key; ``frozen`` fixes the strategy at some
@@ -210,10 +212,11 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
     Two oracles give action values: the stage oracle ``q_stage(dists, eps)``
     per free key at a floor stage, and the limit oracle
     ``q_limit(dists, owners)`` gives ``(values, sound, payload)`` for the keys
-    ``owners``.  The polish and support enumeration read its values; a
-    candidate passes when ``sound`` holds and every free support is optimal
-    within ``gap_tol``.
+    ``owners``.  The polish and support enumeration root on its values (by
+    ``affine``'s linear system when given); a candidate passes when ``sound``
+    holds and every free support is optimal within ``gap_tol``.
 
+    A stage iterate is one flat list: each key's clamped strategy in order.
     Every floor stage ends with a verdict on its last iterate (nothing is
     averaged): stripped of its mass at or below ``max(5 EPS_FLOOR, 2 eps)``,
     polished and judged; the first candidate that passes is returned.  When
@@ -239,39 +242,46 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
             best_gap, best_gaps = worst, gaps
         return None, None
 
+    # each key's slice of the flat iterate, in the action order of its clamped strategy
+    acts_of = [tuple(frozen.get(k, actions_of(k))) for k in keys]
+    slots = [(k, acts, hi - len(acts), hi)
+             for k, acts, hi in zip(keys, acts_of, itertools.accumulate(map(len, acts_of)))]
     # the uniform start; the first clamp below sets the frozen strategies
-    dists = {k: dict.fromkeys(actions_of(k), 1.0 / len(actions_of(k))) for k in keys}
+    x = [1.0 / len(acts) for _, acts, _, _ in slots for _ in acts]
     for eps in _schedule(max_actions):
         # clamp into the eps-constrained simplex, frozen strategies included
-        dists = {k: {a: eps + (1.0 - eps * len(d)) * p
-                     for a, p in frozen.get(k, d).items()}
-                 for k, d in dists.items()}
+        fixed = {k: [eps + (1.0 - eps * len(d)) * p for p in d.values()]
+                 for k, d in frozen.items()}
+        x = [v for k, acts, lo, hi in slots for v in fixed.get(k) or
+             [eps + (1.0 - eps * len(acts)) * p for p in x[lo:hi]]]
+        # the floor row of each unique optimum: the excess on it, as _floor_dist gives it
+        rows = {(acts, a): [eps + (1.0 - eps * len(acts)) if b == a else eps for b in acts]
+                for acts in set(acts_of) for a in acts}
         trail, seen = [], {}
         for n in range(MAX_ITERS):
-            i = seen.setdefault(tuple(p for d in dists.values() for p in d.values()), n)
+            i = seen.setdefault(tuple(x), n)
             if i < n:  # steps i..n-1 cycle, and each failed the residual test
                 iterations += MAX_ITERS - n
-                dists = trail[i + (MAX_ITERS - i) % (n - i)]
+                x = trail[i + (MAX_ITERS - i) % (n - i)]
                 break
-            trail.append(dists)
+            trail.append(x)
             iterations += 1
-            target = _stage_step(dists, q_stage(dists, eps), free, frozen, actions_of, eps)
-            resid = max((abs(p - target[k][a]) for k, d in dists.items()
-                         for a, p in d.items()), default=0.0)
-            dists = {k: {a: (1 - DAMPING) * p + DAMPING * target[k][a]
-                         for a, p in d.items()}
-                     for k, d in dists.items()}
+            dists = {k: dict(zip(acts, x[lo:hi])) for k, acts, lo, hi in slots}
+            target = _stage_step(x, q_stage(dists, eps), slots, fixed, rows, eps)
+            resid = max(map(abs, map(operator.sub, x, target)), default=0.0)
+            x = [(1 - DAMPING) * p + DAMPING * t for p, t in zip(x, target)]
             if resid <= max(FP_TOL, eps * 1e-3):
                 break
         # strip floor-level mass and renormalize; a strategy the cut would
         # empty (uniform at a start floor 0.5/|A|) stays whole, frozen ones exact
         cut, candidate = max(5.0 * EPS_FLOOR, 2.0 * eps), {}
-        for k, d in dists.items():
+        for k, acts, lo, hi in slots:
+            d = dict(zip(acts, x[lo:hi]))
             kept = {a: p for a, p in d.items() if p > cut} or d
             total = sum(kept.values())
             candidate[k] = (dict(frozen[k]) if k in frozen
                             else {a: kept.get(a, 0.0) / total for a in d})
-        candidate = _polish(candidate, free, q_limit)
+        candidate = _polish(candidate, free, q_limit, affine)
         gaps, payload = judge(candidate)
         if gaps is not None:
             return candidate, gaps, payload, iterations
@@ -279,7 +289,7 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
     # last resort for stubborn cycles: enumerate supports outright
     found = enumerate_support_equilibrium(
         free, actions_of, lambda assignment: q_limit({**assignment, **frozen}, free)[0],
-        config.gap_tol)
+        config.gap_tol, affine)
     if found is not None:
         candidate = {k: dict(d) for k, d in found.items()}
         candidate.update((k, dict(d)) for k, d in frozen.items())
@@ -293,19 +303,25 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit)
     raise NonConvergenceError(f"{concept} solve failed ({detail})", best_gap, best_gaps)
 
 
-def _stage_step(dists, q, free, frozen, actions_of, eps):
-    """One element of the floor-constrained best-response map: each free key
-    floored onto its optimal actions under the values ``q`` (ties keep the
-    incumbent mixture), each frozen key clamped to the floor."""
-    out = dict(dists)
-    for k in free:
-        out[k] = _floor_dist(actions_of(k), q[k], eps, incumbent=dists[k])
-    for k, d in frozen.items():
-        out[k] = {a: eps + (1.0 - eps * len(d)) * p for a, p in d.items()}
-    return out
+def _stage_step(x, q, slots, fixed, rows, eps):
+    """One floor-constrained best response on the flat iterate ``x``: frozen
+    keys at their clamped rows ``fixed``, a free key's unique optimum under
+    ``q`` at its floor row in ``rows``, ties keeping the incumbent mixture."""
+    target = []
+    for k, acts, lo, hi in slots:
+        if k in fixed:
+            target += fixed[k]
+            continue
+        opt = optimal(q[k], TIE_TOL)
+        if len(opt) == 1:
+            target += rows[acts, opt[0]]
+        else:
+            d = _floor_dist(acts, q[k], eps, incumbent=dict(zip(acts, x[lo:hi])))
+            target += [d[a] for a in acts]
+    return target
 
 
-def _polish(dists, free, q_limit):
+def _polish(dists, free, q_limit, affine):
     """Support polish: root the exact indifference conditions of the limit
     values (from the limit oracle ``q_limit``) once, on the support of the
     stripped candidate ``dists``.  Returns the rooted strategy, or ``dists``
@@ -316,7 +332,7 @@ def _polish(dists, free, q_limit):
         return dists
     owners = [k for k, _ in mixing]
     x0 = [dists[k][a] for k, sup in mixing for a in sup[1:]]
-    trial = _root_support(dists, mixing, x0, lambda d: q_limit(d, owners)[0], 1e-7)
+    trial = _root_support(dists, mixing, x0, lambda d: q_limit(d, owners)[0], 1e-7, affine)
     return dists if trial is None else trial
 
 
@@ -325,50 +341,53 @@ def _fill(base, supports, x):
     and support) rebuilt from the support variables ``x``: each support
     action after the first takes the next variable, clipped to [0, 1], and
     the first takes the remaining mass."""
-    out = dict(base)
-    idx = 0
+    out, idx = dict(base), 0
     for k, sup in supports:
-        vals = []
-        for _ in sup[1:]:
-            vals.append(float(min(1.0, max(0.0, x[idx]))))
-            idx += 1
+        vals = [float(min(1.0, max(0.0, v))) for v in x[idx:idx + len(sup) - 1]]
+        idx += len(sup) - 1
         dist = dict.fromkeys(base[k], 0.0)
-        dist[sup[0]] = max(0.0, 1.0 - sum(vals))
-        for a, v in zip(sup[1:], vals):
-            dist[a] = v
+        dist.update(zip(sup, [max(0.0, 1.0 - sum(vals))] + vals))
         total = sum(dist.values())
         out[k] = {a: v / total for a, v in dist.items()}
     return out
 
 
-def _root_support(base, supports, x0, q_of, tol):
+def _root_support(base, supports, x0, q_of, tol, affine=None):
     """Root the indifference conditions of ``supports`` with a Newton-type
-    solver.  Returns the filled strategy, or None when the root leaves
-    [0, 1] or its residual exceeds ``tol``."""
+    solver (hybr), or, when ``affine(base, supports)`` gives them as ``(M, c)``
+    with ``M x + c = 0``, at ``x0 + lstsq(M, -(M x0 + c))``.  Returns the
+    filled strategy, or None when the root leaves [0, 1] or its residual
+    (through ``q_of``) exceeds ``tol``."""
     mixing = [(k, sup) for k, sup in supports if len(sup) > 1]
 
     def equations(x):
         q = q_of(_fill(base, supports, x))
         return [q[k][a] - q[k][sup[0]] for k, sup in mixing for a in sup[1:]]
 
-    sol = optimize.root(equations, x0, method="hybr", tol=1e-12)
-    if not all(-1e-9 <= v <= 1.0 + 1e-9 for v in sol.x):
+    if affine is None:
+        sol = optimize.root(equations, x0, method="hybr", tol=1e-12)
+        x, fun = sol.x, sol.fun
+    else:
+        m, c = affine(base, supports)
+        x, fun = np.add(x0, np.linalg.lstsq(m, -(m @ x0 + c), rcond=None)[0]), None
+    if not all(-1e-9 <= v <= 1.0 + 1e-9 for v in x):
         return None
-    if max((abs(v) for v in sol.fun), default=0.0) > tol:
+    if max((abs(v) for v in (equations(x) if fun is None else fun)), default=0.0) > tol:
         return None
-    return _fill(base, supports, sol.x)
+    return _fill(base, supports, x)
 
 
 ENUMERATION_BUDGET = 1000
 
 
-def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol):
+def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol, affine=None):
     """Deterministic support enumeration for small games.
 
     Tries support combinations smallest-first; mixing supports are solved by
-    rooting their indifference conditions, then every support must lie in
-    the optimal action set.  Returns an assignment dict or None when the
-    combination count exceeds ``ENUMERATION_BUDGET``.
+    rooting their indifference conditions (with ``affine``, see
+    :func:`_root_support`), then every support must lie in the optimal action
+    set.  Returns an assignment dict or None when the combination count
+    exceeds ``ENUMERATION_BUDGET``.
     """
     per_key = []
     for key in keys:
@@ -390,7 +409,7 @@ def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol):
         supports = list(zip(keys, combo))
         if any(len(s) > 1 for s in combo):
             x0 = [1.0 / len(sup) for sup in combo for _ in sup[1:]]
-            assignment = _root_support(base, supports, x0, q_fn, 1e-8)
+            assignment = _root_support(base, supports, x0, q_fn, 1e-8, affine)
             if assignment is None:
                 continue
         else:
@@ -421,8 +440,8 @@ def _solve(tree: GameTree, partition: CoarsePartition, config: SolverConfig,
     dists, gaps, conjs, iterations = _homotopy(
         concept, config, tree.player_info_sets(), lambda o: tree.info_sets[o].actions,
         frozen_dists, free, q_stage, q_limit)
-    return EquilibriumResult(concept, BehaviorProfile(dists), conjs, gaps, True,
-                             iterations, config.seed)
+    return EquilibriumResult(concept, BehaviorProfile(dists), conjs, gaps, iterations,
+                             config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +464,12 @@ def epsilon_best_response(tree: GameTree, partition: CoarsePartition,
         raise GameError("cursed conjecture requires a fully mixed profile")
     q = _values(tree, partition, profile, free, "sce", 1.0, eps,
                 lambda p, exact: p.full(tree))[0]
-    return BehaviorProfile(_stage_step(profile.copy().dists, q, free, frozen_dists,
-                                       lambda o: tree.info_sets[o].actions, eps))
+    out = profile.copy().dists
+    out.update((k, {a: eps + (1.0 - eps * len(d)) * p for a, p in d.items()})
+               for k, d in frozen_dists.items())
+    out.update((o, _floor_dist(tree.info_sets[o].actions, q[o], eps, incumbent=out[o]))
+               for o in free)
+    return BehaviorProfile(out)
 
 
 def solve_sce(tree: GameTree, partition: CoarsePartition,

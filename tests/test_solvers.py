@@ -26,7 +26,7 @@ def pure(dist, tol=1e-9):
 def test_sce_sequential_trading_no_trade(paper):
     tree, part = paper["sequential-trading"]
     res = solve_sce(tree, part, SolverConfig(seed=7))
-    assert res.converged
+    assert res.max_gap <= SolverConfig().gap_tol
     assert pure(res.profile.dists["2:hi"]) == "d"
     assert trade_probability(tree, res.profile) == pytest.approx(0.0, abs=1e-9)
 
@@ -188,9 +188,11 @@ def test_causal_stage_and_limit_walk_the_tree_once(paper, monkeypatch):
 
 
 def test_floor_stage_floors_each_owner_once(paper, monkeypatch):
-    """In a floor stage the homotopy floors each free owner's values once;
-    optimize_plan floors only the own sets strictly below its owner (G:2
-    below G:1 in the club game) and leaves the owner's plan until read."""
+    """In a floor stage step the homotopy floors each free owner's values
+    once (its optimal set taken once; ``_floor_dist`` only on a tie, for the
+    same values); optimize_plan floors only the own sets strictly below its
+    owner (G:2 below G:1 in the club game) and leaves the owner's plan until
+    read."""
     import cursedeq.bestresponse as br
     import cursedeq.solvers as sv
 
@@ -198,6 +200,7 @@ def test_floor_stage_floors_each_owner_once(paper, monkeypatch):
         pass
 
     real_floor, real_plan, real_values = br._floor_dist, br.optimize_plan, sv._values
+    real_optimal = sv.optimal
     events, owner_values = [], []
 
     def floored(where):
@@ -205,6 +208,10 @@ def test_floor_stage_floors_each_owner_once(paper, monkeypatch):
             events.append((where, values))
             return real_floor(actions, values, *args, **kwargs)
         return run
+
+    def optimal(values, tol):
+        events.append(("homotopy", values))
+        return real_optimal(values, tol)
 
     def plan(*args, **kwargs):
         res = real_plan(*args, **kwargs)
@@ -219,15 +226,19 @@ def test_floor_stage_floors_each_owner_once(paper, monkeypatch):
         return real_values(*args)
 
     monkeypatch.setattr(br, "_floor_dist", floored("plan"))
-    monkeypatch.setattr(sv, "_floor_dist", floored("homotopy"))
+    monkeypatch.setattr(sv, "_floor_dist", floored("tie"))
+    monkeypatch.setattr(sv, "optimal", optimal)
     monkeypatch.setattr(br, "optimize_plan", plan)
     monkeypatch.setattr(sv, "_values", stage)
     tree, part = paper["club-membership"]
     with pytest.raises(StageDone):
         solve_sce(tree, part, SolverConfig(seed=7))
-    where = [w for w, _ in events[events.index(("stage", None)) + 1:]]
+    step = events[events.index(("stage", None)) + 1:]
+    where = [w for w, _ in step]
     assert where.count("homotopy") == len(tree.player_info_sets()) == 4
     assert where.count("plan") == 1
+    homotopy = [v for w, v in step if w == "homotopy"]
+    assert all(any(v is h for h in homotopy) for w, v in step if w == "tie")
     assert not any(v is q for w, v in events if w == "plan" for q in owner_values)
     monkeypatch.undo()
     conj = sv.cursed_conjecture(tree, part, BehaviorProfile.uniform(tree), "G:1")
@@ -308,7 +319,7 @@ def test_wpce_check_and_solve(paper):
 def test_failed_limit_diagnostics_are_not_an_equilibrium(paper, failing_certification):
     """A limit system that reaches its owner set with probability zero fails
     the certification, so no candidate, whether from a start or from support
-    enumeration, may be reported as converged."""
+    enumeration, may be returned."""
     tree, part = paper["leader-follower"]
     with pytest.raises(NonConvergenceError, match="limit certification"):
         solve_sce(tree, part, SolverConfig())
@@ -409,7 +420,7 @@ def test_seeded_determinism(paper):
     b = solve_sce(tree, part, SolverConfig(seed=11))
     assert a.to_text() == b.to_text()
     c = solve_sce(tree, part, SolverConfig(seed=12))
-    assert c.converged
+    assert c.max_gap <= SolverConfig().gap_tol
 
     def unlabelled(res):
         return [line for line in res.to_text().splitlines() if not line.startswith("seed ")]
