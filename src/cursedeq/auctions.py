@@ -8,6 +8,7 @@ orderings, and the many-bidder winner's-payoff experiment.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,6 +146,13 @@ def _signal_cells(x, lo, hi, g):
     return cell
 
 
+def _highest_rival(signals: np.ndarray) -> np.ndarray:
+    """Each draw's highest signal among the rivals (columns 1 on), or 0 with
+    no rival; a maximum over columns, since one along short rows is slow."""
+    rivals = signals[:, 1:].T
+    return functools.reduce(np.maximum, rivals) if len(rivals) else np.zeros(len(signals))
+
+
 def estimate_conditionals(model: SignalModel, grid: np.ndarray,
                           oracle: OracleConfig, use_closed_forms: bool = True
                           ) -> ConditionalTables:
@@ -170,7 +178,7 @@ def estimate_conditionals(model: SignalModel, grid: np.ndarray,
     rng = np.random.Generator(np.random.PCG64(oracle.seed))
     values, signals = model.sample(rng, oracle.samples)
     x1 = signals[:, 0]
-    y1 = signals[:, 1:].max(axis=1) if model.bidders > 1 else np.zeros_like(x1)
+    y1 = _highest_rival(signals)
     cell = _signal_cells(x1, model.lo, model.hi, g)
 
     count = np.bincount(cell, minlength=g)

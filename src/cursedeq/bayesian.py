@@ -8,8 +8,10 @@ treat opponents' actions as independent of each other.  The two coincide
 for two players, and both coincide with the sequential concepts on this
 class, which the crosscheck verifies numerically on the tree embedding.
 Each solve builds per type, once, the payoff rows averaged over the type's
-states, and every sweep reads them; with two players a type's values are
-linear in the opponent's strategy, so a support roots by one linear solve.
+states, and every sweep reads them.  With two players a type's values are
+linear in the opponent's strategy: a floor stage reads them off the solver's
+flat iterate by one linear map built once per solve, and a support roots by
+one linear solve.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .bestresponse import support_gaps
 from .partition import coarsest_valid_partition
-from .solvers import SolverConfig, _homotopy, sce_witness_check, solve_sce
+from .solvers import SolverConfig, _dists, _homotopy, sce_witness_check, solve_sce
 from .tree import GameBuilder, GameError, GameTree
 
 
@@ -111,6 +113,32 @@ def type_action_values(tables: dict[tuple, tuple], sigma: TypeStrategy,
     return {a: sum(map(operator.mul, bps, row)) for a, row in rows.items()}
 
 
+def affine_values(tables: dict[tuple, tuple], slots, owners):
+    """Two players: the values of the keys ``owners`` as one linear map on a
+    flat strategy vector ``x`` laid out by ``slots`` (``(key, actions, lo,
+    hi)``, each key's probabilities at ``x[lo:hi]``).  An owner's entries are
+    its opponent keys' probabilities, one per state group and opponent
+    action j, with coefficients ``W[a][i] = post(w) R[a][j]`` (``post(w)``
+    the group's posterior mass), so ``q(a) = sum_i W[a][i] x[i]``.  Returns
+    ``values(x)``: one value list per owner, in its actions' order."""
+    where = {k: (acts, lo) for k, acts, lo, _ in slots}
+    maps = []
+    for k in owners:
+        _, groups, (opp,), rows = tables[k]
+        idx = [where[key][1] + where[key][0].index(b) for _, (key,) in groups for b in opp]
+        get = operator.itemgetter(*idx) if len(idx) > 1 else lambda x, i=idx[0]: (x[i],)
+        maps.append((get, [[p * r for p, _ in groups for r in row] for row in rows.values()]))
+
+    def values(x):
+        out = []
+        for get, w in maps:
+            xs = get(x)
+            out.append([sum(map(operator.mul, wa, xs)) for wa in w])
+        return out
+
+    return values
+
+
 def _indifference_system(game: BayesianGame, tables: dict[tuple, tuple], frozen: dict):
     """Two players: ``affine(base, supports)`` gives ``(M, c)``, the support's
     indifference conditions ``M x + c = 0`` over ``solvers._fill``'s variables:
@@ -142,20 +170,32 @@ def _indifference_system(game: BayesianGame, tables: dict[tuple, tuple], frozen:
 def _solve_static(game: BayesianGame, config: SolverConfig, independent: bool,
                   frozen: dict | None, concept: str) -> TypeStrategy:
     """CE/ICE on the shared homotopy driver: the type-wise action values
-    serve as stage and limit values alike, and every limit is sound."""
+    serve as stage and limit values alike, and every limit is sound.  With
+    two players a stage reads them off the flat iterate by
+    :func:`affine_values`, built once per solve."""
     frozen = frozen or {}
     cells = sorted((pl, k) for pl in game.players
                    for k in range(len(game.types[pl])))
-    free = [c for c in cells if c not in frozen]
+    free = [c for c in cells if c not in frozen]  # in slot order, as the stage returns values
     tables = value_tables(game, independent)
+    two = len(game.players) == 2
 
     def q_limit(sigma, owners):
         return {c: type_action_values(tables, sigma, c) for c in owners}, True, None
 
+    def q_stage(slots):
+        if two:
+            linear = affine_values(tables, slots, free)
+            return lambda x, eps: linear(x)
+
+        def values(x, eps):
+            sigma = _dists(x, slots)
+            return [list(type_action_values(tables, sigma, c).values()) for c in free]
+        return values
+
     sigma, _, _, _ = _homotopy(
-        concept, config, cells, lambda c: game.actions[c[0]], frozen, free,
-        lambda sigma, eps: q_limit(sigma, free)[0], q_limit,
-        _indifference_system(game, tables, frozen) if len(game.players) == 2 else None)
+        concept, config, cells, lambda c: game.actions[c[0]], frozen, free, q_stage, q_limit,
+        _indifference_system(game, tables, frozen) if two else None)
     return sigma
 
 

@@ -30,8 +30,8 @@ TIE_TOL = 1e-9
 
 def optimal(values: dict, tol: float) -> tuple:
     """The actions within ``tol`` of the best value, in the order of ``values``."""
-    best = max(values.values())
-    return tuple(a for a, v in values.items() if v >= best - tol)
+    best = max(values.values()) - tol
+    return tuple([a for a, v in values.items() if v >= best])
 
 
 def support_gaps(values: dict, dists: dict) -> dict:

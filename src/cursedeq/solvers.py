@@ -19,10 +19,11 @@ passes, and otherwise tries support enumeration once.  A result depends on
 the game alone.
 
 The driver reads two oracles: a stage oracle gives the action values at a
-floor, and a limit oracle gives the limit values with a soundness flag and a
-payload (the conjecture system) for the polish, support enumeration and the
-final test.  Which actions are optimal, and how far a strategy's support
-falls short, is decided by ``bestresponse.optimal`` and
+floor straight from the flat iterate (one value list per free key), and a
+limit oracle gives the limit values of strategy dicts with a soundness flag
+and a payload (the conjecture system) for the polish, support enumeration
+and the final test.  Which actions are optimal, and how far a strategy's
+support falls short, is decided by ``bestresponse.optimal`` and
 ``bestresponse.support_gaps`` alone.
 
 One function, :func:`_values`, gives the action values at a floor stage and
@@ -32,7 +33,9 @@ belief for chi-SCE; per forced action for causal SCE), and only the node
 reaches differ.  A stage walks float steps; the limit walks the leading
 terms of ``conjectures.limit_dists``, which take conjectures and
 beliefs along the tremble path (1 - t) sigma + t uniform exactly to t -> 0.
-The same driver solves static CE/ICE (``bayesian``) with its own oracles.
+The tree stage oracle builds its profile from the iterate's slots.  The
+same driver solves static CE/ICE (``bayesian``) with its own oracles; for
+two players its stage oracle is one linear map of the iterate.
 """
 
 from __future__ import annotations
@@ -209,14 +212,17 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit,
 
     ``keys`` lists every strategy key; ``frozen`` fixes the strategy at some
     keys and ``free`` lists the others, which start uniform.
-    Two oracles give action values: the stage oracle ``q_stage(dists, eps)``
-    per free key at a floor stage, and the limit oracle
-    ``q_limit(dists, owners)`` gives ``(values, sound, payload)`` for the keys
-    ``owners``.  The polish and support enumeration root on its values (by
-    ``affine``'s linear system when given); a candidate passes when ``sound``
-    holds and every free support is optimal within ``gap_tol``.
+    Two oracles give action values.  A stage iterate is one flat list ``x``,
+    laid out by ``slots`` (see :func:`_slots`: each key's clamped strategy in
+    the order of ``keys``), and the stage oracle reads it directly:
+    ``q_stage(slots)`` is called once and returns ``values(x, eps)``, one
+    value list per free key in slot order, each in its actions' order.  The
+    limit oracle ``q_limit(dists, owners)`` gives ``(values, sound,
+    payload)`` for the keys ``owners``.  The polish and support enumeration
+    root on its values (by ``affine``'s linear system when given); a
+    candidate passes when ``sound`` holds and every free support is optimal
+    within ``gap_tol``.
 
-    A stage iterate is one flat list: each key's clamped strategy in order.
     Every floor stage ends with a verdict on its last iterate (nothing is
     averaged): stripped of its mass at or below ``max(5 EPS_FLOOR, 2 eps)``,
     polished and judged; the first candidate that passes is returned.  When
@@ -243,9 +249,8 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit,
         return None, None
 
     # each key's slice of the flat iterate, in the action order of its clamped strategy
-    acts_of = [tuple(frozen.get(k, actions_of(k))) for k in keys]
-    slots = [(k, acts, hi - len(acts), hi)
-             for k, acts, hi in zip(keys, acts_of, itertools.accumulate(map(len, acts_of)))]
+    slots = _slots([(k, tuple(frozen.get(k, actions_of(k)))) for k in keys])
+    stage = q_stage(slots)
     # the uniform start; the first clamp below sets the frozen strategies
     x = [1.0 / len(acts) for _, acts, _, _ in slots for _ in acts]
     for eps in _schedule(max_actions):
@@ -256,7 +261,7 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit,
              [eps + (1.0 - eps * len(acts)) * p for p in x[lo:hi]]]
         # the floor row of each unique optimum: the excess on it, as _floor_dist gives it
         rows = {(acts, a): [eps + (1.0 - eps * len(acts)) if b == a else eps for b in acts]
-                for acts in set(acts_of) for a in acts}
+                for acts in {acts for _, acts, _, _ in slots} for a in acts}
         trail, seen = [], {}
         for n in range(MAX_ITERS):
             i = seen.setdefault(tuple(x), n)
@@ -266,8 +271,7 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit,
                 break
             trail.append(x)
             iterations += 1
-            dists = {k: dict(zip(acts, x[lo:hi])) for k, acts, lo, hi in slots}
-            target = _stage_step(x, q_stage(dists, eps), slots, fixed, rows, eps)
+            target = _stage_step(x, stage(x, eps), slots, fixed, rows, eps)
             resid = max(map(abs, map(operator.sub, x, target)), default=0.0)
             x = [(1 - DAMPING) * p + DAMPING * t for p, t in zip(x, target)]
             if resid <= max(FP_TOL, eps * 1e-3):
@@ -275,8 +279,7 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit,
         # strip floor-level mass and renormalize; a strategy the cut would
         # empty (uniform at a start floor 0.5/|A|) stays whole, frozen ones exact
         cut, candidate = max(5.0 * EPS_FLOOR, 2.0 * eps), {}
-        for k, acts, lo, hi in slots:
-            d = dict(zip(acts, x[lo:hi]))
+        for k, d in _dists(x, slots).items():
             kept = {a: p for a, p in d.items() if p > cut} or d
             total = sum(kept.values())
             candidate[k] = (dict(frozen[k]) if k in frozen
@@ -303,20 +306,35 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit,
     raise NonConvergenceError(f"{concept} solve failed ({detail})", best_gap, best_gaps)
 
 
+def _slots(key_actions):
+    """The layout of a flat strategy vector over ``(key, actions)`` pairs, in
+    order: ``(key, actions, lo, hi)``, the key's probabilities at ``x[lo:hi]``."""
+    his = itertools.accumulate(len(acts) for _, acts in key_actions)
+    return [(k, acts, hi - len(acts), hi) for (k, acts), hi in zip(key_actions, his)]
+
+
+def _dists(x, slots):
+    """The strategies ``{key: {action: p}}`` that the flat iterate ``x`` lays
+    out along ``slots``."""
+    return {k: dict(zip(acts, x[lo:hi])) for k, acts, lo, hi in slots}
+
+
 def _stage_step(x, q, slots, fixed, rows, eps):
     """One floor-constrained best response on the flat iterate ``x``: frozen
-    keys at their clamped rows ``fixed``, a free key's unique optimum under
-    ``q`` at its floor row in ``rows``, ties keeping the incumbent mixture."""
-    target = []
+    keys at their clamped rows ``fixed``; each free key, in slot order, takes
+    its next value list in ``q``, and its unique optimum its floor row in
+    ``rows``, while ties keep the incumbent mixture."""
+    target, q = [], iter(q)
     for k, acts, lo, hi in slots:
         if k in fixed:
             target += fixed[k]
             continue
-        opt = optimal(q[k], TIE_TOL)
+        values = dict(zip(acts, next(q)))
+        opt = optimal(values, TIE_TOL)
         if len(opt) == 1:
             target += rows[acts, opt[0]]
         else:
-            d = _floor_dist(acts, q[k], eps, incumbent=dict(zip(acts, x[lo:hi])))
+            d = _floor_dist(acts, values, eps, incumbent=dict(zip(acts, x[lo:hi])))
             target += [d[a] for a in acts]
     return target
 
@@ -377,7 +395,10 @@ def _root_support(base, supports, x0, q_of, tol, affine=None):
     return _fill(base, supports, x)
 
 
+# the most support combinations enumeration tries: with hybr, or with one
+# linear solve each (``affine``)
 ENUMERATION_BUDGET = 1000
+LINEAR_ENUMERATION_BUDGET = 20000
 
 
 def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol, affine=None):
@@ -387,8 +408,10 @@ def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol, affine=None):
     rooting their indifference conditions (with ``affine``, see
     :func:`_root_support`), then every support must lie in the optimal action
     set.  Returns an assignment dict or None when the combination count
-    exceeds ``ENUMERATION_BUDGET``.
+    exceeds ``ENUMERATION_BUDGET`` (``LINEAR_ENUMERATION_BUDGET`` with
+    ``affine``).
     """
+    budget = ENUMERATION_BUDGET if affine is None else LINEAR_ENUMERATION_BUDGET
     per_key = []
     for key in keys:
         acts = actions_of(key)
@@ -399,7 +422,7 @@ def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol, affine=None):
     total = 1
     for subs in per_key:
         total *= len(subs)
-        if total > ENUMERATION_BUDGET:
+        if total > budget:
             return None
 
     base = {k: dict.fromkeys(actions_of(k), 0.0) for k in keys}
@@ -429,9 +452,14 @@ def _solve(tree: GameTree, partition: CoarsePartition, config: SolverConfig,
     free = [o for o in sorted(tree.player_info_sets()) if o not in frozen_dists]
     oracle = LimitOracle(tree, partition, concept, chi)
 
-    def q_stage(dists, eps):
-        return _values(tree, partition, BehaviorProfile(dists), free, concept, chi, eps,
-                       lambda p, exact: p.full(tree))[0]
+    def q_stage(slots):
+        owners = [k for k, _, _, _ in slots if k not in frozen_dists]
+
+        def values(x, eps):
+            q = _values(tree, partition, BehaviorProfile(_dists(x, slots)), owners, concept,
+                        chi, eps, lambda p, exact: p.full(tree))[0]
+            return [list(q[o].values()) for o in owners]
+        return values
 
     def q_limit(dists, owners):
         q, conjs, diag = oracle.artifacts(BehaviorProfile(dists), owners)

@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cursedeq.auctions import (BidFunction, OracleConfig, _signal_cells, bid_canonical_english,
-                               bid_second_price, bid_silent_english, clearing_prices,
-                               estimate_conditionals, mean_value_model, ode_residuals,
-                               solve_dutch, solve_first_price, uniform_grid,
+from cursedeq.auctions import (BidFunction, OracleConfig, _highest_rival, _signal_cells,
+                               bid_canonical_english, bid_second_price, bid_silent_english,
+                               clearing_prices, estimate_conditionals, mean_value_model,
+                               ode_residuals, solve_dutch, solve_first_price, uniform_grid,
                                verify_orderings, wallet_model, winner_curse_experiment)
 
 ORACLE = OracleConfig(samples=100_000, seed=42)
@@ -498,3 +498,13 @@ def test_signal_cells_match_digitize(g, lo, hi):
                         [lo, hi, lo - 1.0, hi + 1.0]])
     want = np.clip(np.digitize(x, edges) - 1, 0, g - 1)
     assert np.array_equal(_signal_cells(x, lo, hi, g), want)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 9])
+def test_highest_rival_matches_the_row_max(k):
+    """The column-wise maximum of the rivals' signals is the row maximum,
+    bit for bit (a maximum rounds nothing), ties and repeats included."""
+    _, signals = mean_value_model(k).sample(np.random.Generator(np.random.PCG64(k)), 20_000)
+    signals[::7, -1] = signals[::7, 1]
+    assert np.array_equal(_highest_rival(signals), signals[:, 1:].max(axis=1))
+    assert np.array_equal(_highest_rival(signals[:, :1]), np.zeros(20_000))

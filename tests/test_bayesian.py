@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cursedeq import solvers
-from cursedeq.bayesian import (BayesianGame, crosscheck_equivalence, embed_bayesian,
-                               random_bayesian_game, solve_ce, solve_ice,
+from cursedeq.bayesian import (BayesianGame, affine_values, crosscheck_equivalence,
+                               embed_bayesian, random_bayesian_game, solve_ce, solve_ice,
                                trading_bayesian, type_action_values, value_tables,
                                voting_bayesian, voting_computer_freeze)
+from cursedeq.bestresponse import support_gaps
 from cursedeq.partition import coarsest_valid_partition
 from cursedeq.solvers import SolverConfig
 from cursedeq.tree import validate_game
@@ -223,6 +224,9 @@ def test_linear_root_agrees_with_hybr(monkeypatch):
         return linear
 
     monkeypatch.setattr(solvers, "_root_support", both)
+    # compare on the supports tried under hybr's budget (the linear budget
+    # would add thousands of hybr roots, 11 s); it has its own tests
+    monkeypatch.setattr(solvers, "LINEAR_ENUMERATION_BUDGET", solvers.ENUMERATION_BUDGET)
     for seed in range(90):
         game = random_bayesian_game(random.Random(5000 + seed), 1 + seed % 3,
                                     2 + seed // 3 % 2)
@@ -282,11 +286,60 @@ def test_game_104_mixes_through_a_one_action_support(monkeypatch, solve):
                          ids=["ce", "ice"])
 def test_game_121_stages_stop_at_exact_cycles(monkeypatch, solve, key):
     """Every floor stage of game 121 cycles exactly; a stage stops at its
-    first repeated iterate, so the 25 stages run at most 1,600 steps (2,000
-    without the skip), and the result keeps its pinned bytes."""
+    first repeated iterate, so the 25 stages run exactly 1,523 stage
+    evaluations (2,000 without the skip), and the result keeps its pinned
+    bytes."""
     calls = []
     step = solvers._stage_step
     monkeypatch.setattr(solvers, "_stage_step", lambda *a: calls.append(a) or step(*a))
     sigma = solve(random_bayesian_game(random.Random(121)), SolverConfig())
     assert repr(sigma) == json.loads(PINNED.read_text(encoding="utf-8"))[key]
-    assert len(calls) <= 1600
+    assert len(calls) == 1523
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(2, 4), st.data())
+def test_affine_values_match_type_action_values(seed, n_actions, n_states, data):
+    """The linear map of a two-player stage gives ``type_action_values``
+    within 1e-12, on the solver's flat layout: free keys in their actions'
+    order, frozen keys in their own (drawn) order, strategies with exact
+    zeros, both flags."""
+    game = random_bayesian_game(random.Random(seed), n_states, n_actions)
+    cells = sorted((pl, k) for pl in game.players for k in range(len(game.types[pl])))
+    weights = st.lists(st.integers(0, 3), min_size=n_actions, max_size=n_actions).filter(any)
+    sigma, frozen = {}, set()
+    for c in cells:
+        acts, w = game.actions[c[0]], data.draw(weights)
+        if data.draw(st.booleans()):
+            acts = tuple(data.draw(st.permutations(acts)))
+            frozen.add(c)
+        sigma[c] = {a: x / sum(w) for a, x in zip(acts, w)}
+    slots = solvers._slots([(c, tuple(sigma[c])) for c in cells])
+    x = [p for c in cells for p in sigma[c].values()]
+    owners = [c for c in cells if c not in frozen]
+    for independent in (False, True):
+        tables = value_tables(game, independent)
+        got = affine_values(tables, slots, owners)(x)
+        assert len(got) == len(owners)
+        for c, values in zip(owners, got):
+            want = type_action_values(tables, sigma, c)
+            assert len(values) == len(want)
+            assert all(abs(v - want[a]) <= 1e-12 for v, a in zip(values, want)), (values, want)
+
+
+@pytest.mark.parametrize("seed, n_states", [(5023, 3), (5047, 3), (5052, 2), (5008, 3),
+                                            (5044, 3)])
+@pytest.mark.parametrize("solve, independent", [(solve_ce, False), (solve_ice, True)],
+                         ids=["ce", "ice"])
+def test_three_action_games_solve_by_linear_enumeration(seed, n_states, solve, independent):
+    """These two-player 3-action games fail every floor stage and need more
+    support combinations (2,401 or 16,807) than hybr's enumeration budget;
+    with one linear solve per combination, enumeration finds an equilibrium."""
+    game = random_bayesian_game(random.Random(seed), n_states, 3)
+    config = SolverConfig()
+    sigma = solve(game, config)
+    tables = value_tables(game, independent)
+    q = {c: type_action_values(tables, sigma, c) for c in sigma}
+    assert max(support_gaps(q, sigma).values()) <= config.gap_tol
+    assert all(abs(sum(d.values()) - 1.0) <= 1e-12 and min(d.values()) >= 0.0
+               for d in sigma.values())
