@@ -9,8 +9,8 @@ owner cannot tell pooled histories apart).  The induction is a flat program
 compiled once per tree; the owner's own plan is floored only when read.
 
 Every verdict on a strategy is taken by two functions here, and nowhere else:
-:func:`optimal` gives the actions within a tolerance of the best value (the
-floored plans, the solver's polish and support enumeration), and
+:func:`optimal` gives the positions of the values within a tolerance of the
+best (the floored plans, the solver's stage steps and support enumeration), and
 :func:`support_gaps` how far each strategy's played actions fall short of the
 best (the solver's final test and every certifier).  Only :func:`optimal`
 takes a caller's tolerance: an action is played when its probability is
@@ -28,10 +28,10 @@ from .tree import GameTree, n_predecessor
 TIE_TOL = 1e-9
 
 
-def optimal(values: dict, tol: float) -> tuple:
-    """The actions within ``tol`` of the best value, in the order of ``values``."""
-    best = max(values.values()) - tol
-    return tuple([a for a, v in values.items() if v >= best])
+def optimal(values, tol: float) -> tuple:
+    """The positions of the values within ``tol`` of the best, in order."""
+    best = max(values) - tol
+    return tuple([i for i, v in enumerate(values) if v >= best])
 
 
 def support_gaps(values: dict, dists: dict) -> dict:
@@ -56,14 +56,19 @@ class Scenario:
 
 @dataclass
 class PlanResult:
-    """Action values and optimal actions at the owner, and the plan of every
-    own set; the owner's own plan (and ``value``) is floored when first read."""
+    """Action values at the owner and the plan of every own set; the optimal
+    actions are taken when read, the owner's own plan (and ``value``) is
+    floored when first read."""
 
     action_values: dict[str, float]
-    optimal_actions: tuple[str, ...]
     _plan: dict[str, dict[str, float]]
     _owner: str
     _floor: float
+
+    @property
+    def optimal_actions(self) -> tuple[str, ...]:
+        acts = list(self.action_values)
+        return tuple([acts[i] for i in optimal(self.action_values.values(), TIE_TOL)])
 
     @property
     def plan(self) -> dict[str, dict[str, float]]:
@@ -82,20 +87,22 @@ def _floor_dist(actions, values, floor: float,
                 incumbent: dict[str, float] | None = None) -> dict[str, float]:
     """Floor-constrained optimum: every action keeps the floor, the excess
     goes to the optimal set.  Ties keep the incumbent mixture renormalized
-    over the optimal set; with no incumbent mass there, split uniformly."""
-    opt = optimal(values, TIE_TOL)
+    over the optimal set; with no incumbent mass there, split uniformly.
+    ``values`` maps ``actions`` to their values, in that order."""
+    opt = optimal(values.values(), TIE_TOL)
     excess = 1.0 - floor * len(actions)
     if excess < 0:
         raise ValueError(f"floor {floor} too large for {len(actions)} actions")
-    weights = {a: 0.0 for a in actions}
-    inc_mass = sum(incumbent.get(a, 0.0) for a in opt) if incumbent else 0.0
+    weights = [0.0] * len(actions)
+    mass = [incumbent.get(actions[i], 0.0) for i in opt] if incumbent else []
+    inc_mass = sum(mass)
     if incumbent and inc_mass > TIE_TOL:
-        for a in opt:
-            weights[a] = incumbent.get(a, 0.0) / inc_mass
+        for i, m in zip(opt, mass):
+            weights[i] = m / inc_mass
     else:
-        for a in opt:
-            weights[a] = 1.0 / len(opt)
-    return {a: floor + excess * weights[a] for a in actions}
+        for i in opt:
+            weights[i] = 1.0 / len(opt)
+    return {a: floor + excess * w for a, w in zip(actions, weights)}
 
 
 def _plan_walk(tree: GameTree, player: str, roots):
@@ -198,7 +205,7 @@ def optimize_plan(tree: GameTree, owner: str, scenarios, player: str,
 
     if q_owner is None:
         raise ValueError(f"owner set {owner!r} unreachable from its own belief")
-    return PlanResult(q_owner, optimal(q_owner, TIE_TOL), plan, owner, floor)
+    return PlanResult(q_owner, plan, owner, floor)
 
 
 def respond(tree: GameTree, owner: str, conjecture: Conjecture | None, chi: float = 1.0,

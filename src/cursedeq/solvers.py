@@ -35,7 +35,9 @@ terms of ``conjectures.limit_dists``, which take conjectures and
 beliefs along the tremble path (1 - t) sigma + t uniform exactly to t -> 0.
 The tree stage oracle builds its profile from the iterate's slots.  The
 same driver solves static CE/ICE (``bayesian``) with its own oracles; for
-two players its stage oracle is one linear map of the iterate.
+two players its stage oracle is one linear map of the iterate.  scipy is
+loaded only at the first Newton polish (``hybr``: tree concepts, static
+games with three or more players), so importing the package loads numpy alone.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import operator
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .bestresponse import (TIE_TOL, _floor_dist, check_local_best_response, optimal,
                            respond, support_gaps)
@@ -259,9 +260,10 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit,
                  for k, d in frozen.items()}
         x = [v for k, acts, lo, hi in slots for v in fixed.get(k) or
              [eps + (1.0 - eps * len(acts)) * p for p in x[lo:hi]]]
-        # the floor row of each unique optimum: the excess on it, as _floor_dist gives it
-        rows = {(acts, a): [eps + (1.0 - eps * len(acts)) if b == a else eps for b in acts]
-                for acts in {acts for _, acts, _, _ in slots} for a in acts}
+        # per action count, the floor row of each unique optimum by its
+        # position: the excess on it, as _floor_dist gives it
+        rows = {m: [[eps + (1.0 - eps * m) if j == i else eps for j in range(m)]
+                    for i in range(m)] for m in {len(acts) for _, acts, _, _ in slots}}
         trail, seen = [], {}
         for n in range(MAX_ITERS):
             i = seen.setdefault(tuple(x), n)
@@ -322,19 +324,20 @@ def _dists(x, slots):
 def _stage_step(x, q, slots, fixed, rows, eps):
     """One floor-constrained best response on the flat iterate ``x``: frozen
     keys at their clamped rows ``fixed``; each free key, in slot order, takes
-    its next value list in ``q``, and its unique optimum its floor row in
-    ``rows``, while ties keep the incumbent mixture."""
+    its next value list in ``q``, and its unique optimum (a position) its
+    floor row in ``rows``, while ties keep the incumbent mixture."""
     target, q = [], iter(q)
     for k, acts, lo, hi in slots:
         if k in fixed:
             target += fixed[k]
             continue
-        values = dict(zip(acts, next(q)))
+        values = next(q)
         opt = optimal(values, TIE_TOL)
         if len(opt) == 1:
-            target += rows[acts, opt[0]]
+            target += rows[hi - lo][opt[0]]
         else:
-            d = _floor_dist(acts, values, eps, incumbent=dict(zip(acts, x[lo:hi])))
+            d = _floor_dist(acts, dict(zip(acts, values)), eps,
+                            incumbent=dict(zip(acts, x[lo:hi])))
             target += [d[a] for a in acts]
     return target
 
@@ -375,14 +378,21 @@ def _root_support(base, supports, x0, q_of, tol, affine=None):
     solver (hybr), or, when ``affine(base, supports)`` gives them as ``(M, c)``
     with ``M x + c = 0``, at ``x0 + lstsq(M, -(M x0 + c))``.  Returns the
     filled strategy, or None when the root leaves [0, 1] or its residual
-    (through ``q_of``) exceeds ``tol``."""
+    (through ``q_of``) exceeds ``tol``.  hybr probes its start, revisits
+    points and clips many to one strategy: each strategy is evaluated once."""
     mixing = [(k, sup) for k, sup in supports if len(sup) > 1]
+    memo = {}
 
     def equations(x):
-        q = q_of(_fill(base, supports, x))
-        return [q[k][a] - q[k][sup[0]] for k, sup in mixing for a in sup[1:]]
+        dists = _fill(base, supports, x)
+        key = tuple(p for k, _ in mixing for p in dists[k].values())
+        if key not in memo:
+            q = q_of(dists)
+            memo[key] = [q[k][a] - q[k][sup[0]] for k, sup in mixing for a in sup[1:]]
+        return memo[key]
 
     if affine is None:
+        from scipy import optimize
         sol = optimize.root(equations, x0, method="hybr", tol=1e-12)
         x, fun = sol.x, sol.fun
     else:
@@ -438,7 +448,8 @@ def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol, affine=None):
         else:
             assignment = _fill(base, supports, [])
         q = q_fn(assignment)
-        if all(set(sup) <= set(optimal(q[k], gap_tol)) for k, sup in supports):
+        if all({list(q[k]).index(a) for a in sup} <= set(optimal(q[k].values(), gap_tol))
+               for k, sup in supports):
             return assignment
     return None
 

@@ -243,9 +243,11 @@ def test_two_player_static_solves_call_no_hybr(monkeypatch):
     of scipy's ``root``), while the 3-player game 90021 still roots with
     hybr; all four keep their pinned bytes."""
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    import scipy.optimize
+
     calls = []
-    root = solvers.optimize.root
-    monkeypatch.setattr(solvers.optimize, "root",
+    root = scipy.optimize.root
+    monkeypatch.setattr(scipy.optimize, "root",
                         lambda *a, **kw: calls.append(a) or root(*a, **kw))
     game = random_bayesian_game(random.Random(121))
     assert repr(solve_ce(game, SolverConfig())) == pinned["ce:121:2"]

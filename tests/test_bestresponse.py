@@ -160,9 +160,11 @@ def test_own_set_below_zero_probability_action():
 
 def test_optimal_keeps_ties_within_tol_in_value_order():
     values = {"c": 1.0, "a": 2.0 - 1e-10, "b": 2.0, "d": 2.0 - 1e-6}
-    assert optimal(values, 1e-9) == ("a", "b")
-    assert optimal(values, 1e-5) == ("a", "b", "d")
-    assert optimal(values, 0.0) == ("b",)
+    keys = list(values)
+    for tol, expected in ((1e-9, ("a", "b")), (1e-5, ("a", "b", "d")), (0.0, ("b",))):
+        # positions in the value sequence, a dict's and a list's alike
+        assert optimal(values.values(), tol) == optimal(list(values.values()), tol)
+        assert tuple(keys[i] for i in optimal(values.values(), tol)) == expected
 
 
 def test_support_gaps_positive_probability_empty_support_and_key_order():

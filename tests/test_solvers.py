@@ -238,7 +238,7 @@ def test_floor_stage_floors_each_owner_once(paper, monkeypatch):
     assert where.count("homotopy") == len(tree.player_info_sets()) == 4
     assert where.count("plan") == 1
     homotopy = [v for w, v in step if w == "homotopy"]
-    assert all(any(v is h for h in homotopy) for w, v in step if w == "tie")
+    assert all(list(v.values()) in homotopy for w, v in step if w == "tie")
     assert not any(v is q for w, v in events if w == "plan" for q in owner_values)
     monkeypatch.undo()
     conj = sv.cursed_conjecture(tree, part, BehaviorProfile.uniform(tree), "G:1")
@@ -356,6 +356,58 @@ def test_random_game_20048_stages_stop_at_exact_cycles(monkeypatch):
     res = solve_sce(tree, coarsest_valid_partition(tree), SolverConfig(seed=48))
     assert res.iterations == 133
     assert len(calls) < 133
+
+
+# sha256 of to_text() plus the iteration count of the voting SCE cells at
+# p = 0.7, q = 0.75 (seed 0), as the solver gave them before a root
+# evaluated each point once
+VOTING_CELL_DIGESTS = {
+    "simultaneous": "f17bf672bed8f6eaeb6f48b69c6ae48abb445e3d228e95c1f0b90a27a34fd361",
+    "sequential": "fe34f3d77ef417a8f2edbbb2f2f3d126b815164f1485b5125cbe8f3e4ca81441",
+}
+
+
+def test_root_evaluates_each_point_once(monkeypatch):
+    """Within one Newton root the limit oracle sees each strategy once:
+    hybr's shape probe of its start, its first step from there, its revisits
+    and the points outside [0, 1] that clip to one strategy all read the
+    per-root memo.  The voting SCE cells (p = 0.7, q = 0.75) and the mixing
+    game keep their pinned bytes."""
+    import hashlib
+    import json
+    from pathlib import Path
+
+    import scipy.optimize
+
+    roots, active = [], []
+    root, artifacts = scipy.optimize.root, solvers.LimitOracle.artifacts
+
+    def spy_root(*args, **kwargs):
+        roots.append([])
+        active.append(True)
+        try:
+            return root(*args, **kwargs)
+        finally:
+            active.pop()
+
+    def spy_artifacts(self, profile, owners):
+        if active:
+            roots[-1].append(repr((sorted(profile.dists.items()), list(owners))))
+        return artifacts(self, profile, owners)
+
+    monkeypatch.setattr(scipy.optimize, "root", spy_root)
+    monkeypatch.setattr(solvers.LimitOracle, "artifacts", spy_artifacts)
+    for treatment, digest in VOTING_CELL_DIGESTS.items():
+        tree, frozen = games.voting_game(0.7, 0.75, treatment)
+        res = solve_sce(tree, coarsest_valid_partition(tree), SolverConfig(), frozen=frozen)
+        text = f"{res.to_text()}iterations {res.iterations}\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, treatment
+    pinned = json.loads((Path(__file__).parent / "data" / "pinned_outputs.json").read_text())
+    tree = games.bundled_game("mixing")
+    res = solve_sce(tree, coarsest_valid_partition(tree), SolverConfig(seed=7))
+    assert f"{res.to_text()}iterations {res.iterations}\n" == pinned["sce:mixing"]
+    assert roots and all(calls for calls in roots)
+    assert all(len(set(calls)) == len(calls) for calls in roots)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
