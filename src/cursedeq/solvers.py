@@ -35,9 +35,10 @@ terms of ``conjectures.limit_dists``, which take conjectures and
 beliefs along the tremble path (1 - t) sigma + t uniform exactly to t -> 0.
 The tree stage oracle builds its profile from the iterate's slots.  The
 same driver solves static CE/ICE (``bayesian``) with its own oracles; for
-two players its stage oracle is one linear map of the iterate.  scipy is
-loaded only at the first Newton polish (``hybr``: tree concepts, static
-games with three or more players), so importing the package loads numpy alone.
+two players its stage oracle is one linear map of the iterate.  The Newton
+polish of the tree concepts and of static games with three or more players
+is Powell's hybrid method as MINPACK computes it (:func:`_hybrid_root`), so
+the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -373,12 +375,189 @@ def _fill(base, supports, x):
     return out
 
 
+def _hybrid_root(fun, x0):
+    """Powell's hybrid method for ``fun(x) = 0``, computed as MINPACK's
+    ``hybrd`` computes it (Moré, Garbow & Hillstrom, 1980), rounding for
+    rounding, so that its roots keep their bits.  A forward-difference
+    Jacobian (steps ``sqrt(eps) |x_j|``, or ``sqrt(eps)`` at 0) is factored
+    by Householder QR and scaled by its column norms ``diag``, which grow
+    only when it is recomputed.  Dogleg steps keep ``||diag p|| <= delta``,
+    at first ``100 ||diag x0||`` clipped to the first step; the ratio of
+    actual to predicted reduction halves delta below 0.1, widens it from 0.5
+    and accepts the step from 1e-4.  Every step updates the factors by
+    Broyden's rank-one formula and Givens rotations; two failed steps in a
+    row recompute the Jacobian.  It stops when ``delta <= 1e-12 ||diag x||``,
+    the residual is 0, ``200 (n + 1)`` evaluations are spent or progress
+    stalls.  A non-finite residual fails its step and updates nothing.
+    Returns the last accepted point and its residual, as lists."""
+    eps, n, rng = sys.float_info.epsilon, len(x0), range(len(x0))
+
+    def dot(a, b):  # summed in index order, as MINPACK sums
+        s = 0.0
+        for u, v in zip(a, b):
+            s += u * v
+        return s
+
+    def enorm(v):  # MINPACK's norm: squares in order, tiny and huge ones apart
+        s, top, agiant = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 1.304e19 / len(v)
+        for t in map(abs, v):
+            k = 0 if t <= 3.834e-20 else 1 if t < agiant else 2
+            if k == 1:
+                s[1] += t * t
+            elif t > top[k]:
+                s[k], top[k] = 1.0 + s[k] * ((top[k] / t) * (top[k] / t)), t
+            elif t:
+                s[k] += (t / top[k]) * (t / top[k])
+        (s3, s2, s1), (x3, _, x1) = s, top
+        if s1:
+            return x1 * math.sqrt(s1 + (s2 / x1) / x1)
+        if not s2:
+            return x3 * math.sqrt(s3)
+        return math.sqrt(s2 * (1.0 + (x3 / s2) * (x3 * s3)) if s2 >= x3 else
+                         x3 * ((s2 / x3) + (x3 * s3)))
+
+    def scaled(v):
+        return enorm([d * u for d, u in zip(diag, v)])
+
+    def rot(u, v, c, s):
+        return [c * a - s * b for a, b in zip(u, v)], [s * a + c * b for a, b in zip(u, v)]
+
+    def givens(a, b):
+        # the rotation (cos, sin) that zeroes b against a, and the one that
+        # MINPACK rebuilds for q from the single number tau it stores
+        if abs(a) >= abs(b):
+            t = b / a
+            c = 0.5 / math.sqrt(0.25 + 0.25 * (t * t))
+            s = tau = c * t
+        else:
+            t = a / b
+            s = 0.5 / math.sqrt(0.25 + 0.25 * (t * t))
+            c = s * t
+            tau = 1.0 / c if abs(c) * sys.float_info.max > 1.0 else 1.0
+        qc = 1.0 / tau if abs(tau) > 1.0 else math.sqrt(1.0 - tau * tau)
+        return c, s, qc, math.sqrt(1.0 - qc * qc) if abs(tau) > 1.0 else tau
+
+    def dogleg(delta):
+        # the Gauss-Newton step, a zero pivot raised to eps times its column
+        gn = [0.0] * n
+        for j in reversed(rng):
+            pivot = r[j][j] or eps * max(abs(r[i][j]) for i in range(j + 1)) or eps
+            gn[j] = (qtf[j] - dot(r[j][j + 1:], gn[j + 1:])) / pivot
+        qnorm = scaled(gn)
+        if qnorm <= delta:
+            return gn
+        # else the point of the dogleg between it and the scaled gradient step
+        grad = [dot([r[i][j] for i in range(j + 1)], qtf) / diag[j] for j in rng]
+        gnorm, sgnorm, alpha = enorm(grad), 0.0, delta / qnorm
+        if gnorm:
+            grad = [g / gnorm / d for g, d in zip(grad, diag)]
+            t = enorm([dot(r[j][j:], grad[j:]) for j in rng])
+            sgnorm, alpha = gnorm / t / t, 0.0
+            if sgnorm < delta:
+                dq, sd, bnorm = delta / qnorm, sgnorm / delta, enorm(qtf)
+                t = bnorm / gnorm * (bnorm / qnorm) * sd
+                t = t - dq * (sd * sd) + math.sqrt((t - dq) * (t - dq)
+                                                   + (1.0 - dq * dq) * (1.0 - sd * sd))
+                alpha = dq * (1.0 - sd * sd) / t
+        return [(1.0 - alpha) * min(sgnorm, delta) * g + alpha * v for g, v in zip(grad, gn)]
+
+    x = [float(v) for v in x0]
+    f = list(map(float, fun(x)))
+    fnorm, nfev, first, ncsuc, ncfail, nslow1, nslow2 = enorm(f), 1, True, 0, 0, 0, 0
+    while True:
+        a = []  # the Jacobian's columns, then f
+        for j in rng:
+            h = math.sqrt(eps) * abs(x[j]) or math.sqrt(eps)
+            fh = map(float, fun(x[:j] + [x[j] + h] + x[j + 1:]))
+            a.append([(u - v) / h for u, v in zip(fh, f)])
+        a.append(f[:])
+        nfev, jeval, cols = nfev + n, True, [enorm(c) for c in a[:n]]
+        if first:
+            diag = [c or 1.0 for c in cols]
+            xnorm = scaled(x)
+            delta = 100.0 * xnorm or 100.0
+        diag = [max(d, c) for d, c in zip(diag, cols)]
+        # Householder QR of [jacobian | f]: r above the diagonal and in
+        # rdiag, reflectors below, q^T f last; then q (by columns)
+        rdiag = [0.0] * n
+        for j in rng:
+            aj, ajnorm = a[j], enorm(a[j][j:])
+            if ajnorm:
+                ajnorm = -ajnorm if aj[j] < 0.0 else ajnorm
+                aj[j:] = [u / ajnorm for u in aj[j:]]
+                aj[j] += 1.0
+                for ak in a[j + 1:]:
+                    t = dot(aj[j:], ak[j:]) / aj[j]
+                    ak[j:] = [u - t * v for u, v in zip(ak[j:], aj[j:])]
+            rdiag[j] = -ajnorm
+        r = [[a[k][i] if k > i else rdiag[i] if k == i else 0.0 for k in rng] for i in rng]
+        qtf, q = a[n], [[0.0] * k + a[k][k:] for k in rng]
+        for k in reversed(rng):
+            h, q[k] = q[k][k:], [float(i == k) for i in rng]
+            for qj in q[k:] if h[0] else ():
+                t = dot(qj[k:], h) / h[0]
+                qj[k:] = [u - t * v for u, v in zip(qj[k:], h)]
+        while True:
+            p = [-v for v in dogleg(delta)]
+            pnorm = scaled(p)
+            delta = min(delta, pnorm) if first else delta
+            xp = [u + v for u, v in zip(x, p)]
+            f1 = list(map(float, fun(xp)))
+            nfev, fnorm1 = nfev + 1, enorm(f1)
+            actred = 1.0 - (fnorm1 / fnorm) * (fnorm1 / fnorm) if fnorm1 < fnorm else -1.0
+            pred = [qtf[i] + dot(r[i][i:], p[i:]) for i in rng]
+            t = enorm(pred)
+            prered = 1.0 - (t / fnorm) * (t / fnorm) if t < fnorm else 0.0
+            ratio = actred / prered if prered > 0.0 else 0.0
+            if ratio < 0.1:
+                ncsuc, ncfail, delta = 0, ncfail + 1, 0.5 * delta
+            else:
+                ncsuc, ncfail = ncsuc + 1, 0
+                if ratio >= 0.5 or ncsuc > 1:
+                    delta = max(delta, pnorm / 0.5)
+                if abs(ratio - 1.0) <= 0.1:
+                    delta = pnorm / 0.5
+            qtf1 = [dot(qj, f1) for qj in q]
+            if ratio >= 1e-4:
+                x, f, fnorm, qtf, first = xp, f1, fnorm1, qtf1, False
+                xnorm = scaled(x)
+            nslow1 = 0 if actred >= 1e-3 else nslow1 + 1
+            nslow2 = 0 if actred >= 0.1 else nslow2 + jeval
+            if (delta <= 1e-12 * xnorm or fnorm == 0.0 or nfev >= 200 * (n + 1)
+                    or 0.1 * max(0.1 * delta, pnorm) <= eps * xnorm
+                    or nslow2 == 5 or nslow1 == 10):
+                return x, f
+            if ncfail == 2:
+                break
+            jeval, v = False, [(u - w) / pnorm for u, w in zip(qtf1, pred)]
+            if not all(map(math.isfinite, v)):
+                continue
+            # the Broyden update r + v u^T (u the scaled step), refactored:
+            # rotate v into its last entry, which spikes w (the last column
+            # of r^T), add the spike and rotate it away; each rotation also
+            # turns the columns of q, and qtf with them
+            w, qe = [0.0] * (n - 1) + [r[-1][-1]], [qj + [qt] for qj, qt in zip(q, qtf)]
+            for j in reversed(range(n - 1)):
+                if v[j]:
+                    c, s, qc, qs = givens(v[-1], v[j])
+                    v[-1] = s * v[j] + c * v[-1]
+                    r[j][j:], w[j:] = rot(r[j][j:], w[j:], c, s)
+                    qe[j], qe[-1] = rot(qe[j], qe[-1], qc, qs)
+            w = [wi + v[-1] * (d * (d * pj / pnorm)) for wi, d, pj in zip(w, diag, p)]
+            for j in range(n - 1):
+                if w[j]:
+                    c, s, qc, qs = givens(r[j][j], w[j])
+                    r[j][j:], w[j:] = rot(r[j][j:], w[j:], c, -s)
+                    qe[j], qe[-1] = rot(qe[j], qe[-1], qc, -qs)
+            r[-1][-1], q, qtf = w[-1], [col[:n] for col in qe], [col[n] for col in qe]
+
+
 def _root_support(base, supports, x0, q_of, tol, affine=None):
-    """Root the indifference conditions of ``supports`` with a Newton-type
-    solver (hybr), or, when ``affine(base, supports)`` gives them as ``(M, c)``
-    with ``M x + c = 0``, at ``x0 + lstsq(M, -(M x0 + c))``.  Returns the
-    filled strategy, or None when the root leaves [0, 1] or its residual
-    (through ``q_of``) exceeds ``tol``.  hybr probes its start, revisits
+    """Root the indifference conditions of ``supports`` by Powell's hybrid
+    method (:func:`_hybrid_root`), or, when ``affine(base, supports)`` gives
+    them as ``(M, c)`` with ``M x + c = 0``, at ``x0 + lstsq(M, -(M x0 + c))``.
+    Returns the filled strategy, or None when the root leaves [0, 1] or its
+    residual (through ``q_of``) exceeds ``tol``.  The hybrid method revisits
     points and clips many to one strategy: each strategy is evaluated once."""
     mixing = [(k, sup) for k, sup in supports if len(sup) > 1]
     memo = {}
@@ -392,9 +571,7 @@ def _root_support(base, supports, x0, q_of, tol, affine=None):
         return memo[key]
 
     if affine is None:
-        from scipy import optimize
-        sol = optimize.root(equations, x0, method="hybr", tol=1e-12)
-        x, fun = sol.x, sol.fun
+        x, fun = _hybrid_root(equations, x0)
     else:
         m, c = affine(base, supports)
         x, fun = np.add(x0, np.linalg.lstsq(m, -(m @ x0 + c), rcond=None)[0]), None
@@ -405,8 +582,8 @@ def _root_support(base, supports, x0, q_of, tol, affine=None):
     return _fill(base, supports, x)
 
 
-# the most support combinations enumeration tries: with hybr, or with one
-# linear solve each (``affine``)
+# the most support combinations enumeration tries: with the hybrid root, or
+# with one linear solve each (``affine``)
 ENUMERATION_BUDGET = 1000
 LINEAR_ENUMERATION_BUDGET = 20000
 

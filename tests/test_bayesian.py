@@ -205,7 +205,7 @@ def test_value_tables_match_the_reference_within_1e_12(seed, n_players, n_action
             assert all(abs(got[a] - want[a]) <= 1e-12 for a in want), (got, want)
 
 
-def test_linear_root_agrees_with_hybr(monkeypatch):
+def test_linear_root_agrees_with_newton(monkeypatch):
     """On two-player games (2-3 actions, 1-3 states per cell) each support
     that the polish and support enumeration try is rooted both ways: wherever
     hybr roots, the linear solve must root too and agree within 1e-12."""
@@ -240,15 +240,12 @@ def test_linear_root_agrees_with_hybr(monkeypatch):
 
 def test_two_player_static_solves_call_no_hybr(monkeypatch):
     """Game 121's CE and ICE root every support by the linear solve (no call
-    of scipy's ``root``), while the 3-player game 90021 still roots with
-    hybr; all four keep their pinned bytes."""
+    of the hybrid root), while the 3-player game 90021 still roots with it;
+    all four keep their pinned bytes."""
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))
-    import scipy.optimize
-
     calls = []
-    root = scipy.optimize.root
-    monkeypatch.setattr(scipy.optimize, "root",
-                        lambda *a, **kw: calls.append(a) or root(*a, **kw))
+    root = solvers._hybrid_root
+    monkeypatch.setattr(solvers, "_hybrid_root", lambda *a: calls.append(a) or root(*a))
     game = random_bayesian_game(random.Random(121))
     assert repr(solve_ce(game, SolverConfig())) == pinned["ce:121:2"]
     assert repr(solve_ice(game, SolverConfig())) == pinned["ice:121:2"]

@@ -1,0 +1,152 @@
+"""Powell's hybrid root (``solvers._hybrid_root``) against scipy's ``hybr``,
+the MINPACK routine it reproduces, and the results it must keep.
+
+scipy is only the reference here; the package does not import it.  Every
+system that the polish and support enumeration root in the solves below is
+rooted both ways: both must accept the root or both reject it, and accepted
+roots agree within 1e-12.  The pins are the results these games had when
+the polish called scipy.  The five games without a solve keep their best
+gap; a change that solves one replaces its case by a certified solve
+(ROADMAP item 9: the solved count may only rise).
+"""
+
+import hashlib
+import math
+import platform
+import random
+
+import pytest
+
+from cursedeq import games, golden, solvers
+from cursedeq.bayesian import random_bayesian_game, solve_ce, solve_ice
+from cursedeq.partition import coarsest_valid_partition
+from cursedeq.solvers import (NonConvergenceError, SolverConfig, solve_causal_sce,
+                              solve_chi_sce, solve_sce)
+from randgames import random_game
+
+THREE = ("1", "2", "3")
+# the voting cells of perfbench's solve workload
+VOTING_CELLS = ((0.3, 0.25), (0.7, 0.75), (0.2, 0.9), (0.8, 0.5))
+# sha256 of to_text() and the iteration count of the SCE of game 60064
+GAME_60064 = ("ef50a941ab59c9b89af3e0e73523064a14a09c5180104b2a04a7d512000b599a", 187)
+# the CE and ICE of the 3-player game 90033, both found by support enumeration
+GAME_90033 = (
+    "{('1', 0): {'a': 0.19190164720045388, 'b': 0.8080983527995461}, "
+    "('2', 0): {'a': 0.0, 'b': 1.0}, "
+    "('2', 1): {'a': 0.7453620906099568, 'b': 0.25463790939004316}, "
+    "('3', 0): {'a': 0.8761711530287459, 'b': 0.12382884697125407}}",
+    "{('1', 0): {'a': 0.19190164720045388, 'b': 0.8080983527995461}, "
+    "('2', 0): {'a': 0.0, 'b': 1.0}, "
+    "('2', 1): {'a': 0.7453620906099567, 'b': 0.25463790939004327}, "
+    "('3', 0): {'a': 0.8761711530287459, 'b': 0.12382884697125407}}")
+# (seed, nodes, players, repr of the best gap) of the SCE solves that fail
+UNSOLVED = [(20035, 30, ("1", "2"), "0.07867065509325799"),
+            (60013, 45, THREE, "1.0989336611067757"),
+            (60026, 45, THREE, "0.3899999999999999"),
+            (60081, 45, THREE, "2.604"),
+            (60097, 45, THREE, "0.48511958967209456")]
+
+
+def helical_valley(x):
+    theta = (math.atan(x[1] / x[0]) / (2.0 * math.pi) + (0.5 if x[0] < 0.0 else 0.0)
+             if x[0] else math.copysign(0.25, x[1]))
+    return [10.0 * (x[2] - 10.0 * theta), 10.0 * (math.hypot(x[0], x[1]) - 1.0), x[2]]
+
+
+def trigonometric(x):
+    total = sum(map(math.cos, x))
+    return [len(x) - total + i * (1.0 - math.cos(v)) - math.sin(v)
+            for i, v in enumerate(x, 1)]
+
+
+def broyden_tridiagonal(x):
+    padded = [0.0] + x + [0.0]
+    return [(3.0 - 2.0 * v) * v - padded[i - 1] - 2.0 * padded[i + 1] + 1.0
+            for i, v in enumerate(x, 1)]
+
+
+# test problems of Moré, Garbow & Hillstrom (1981) at their standard starts,
+# and Rosenbrock's scaled by 1e-20, whose norms take MINPACK's tiny branch
+PROBLEMS = {
+    "rosenbrock": (lambda x: [10.0 * (x[1] - x[0] * x[0]), 1.0 - x[0]], [-1.2, 1.0]),
+    "tiny-rosenbrock": (lambda x: [1e-19 * (x[1] - x[0] * x[0]), 1e-20 * (1.0 - x[0])],
+                        [-1.2, 1.0]),
+    "powell-singular": (lambda x: [x[0] + 10.0 * x[1], math.sqrt(5.0) * (x[2] - x[3]),
+                                   (x[1] - 2.0 * x[2]) ** 2,
+                                   math.sqrt(10.0) * (x[0] - x[3]) ** 2],
+                        [3.0, -1.0, 0.0, 1.0]),
+    "powell-badly-scaled": (lambda x: [1e4 * x[0] * x[1] - 1.0,
+                                       math.exp(-x[0]) + math.exp(-x[1]) - 1.0001], [0.0, 1.0]),
+    "helical-valley": (helical_valley, [-1.0, 0.0, 0.0]),
+    "trigonometric": (trigonometric, [0.2] * 5),
+    "broyden-tridiagonal": (broyden_tridiagonal, [-1.0] * 5),
+}
+
+
+def scipy_hybr(fun, x0):
+    from scipy import optimize
+    sol = optimize.root(fun, x0, method="hybr", tol=1e-12)
+    return sol.x, sol.fun
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="scipy's MINPACK build may fuse multiply-adds on other machines")
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_hybrid_root_steps_as_scipy_hybr(name):
+    """The hybrid root evaluates the same points as scipy's ``hybr``, bit
+    for bit, after scipy's two extra evaluations of the start."""
+    fun, x0 = PROBLEMS[name]
+    theirs, ours = [], []
+    from scipy import optimize
+    sol = optimize.root(lambda x: theirs.append(list(map(float, x))) or fun(list(x)), x0,
+                        method="hybr", tol=1e-12)
+    x, _ = solvers._hybrid_root(lambda x: ours.append(x) or fun(x), x0)
+    assert theirs[2:] == ours and x == list(sol.x)
+
+
+def test_hybrid_root_agrees_with_scipy_hybr(monkeypatch):
+    root_support = solvers._root_support
+    accepted = []
+
+    def both(base, supports, x0, q_of, tol, affine=None):
+        got = root_support(base, supports, x0, q_of, tol, affine)
+        if affine is None:
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "_hybrid_root", scipy_hybr)
+                want = root_support(base, supports, x0, q_of, tol)
+            assert (got is None) == (want is None), supports
+            if got is not None:
+                assert max(abs(got[k][a] - p) for k, d in want.items()
+                           for a, p in d.items()) <= 1e-12, supports
+            accepted.append(got is not None)
+        return got
+
+    monkeypatch.setattr(solvers, "_root_support", both)
+    config = SolverConfig(seed=7)
+    for name in games.BUNDLED_DOCUMENTS:
+        tree = games.bundled_game(name)
+        part = coarsest_valid_partition(tree)
+        solve_sce(tree, part, config)
+        solve_causal_sce(tree, part, config)
+        solve_chi_sce(tree, part, 0.5, config)
+    for p, q in VOTING_CELLS:
+        golden.voting_predictions("sce", ps=[p], qs=[q])
+    tree = random_game(random.Random(60064), 45, players=THREE)
+    res = solve_sce(tree, coarsest_valid_partition(tree), SolverConfig())
+    assert (hashlib.sha256(res.to_text().encode()).hexdigest(), res.iterations) == GAME_60064
+    static = {}
+    for seed in (90021, 90033):
+        game = random_bayesian_game(random.Random(seed), n_states=2, n_players=3)
+        static[seed] = (repr(solve_ce(game, SolverConfig())), repr(solve_ice(game, SolverConfig())))
+    assert static[90033] == GAME_90033
+    # 195 systems, 28 of them rooted, when this test was written
+    assert len(accepted) >= 190 and sum(accepted) >= 28
+
+
+@pytest.mark.parametrize("seed, nodes, players, best_gap", UNSOLVED,
+                         ids=[str(case[0]) for case in UNSOLVED])
+def test_unsolved_games_keep_their_best_gap(seed, nodes, players, best_gap):
+    tree = random_game(random.Random(seed), nodes, players=players)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_sce(tree, coarsest_valid_partition(tree), SolverConfig())
+    assert repr(err.value.best_gap) == best_gap

@@ -368,19 +368,16 @@ VOTING_CELL_DIGESTS = {
 
 
 def test_root_evaluates_each_point_once(monkeypatch):
-    """Within one Newton root the limit oracle sees each strategy once:
-    hybr's shape probe of its start, its first step from there, its revisits
-    and the points outside [0, 1] that clip to one strategy all read the
-    per-root memo.  The voting SCE cells (p = 0.7, q = 0.75) and the mixing
-    game keep their pinned bytes."""
+    """Within one Newton root the limit oracle sees each strategy once: the
+    hybrid method's revisits and the points outside [0, 1] that clip to one
+    strategy all read the per-root memo.  The voting SCE cells (p = 0.7,
+    q = 0.75) and the mixing game keep their pinned bytes."""
     import hashlib
     import json
     from pathlib import Path
 
-    import scipy.optimize
-
     roots, active = [], []
-    root, artifacts = scipy.optimize.root, solvers.LimitOracle.artifacts
+    root, artifacts = solvers._hybrid_root, solvers.LimitOracle.artifacts
 
     def spy_root(*args, **kwargs):
         roots.append([])
@@ -395,7 +392,7 @@ def test_root_evaluates_each_point_once(monkeypatch):
             roots[-1].append(repr((sorted(profile.dists.items()), list(owners))))
         return artifacts(self, profile, owners)
 
-    monkeypatch.setattr(scipy.optimize, "root", spy_root)
+    monkeypatch.setattr(solvers, "_hybrid_root", spy_root)
     monkeypatch.setattr(solvers.LimitOracle, "artifacts", spy_artifacts)
     for treatment, digest in VOTING_CELL_DIGESTS.items():
         tree, frozen = games.voting_game(0.7, 0.75, treatment)
