@@ -11,9 +11,8 @@ from .games import ComputerPlayerSet, ExperimentSpec, generate_experiment
 from .golden import run_golden_predictions
 from .partition import (CoarsePartition, check_valid_partition, coarsest_valid_partition,
                         f_of, is_coarse)
-from .solvers import (EquilibriumResult, NonConvergenceError, SolverConfig,
-                      check_wpce, epsilon_best_response, sce_witness_check, solve_causal_sce,
-                      solve_chi_sce, solve_sce, solve_wpce)
+from .solvers import (EquilibriumResult, NonConvergenceError, SolverConfig, check_wpce,
+                      sce_witness_check, solve_causal_sce, solve_chi_sce, solve_sce, solve_wpce)
 from .tree import (NATURE, BehaviorProfile, GameBuilder, GameError, GameTree, InfoSet,
                    OutcomeMeasure, ValidationReport, ZeroProbabilityError,
                    continuation_utility, expected_utility, n_predecessor,

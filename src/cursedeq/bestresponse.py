@@ -10,9 +10,10 @@ compiled once per tree; the owner's own plan is floored only when read.
 
 Every verdict on a strategy is taken by two functions here, and nowhere else:
 :func:`optimal` gives the positions of the values within a tolerance of the
-best (the floored plans, the solver's stage steps and support enumeration), and
+best (the floored plans and the solver's stage steps), and
 :func:`support_gaps` how far each strategy's played actions fall short of the
-best (the solver's final test and every certifier).  Only :func:`optimal`
+best (the solver's one verdict on every candidate, support enumeration's
+included, and every certifier).  Only :func:`optimal`
 takes a caller's tolerance: an action is played when its probability is
 positive, and the plans break ties within the one ``TIE_TOL``.
 """

@@ -15,24 +15,28 @@ averaged), roots the exact indifference conditions of the limit values on
 the remaining support once (with a Newton-type root finder, or one linear
 solve for two-player static games), and certifies local best responses
 under the limit conjectures; it returns at the first stage whose candidate
-passes, and otherwise tries support enumeration once.  A result depends on
-the game alone.
+passes, and otherwise tries support enumeration once: smallest supports
+first, at most ``ENUMERATION_BUDGET`` (2,187) combinations with the Newton
+root or ``LINEAR_ENUMERATION_BUDGET`` (20,000) with the linear one, each
+assignment handed to the same verdict as a stage candidate.  A result
+depends on the game alone.
 
 The driver reads two oracles: a stage oracle gives the action values at a
 floor straight from the flat iterate (one value list per free key), and a
 limit oracle gives the limit values of strategy dicts with a soundness flag
 and a payload (the conjecture system) for the polish, support enumeration
-and the final test.  Which actions are optimal, and how far a strategy's
-support falls short, is decided by ``bestresponse.optimal`` and
+and the verdict.  Which actions are optimal in a stage step is decided by
+``bestresponse.optimal``, and how far a candidate's support falls short by
 ``bestresponse.support_gaps`` alone.
 
 One function, :func:`_values`, gives the action values at a floor stage and
 in the limit alike: each owner's best response comes from
 ``bestresponse.respond`` against its cursed conjecture (mixed with the Bayes
 belief for chi-SCE; per forced action for causal SCE), and only the node
-reaches differ.  A stage walks float steps; the limit walks the leading
-terms of ``conjectures.limit_dists``, which take conjectures and
-beliefs along the tremble path (1 - t) sigma + t uniform exactly to t -> 0.
+reaches differ.  A stage (a positive floor) walks float steps; the limit
+(floor 0) walks the leading terms of ``conjectures.limit_dists``, which take
+conjectures and beliefs along the tremble path (1 - t) sigma + t uniform
+exactly to t -> 0.
 The tree stage oracle builds its profile from the iterate's slots.  The
 same driver solves static CE/ICE (``bayesian``) with its own oracles; for
 two players its stage oracle is one linear map of the iterate.  The Newton
@@ -147,26 +151,27 @@ def _bayes_belief(tree, reach, owner):
     return {h: reach[h] / total for h in nodes}
 
 
-def _values(tree, partition, profile, owners, concept, chi, floor, dists_of):
+def _values(tree, partition, profile, owners, concept, chi, floor):
     """Action values and conjectures of ``owners`` under ``profile``.
 
-    ``dists_of(profile, exact)`` gives the steps to walk: floats at a floor
-    stage, or the leading terms of ``limit_dists`` in the limit, where the
-    sets in ``exact`` do not tremble.  The profile's one reach serves SCE
-    and chi-SCE, which value each owner against its cursed conjecture,
-    mixed with the Bayes belief for chi < 1.  Causal SCE values each action
-    under the conjecture of the profile modified to play it surely, whose
-    reach re-walks only below the owner; those are keyed by (owner, action).
+    A floor stage (``floor > 0``) walks the profile's float steps, the limit
+    (``floor == 0``) the leading terms of ``limit_dists``.  The profile's one
+    reach serves SCE and chi-SCE, which value each owner against its cursed
+    conjecture, mixed with the Bayes belief for chi < 1.  Causal SCE values
+    each action under the conjecture of the profile modified to play it
+    surely (untrembled in the limit), whose reach re-walks only below the
+    owner; those are keyed by (owner, action).
     """
     q, conjs = {}, {}
-    reach = node_reach(tree, dists_of(profile, ()))
+    reach = node_reach(tree, profile.full(tree) if floor else limit_dists(tree, profile))
     if concept == "causal-sce":
         for o in owners:
             q[o] = {}
             for a in tree.info_sets[o].actions:
                 forced = BehaviorProfile({**profile.dists,
                                           o: {b: float(b == a) for b in profile.dists[o]}})
-                below = reach_below(tree, dists_of(forced, (o,)), reach, o)
+                steps = forced.full(tree) if floor else limit_dists(tree, forced, (o,))
+                below = reach_below(tree, steps, reach, o)
                 conj = cursed_conjecture(tree, partition, forced, o, False, below)
                 conjs[(o, a)] = conj
                 q[o][a] = respond(tree, o, conj, floor=floor, forced=a).action_values[a]
@@ -200,8 +205,7 @@ class LimitOracle:
         self.chi = chi if concept == "chi-sce" else 1.0
 
     def artifacts(self, profile, owners):
-        q, conjs = _values(self.tree, self.partition, profile, owners, self.concept, self.chi,
-                           0.0, lambda p, exact: limit_dists(self.tree, p, exact))
+        q, conjs = _values(self.tree, self.partition, profile, owners, self.concept, self.chi, 0.0)
         diag = None if self.concept == "causal-sce" else limit_diagnostics(self.tree, conjs)
         return q, conjs, diag
 
@@ -222,16 +226,17 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit,
     value list per free key in slot order, each in its actions' order.  The
     limit oracle ``q_limit(dists, owners)`` gives ``(values, sound,
     payload)`` for the keys ``owners``.  The polish and support enumeration
-    root on its values (by ``affine``'s linear system when given); a
-    candidate passes when ``sound`` holds and every free support is optimal
-    within ``gap_tol``.
+    root on its values (by ``affine``'s linear system when given).  Every
+    candidate gets one verdict, from ``judge``: it passes when ``sound``
+    holds and every free support is optimal within ``gap_tol``.
 
     Every floor stage ends with a verdict on its last iterate (nothing is
     averaged): stripped of its mass at or below ``max(5 EPS_FLOOR, 2 eps)``,
     polished and judged; the first candidate that passes is returned.  When
-    none does, support enumeration is tried once.  A step reads only the
-    iterate and ``eps``, so a stage whose iterate repeats exactly ends where
-    its cycle is at step ``MAX_ITERS``.
+    none does, support enumeration runs once and hands each of its
+    assignments to the same verdict.  A step reads only the iterate and
+    ``eps``, so a stage whose iterate repeats exactly ends where its cycle
+    is at step ``MAX_ITERS``.
 
     Returns ``(dists, gaps, payload, iterations)``.
     """
@@ -240,16 +245,17 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit,
     iterations = 0
 
     def judge(dists):
+        # the one verdict on every candidate: (dists, gaps, payload) or None
         nonlocal best_gap, best_gaps, unsound
         q, sound, payload = q_limit(dists, free)
         gaps = support_gaps(q, dists)
         if sound and all(g <= config.gap_tol for g in gaps.values()):
-            return gaps, payload
+            return dists, gaps, payload
         unsound += not sound
         worst = max(gaps.values(), default=0.0)
         if worst < best_gap:
             best_gap, best_gaps = worst, gaps
-        return None, None
+        return None
 
     # each key's slice of the flat iterate, in the action order of its clamped strategy
     slots = _slots([(k, tuple(frozen.get(k, actions_of(k)))) for k in keys])
@@ -288,21 +294,17 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit,
             total = sum(kept.values())
             candidate[k] = (dict(frozen[k]) if k in frozen
                             else {a: kept.get(a, 0.0) / total for a in d})
-        candidate = _polish(candidate, free, q_limit, affine)
-        gaps, payload = judge(candidate)
-        if gaps is not None:
-            return candidate, gaps, payload, iterations
+        found = judge(_polish(candidate, free, q_limit, affine))
+        if found is not None:
+            return (*found, iterations)
 
     # last resort for stubborn cycles: enumerate supports outright
     found = enumerate_support_equilibrium(
         free, actions_of, lambda assignment: q_limit({**assignment, **frozen}, free)[0],
-        config.gap_tol, affine)
+        lambda assignment: judge({**assignment, **{k: dict(d) for k, d in frozen.items()}}),
+        affine)
     if found is not None:
-        candidate = {k: dict(d) for k, d in found.items()}
-        candidate.update((k, dict(d)) for k, d in frozen.items())
-        gaps, payload = judge(candidate)
-        if gaps is not None:
-            return candidate, gaps, payload, iterations
+        return (*found, iterations)
 
     detail = f"best gap {best_gap:.3g}"
     if unsound:
@@ -582,19 +584,20 @@ def _root_support(base, supports, x0, q_of, tol, affine=None):
     return _fill(base, supports, x)
 
 
-# the most support combinations enumeration tries: with the hybrid root, or
-# with one linear solve each (``affine``)
-ENUMERATION_BUDGET = 1000
+# the most support combinations enumeration tries: with the hybrid root (3^7,
+# seven 2-action keys), or with one linear solve each (``affine``)
+ENUMERATION_BUDGET = 2187
 LINEAR_ENUMERATION_BUDGET = 20000
 
 
-def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol, affine=None):
+def enumerate_support_equilibrium(keys, actions_of, q_fn, judge, affine=None):
     """Deterministic support enumeration for small games.
 
     Tries support combinations smallest-first; mixing supports are solved by
-    rooting their indifference conditions (with ``affine``, see
-    :func:`_root_support`), then every support must lie in the optimal action
-    set.  Returns an assignment dict or None when the combination count
+    rooting their indifference conditions on the values of ``q_fn`` (with
+    ``affine``, see :func:`_root_support`), and every assignment goes to the
+    driver's verdict ``judge``.  Returns what ``judge`` gives for the first
+    assignment it passes, or None when none passes or the combination count
     exceeds ``ENUMERATION_BUDGET`` (``LINEAR_ENUMERATION_BUDGET`` with
     ``affine``).
     """
@@ -624,10 +627,9 @@ def enumerate_support_equilibrium(keys, actions_of, q_fn, gap_tol, affine=None):
                 continue
         else:
             assignment = _fill(base, supports, [])
-        q = q_fn(assignment)
-        if all({list(q[k]).index(a) for a in sup} <= set(optimal(q[k].values(), gap_tol))
-               for k, sup in supports):
-            return assignment
+        found = judge(assignment)
+        if found is not None:
+            return found
     return None
 
 
@@ -645,7 +647,7 @@ def _solve(tree: GameTree, partition: CoarsePartition, config: SolverConfig,
 
         def values(x, eps):
             q = _values(tree, partition, BehaviorProfile(_dists(x, slots)), owners, concept,
-                        chi, eps, lambda p, exact: p.full(tree))[0]
+                        chi, eps)[0]
             return [list(q[o].values()) for o in owners]
         return values
 
@@ -663,30 +665,6 @@ def _solve(tree: GameTree, partition: CoarsePartition, config: SolverConfig,
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-def epsilon_best_response(tree: GameTree, partition: CoarsePartition,
-                          profile: BehaviorProfile, eps: float,
-                          frozen: ComputerPlayerSet | None = None) -> BehaviorProfile:
-    """One element of the floor-constrained cursed best-response map."""
-    frozen_dists = frozen.info_set_dists() if frozen else {}
-    for iid in tree.player_info_sets():
-        acts = tree.info_sets[iid].actions
-        if eps > 1.0 / len(acts):
-            raise GameError(f"floor {eps} infeasible at {iid!r} with {len(acts)} actions")
-        if any(p < eps - 1e-12 for p in profile.dists[iid].values()):
-            raise GameError(f"profile violates the floor at {iid!r}")
-    free = [o for o in tree.player_info_sets() if o not in frozen_dists]
-    if free and not profile.is_fully_mixed():
-        raise GameError("cursed conjecture requires a fully mixed profile")
-    q = _values(tree, partition, profile, free, "sce", 1.0, eps,
-                lambda p, exact: p.full(tree))[0]
-    out = profile.copy().dists
-    out.update((k, {a: eps + (1.0 - eps * len(d)) * p for a, p in d.items()})
-               for k, d in frozen_dists.items())
-    out.update((o, _floor_dist(tree.info_sets[o].actions, q[o], eps, incumbent=out[o]))
-               for o in free)
-    return BehaviorProfile(out)
-
 
 def solve_sce(tree: GameTree, partition: CoarsePartition,
               config: SolverConfig | None = None,

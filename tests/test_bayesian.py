@@ -224,9 +224,9 @@ def test_linear_root_agrees_with_newton(monkeypatch):
         return linear
 
     monkeypatch.setattr(solvers, "_root_support", both)
-    # compare on the supports tried under hybr's budget (the linear budget
-    # would add thousands of hybr roots, 11 s); it has its own tests
-    monkeypatch.setattr(solvers, "LINEAR_ENUMERATION_BUDGET", solvers.ENUMERATION_BUDGET)
+    # compare on the supports tried under a budget of 1,000 combinations (the
+    # linear budget would add thousands of hybr roots, 11 s); it has its own tests
+    monkeypatch.setattr(solvers, "LINEAR_ENUMERATION_BUDGET", 1000)
     for seed in range(90):
         game = random_bayesian_game(random.Random(5000 + seed), 1 + seed % 3,
                                     2 + seed // 3 % 2)
@@ -332,9 +332,26 @@ def test_affine_values_match_type_action_values(seed, n_actions, n_states, data)
                          ids=["ce", "ice"])
 def test_three_action_games_solve_by_linear_enumeration(seed, n_states, solve, independent):
     """These two-player 3-action games fail every floor stage and need more
-    support combinations (2,401 or 16,807) than hybr's enumeration budget;
-    with one linear solve per combination, enumeration finds an equilibrium."""
-    game = random_bayesian_game(random.Random(seed), n_states, 3)
+    support combinations (2,401 or 16,807) than hybr's enumeration budget
+    (2,187); with one linear solve per combination, enumeration hands each
+    assignment to the driver's verdict and finds an equilibrium."""
+    assert_certified(random_bayesian_game(random.Random(seed), n_states, 3), solve, independent)
+
+
+@pytest.mark.parametrize("seed", [90006, 90062, 90093])
+@pytest.mark.parametrize("solve, independent", [(solve_ce, False), (solve_ice, True)],
+                         ids=["ce", "ice"])
+def test_three_player_games_solve_by_enumeration(seed, solve, independent):
+    """These 3-player games with seven 2-action type cells fail every floor
+    stage; their 3^7 = 2,187 support combinations fit hybr's enumeration
+    budget, and enumeration finds an equilibrium."""
+    assert_certified(random_bayesian_game(random.Random(seed), n_states=3, n_players=3),
+                     solve, independent)
+
+
+def assert_certified(game, solve, independent):
+    """``solve`` gives strategies whose played actions are optimal within
+    ``gap_tol`` under the type-averaged values."""
     config = SolverConfig()
     sigma = solve(game, config)
     tables = value_tables(game, independent)

@@ -1,8 +1,8 @@
 import pytest
 
 from cursedeq import games
-from cursedeq.bestresponse import (check_local_best_response, local_best_response_value, optimal,
-                                   support_gaps)
+from cursedeq.bestresponse import (_floor_dist, check_local_best_response,
+                                   local_best_response_value, optimal, support_gaps)
 from cursedeq.conjectures import limit_conjecture_system
 from cursedeq.tree import BehaviorProfile, GameBuilder
 from helpers import running_profile_x, running_profile_y
@@ -165,6 +165,27 @@ def test_optimal_keeps_ties_within_tol_in_value_order():
         # positions in the value sequence, a dict's and a list's alike
         assert optimal(values.values(), tol) == optimal(list(values.values()), tol)
         assert tuple(keys[i] for i in optimal(values.values(), tol)) == expected
+
+
+def test_floor_dist_ties_keep_the_incumbent_and_an_infeasible_floor_raises():
+    """Every action keeps the floor and the excess goes to the optimal set:
+    an exact tie keeps the incumbent mixture renormalized over the tied
+    actions (split uniformly when the incumbent puts no mass there), and a
+    floor above 1/|A| raises."""
+    acts, values = ("a", "b", "c"), {"a": 2.0, "b": 2.0, "c": 1.0}
+    d = _floor_dist(acts, values, 0.01, incumbent={"a": 0.3, "b": 0.6, "c": 0.1})
+    assert d == pytest.approx({"a": 0.01 + 0.97 / 3, "b": 0.01 + 0.97 * 2 / 3, "c": 0.01})
+    assert list(d) == list(acts)
+    d = _floor_dist(acts, values, 0.01, incumbent={"a": 0.0, "b": 0.0, "c": 1.0})
+    assert d == pytest.approx({"a": 0.01 + 0.97 / 2, "b": 0.01 + 0.97 / 2, "c": 0.01})
+    assert _floor_dist(("a", "b"), {"a": 2.0, "b": 2.0}, 0.01,
+                       incumbent={"a": 0.3, "b": 0.7})["a"] == pytest.approx(0.01 + 0.98 * 0.3)
+    # a unique optimum takes all the excess, whatever the incumbent
+    d = _floor_dist(acts, {"a": 1.0, "b": 3.0, "c": 2.0}, 0.1,
+                    incumbent={"a": 0.5, "b": 0.25, "c": 0.25})
+    assert d == pytest.approx({"a": 0.1, "b": 0.8, "c": 0.1})
+    with pytest.raises(ValueError, match="too large"):
+        _floor_dist(acts, values, 0.34)
 
 
 def test_support_gaps_positive_probability_empty_support_and_key_order():

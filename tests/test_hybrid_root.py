@@ -5,15 +5,16 @@ scipy is only the reference here; the package does not import it.  Every
 system that the polish and support enumeration root in the solves below is
 rooted both ways: both must accept the root or both reject it, and accepted
 roots agree within 1e-12.  The pins are the results these games had when
-the polish called scipy.  The five games without a solve keep their best
-gap; a change that solves one replaces its case by a certified solve
-(ROADMAP item 9: the solved count may only rise).
+the polish called scipy.  The five trees and four static games without a
+solve keep their best gap; a change that solves one replaces its case by a
+certified solve (ROADMAP item 9: the solved count may only rise).
 """
 
 import hashlib
 import math
 import platform
 import random
+from functools import partial
 
 import pytest
 
@@ -45,6 +46,10 @@ UNSOLVED = [(20035, 30, ("1", "2"), "0.07867065509325799"),
             (60026, 45, THREE, "0.3899999999999999"),
             (60081, 45, THREE, "2.604"),
             (60097, 45, THREE, "0.48511958967209456")]
+# (seed, repr of the best gap) of the two-player 3-action static games
+# random_bayesian_game(Random(seed), 4, 3) whose CE and ICE solves both fail
+UNSOLVED_STATIC = [(9019, "1.9391595441595442"), (9030, "0.014783965471608845"),
+                   (9046, "0.10699999999999998"), (9094, "0.7208740157480314")]
 
 
 def helical_valley(x):
@@ -143,10 +148,21 @@ def test_hybrid_root_agrees_with_scipy_hybr(monkeypatch):
     assert len(accepted) >= 190 and sum(accepted) >= 28
 
 
-@pytest.mark.parametrize("seed, nodes, players, best_gap", UNSOLVED,
-                         ids=[str(case[0]) for case in UNSOLVED])
-def test_unsolved_games_keep_their_best_gap(seed, nodes, players, best_gap):
+def solve_tree(seed, nodes, players):
     tree = random_game(random.Random(seed), nodes, players=players)
+    solve_sce(tree, coarsest_valid_partition(tree), SolverConfig())
+
+
+def solve_static(solve, seed):
+    solve(random_bayesian_game(random.Random(seed), 4, 3), SolverConfig())
+
+
+@pytest.mark.parametrize("run, best_gap", [
+    *(pytest.param(partial(solve_tree, seed, nodes, players), gap, id=str(seed))
+      for seed, nodes, players, gap in UNSOLVED),
+    *(pytest.param(partial(solve_static, solve, seed), gap, id=f"{name}-{seed}")
+      for seed, gap in UNSOLVED_STATIC for name, solve in (("ce", solve_ce), ("ice", solve_ice)))])
+def test_unsolved_games_keep_their_best_gap(run, best_gap):
     with pytest.raises(NonConvergenceError) as err:
-        solve_sce(tree, coarsest_valid_partition(tree), SolverConfig())
+        run()
     assert repr(err.value.best_gap) == best_gap

@@ -6,9 +6,8 @@ import pytest
 from cursedeq import games, solvers
 from cursedeq.bestresponse import local_best_response_value
 from cursedeq.partition import coarsest_valid_partition
-from cursedeq.solvers import (NonConvergenceError, SolverConfig, check_wpce,
-                              epsilon_best_response, sce_witness_check, solve_causal_sce,
-                              solve_chi_sce, solve_sce, solve_wpce)
+from cursedeq.solvers import (NonConvergenceError, SolverConfig, check_wpce, sce_witness_check,
+                              solve_causal_sce, solve_chi_sce, solve_sce, solve_wpce)
 from cursedeq.tree import BehaviorProfile, GameError, outcome_measure
 from helpers import distance, pennies_profile_b
 from randgames import random_game
@@ -261,51 +260,6 @@ def test_causal_single_player_backward_induction():
     res = solve_causal_sce(tree, part, SolverConfig(seed=0))
     assert pure(res.profile.dists["is:r"]) == "A"
     assert pure(res.profile.dists["is:rA"]) == "x"
-
-
-def test_epsilon_best_response(paper):
-    tree, part = paper["sequential-trading"]
-    prof = BehaviorProfile.uniform(tree)
-    out = epsilon_best_response(tree, part, prof, 0.05)
-    for iid, dist in out.dists.items():
-        assert min(dist.values()) >= 0.05 - 1e-12
-        assert sum(dist.values()) == pytest.approx(1.0)
-    # infeasible floor
-    with pytest.raises(GameError):
-        epsilon_best_response(tree, part, prof, 0.6)
-    # exact indifference keeps the incumbent mixture renormalized
-    from cursedeq.tree import GameBuilder
-    b = GameBuilder("flat", ["1"])
-    b.player("r", None, None, "1")
-    b.terminal("ra", "r", "a", {"1": 2.0})
-    b.terminal("rb", "r", "b", {"1": 2.0})
-    flat = b.build()
-    fpart = coarsest_valid_partition(flat)
-    incumbent = BehaviorProfile({"is:r": {"a": 0.3, "b": 0.7}})
-    out = epsilon_best_response(flat, fpart, incumbent, 0.01)
-    assert out.dists["is:r"]["a"] == pytest.approx(0.01 + 0.98 * 0.3)
-
-
-def test_epsilon_br_voting_subject_naive():
-    """With the jar favoring red, the floor-constrained response piles all
-    free mass on voting red; checked against a direct enumeration of the
-    two-action comparison under the independent-marginal beliefs."""
-    from cursedeq.games import voting_game
-    p, q = 0.6, 0.5
-    tree, frozen = voting_game(p, q, "simultaneous")
-    part = coarsest_valid_partition(tree)
-    eps = 0.01
-    prof = BehaviorProfile.uniform(tree)
-    floored = BehaviorProfile({i: {a: (1 - eps * len(d)) * pr + eps
-                                   for a, pr in d.items()}
-                               for i, d in prof.dists.items()})
-    out = epsilon_best_response(tree, part, floored, eps, frozen=frozen)
-    assert out.dists["subj:all"]["r"] == pytest.approx(1 - eps)
-    # oracle: each computer votes red with r* = p + (1-p)(1-q) independent of
-    # the ball; the red-vote advantage is 2 r*(1-r*)(2p-1) > 0
-    rstar = p + (1 - p) * (1 - q)
-    advantage = 2 * rstar * (1 - rstar) * (2 * p - 1) * 2.0
-    assert advantage > 0
 
 
 def test_wpce_check_and_solve(paper):
