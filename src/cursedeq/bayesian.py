@@ -139,14 +139,13 @@ def affine_values(tables: dict[tuple, tuple], slots, owners):
     return values
 
 
-def _indifference_system(game: BayesianGame, tables: dict[tuple, tuple], frozen: dict):
+def _indifference_system(game: BayesianGame, tables: dict[tuple, tuple]):
     """Two players: ``affine(base, supports)`` gives ``(M, c)``, the support's
     indifference conditions ``M x + c = 0`` over ``solvers._fill``'s variables:
     a key of ``supports`` plays its first action with the mass its other
-    actions leave (so a one-action support plays it surely), any other key
-    its strategy in ``frozen`` or ``base``."""
+    actions leave, any other key its strategy in ``base``."""
     def affine(base, supports):
-        fixed, n = {**base, **frozen}, sum(len(sup) - 1 for _, sup in supports)
+        n = sum(len(sup) - 1 for _, sup in supports)
         # each support key's strategy as a matrix on (x, 1)
         unit, strat, j = np.eye(n + 1)[n], {}, 0
         for k, sup in supports:
@@ -159,7 +158,7 @@ def _indifference_system(game: BayesianGame, tables: dict[tuple, tuple], frozen:
         for k, sup in supports:
             _, groups, (acts,), rows = tables[k]
             bp = sum(p * (strat[key] if key in strat else
-                          np.outer([fixed[key][a] for a in acts], unit)) for p, (key,) in groups)
+                          np.outer([base[key][a] for a in acts], unit)) for p, (key,) in groups)
             mc += [np.subtract(rows[b], rows[sup[0]]) @ bp for b in sup[1:]]
         mc = np.array(mc)
         return mc[:, :n], mc[:, n]
@@ -195,7 +194,7 @@ def _solve_static(game: BayesianGame, config: SolverConfig, independent: bool,
 
     sigma, _, _, _ = _homotopy(
         concept, config, cells, lambda c: game.actions[c[0]], frozen, free, q_stage, q_limit,
-        _indifference_system(game, tables, frozen) if two else None)
+        _indifference_system(game, tables) if two else None)
     return sigma
 
 

@@ -130,8 +130,9 @@ def cmd_conjecture(args):
         profile = parse_profile_lines(_read(args.profile).split("\n"), tree)
     else:
         profile = BehaviorProfile.uniform(tree)
-    if args.at not in tree.info_sets:
-        print(f"unknown info set {args.at!r}", file=sys.stderr)
+    if args.at not in tree.player_info_sets():
+        what = "nature's" if args.at in tree.info_sets else "unknown"
+        print(f"{what} info set {args.at!r}: --at takes a player's info set", file=sys.stderr)
         return EXIT_USAGE
     # the exact limit of a fully mixed profile is its own conjecture
     system, _ = limit_conjecture_system(tree, part, profile, owners=[args.at])

@@ -11,15 +11,16 @@ or skip to the end of an exact cycle, and ties are within
 once per stage.  ``SolverConfig`` sets only the verdict's tolerance
 ``gap_tol`` and the seed that labels the result.  After every stage the
 solver strips the floor-level mass from the stage's last iterate (nothing is
-averaged), roots the exact indifference conditions of the limit values on
-the remaining support once (with a Newton-type root finder, or one linear
-solve for two-player static games), and certifies local best responses
-under the limit conjectures; it returns at the first stage whose candidate
-passes, and otherwise tries support enumeration once: smallest supports
-first, at most ``ENUMERATION_BUDGET`` (2,187) combinations with the Newton
-root or ``LINEAR_ENUMERATION_BUDGET`` (20,000) with the linear one, each
-assignment handed to the same verdict as a stage candidate.  A result
-depends on the game alone.
+averaged), polishes it and certifies local best responses under the limit
+conjectures; it returns at the first stage whose candidate passes, and
+otherwise tries support enumeration once: smallest supports first, at most
+``ENUMERATION_BUDGET`` (2,187) combinations with the Newton root or
+``LINEAR_ENUMERATION_BUDGET`` (20,000) with the linear one.  Stage
+candidates and enumeration combinations (uniform on their supports) share
+one polish, which roots the exact indifference conditions of the limit
+values on the support (by a Newton-type root finder, or one linear solve
+for two-player static games) within one tolerance, ``ROOT_TOL``, and one
+verdict.  A result depends on the game alone.
 
 The driver reads two oracles: a stage oracle gives the action values at a
 floor straight from the flat iterate (one value list per free key), and a
@@ -80,6 +81,8 @@ EPS_FLOOR = 1e-8
 DAMPING = 0.5
 FP_TOL = 1e-9
 MAX_ITERS = 80
+# the largest indifference residual of a support root that the polish keeps
+ROOT_TOL = 1e-7
 
 
 @dataclass
@@ -225,18 +228,19 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit,
     ``q_stage(slots)`` is called once and returns ``values(x, eps)``, one
     value list per free key in slot order, each in its actions' order.  The
     limit oracle ``q_limit(dists, owners)`` gives ``(values, sound,
-    payload)`` for the keys ``owners``.  The polish and support enumeration
-    root on its values (by ``affine``'s linear system when given).  Every
-    candidate gets one verdict, from ``judge``: it passes when ``sound``
-    holds and every free support is optimal within ``gap_tol``.
+    payload)`` for the keys ``owners``.  Every candidate gets one polish,
+    :func:`_polish` within ``ROOT_TOL`` (by ``affine``'s linear system when
+    given), and one verdict, from ``judge``: it passes when ``sound`` holds
+    and every free support is optimal within ``gap_tol``.
 
     Every floor stage ends with a verdict on its last iterate (nothing is
     averaged): stripped of its mass at or below ``max(5 EPS_FLOOR, 2 eps)``,
     polished and judged; the first candidate that passes is returned.  When
-    none does, support enumeration runs once and hands each of its
-    assignments to the same verdict.  A step reads only the iterate and
-    ``eps``, so a stage whose iterate repeats exactly ends where its cycle
-    is at step ``MAX_ITERS``.
+    none does, support enumeration runs once, within ``ENUMERATION_BUDGET``
+    combinations (``LINEAR_ENUMERATION_BUDGET`` with ``affine``), and its
+    candidates take the same polish and verdict.  A step reads only the
+    iterate and ``eps``, so a stage whose iterate repeats exactly ends where
+    its cycle is at step ``MAX_ITERS``.
 
     Returns ``(dists, gaps, payload, iterations)``.
     """
@@ -256,6 +260,9 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit,
         if worst < best_gap:
             best_gap, best_gaps = worst, gaps
         return None
+
+    def polish(dists):
+        return _polish(dists, free, q_limit, ROOT_TOL, affine)
 
     # each key's slice of the flat iterate, in the action order of its clamped strategy
     slots = _slots([(k, tuple(frozen.get(k, actions_of(k)))) for k in keys])
@@ -294,15 +301,14 @@ def _homotopy(concept, config, keys, actions_of, frozen, free, q_stage, q_limit,
             total = sum(kept.values())
             candidate[k] = (dict(frozen[k]) if k in frozen
                             else {a: kept.get(a, 0.0) / total for a in d})
-        found = judge(_polish(candidate, free, q_limit, affine))
+        found = judge(polish(candidate) or candidate)
         if found is not None:
             return (*found, iterations)
 
     # last resort for stubborn cycles: enumerate supports outright
     found = enumerate_support_equilibrium(
-        free, actions_of, lambda assignment: q_limit({**assignment, **frozen}, free)[0],
-        lambda assignment: judge({**assignment, **{k: dict(d) for k, d in frozen.items()}}),
-        affine)
+        free, actions_of, lambda d: polish({**d, **{k: dict(v) for k, v in frozen.items()}}),
+        judge, ENUMERATION_BUDGET if affine is None else LINEAR_ENUMERATION_BUDGET)
     if found is not None:
         return (*found, iterations)
 
@@ -346,19 +352,40 @@ def _stage_step(x, q, slots, fixed, rows, eps):
     return target
 
 
-def _polish(dists, free, q_limit, affine):
-    """Support polish: root the exact indifference conditions of the limit
-    values (from the limit oracle ``q_limit``) once, on the support of the
-    stripped candidate ``dists``.  Returns the rooted strategy, or ``dists``
-    unchanged when no free key mixes or the root fails."""
+def _polish(dists, free, q_limit, tol, affine=None):
+    """Support polish of a stage candidate or an enumeration combination:
+    root the indifference conditions of the limit values that ``q_limit``
+    gives for the mixing keys, on the support of ``dists`` and from it, by
+    Powell's hybrid method (:func:`_hybrid_root`, each strategy evaluated
+    once) or, when ``affine(dists, mixing)`` gives them as ``M x + c = 0``,
+    at ``x0 + lstsq(M, -(M x0 + c))``.  Returns ``dists`` when no free key
+    mixes, the rooted strategy, or None when the root leaves [0, 1] or its
+    residual exceeds ``tol``."""
     supports = [(k, [a for a, p in dists[k].items() if p > 0.0]) for k in free]
     mixing = [(k, sup) for k, sup in supports if len(sup) > 1]
     if not mixing:
         return dists
     owners = [k for k, _ in mixing]
     x0 = [dists[k][a] for k, sup in mixing for a in sup[1:]]
-    trial = _root_support(dists, mixing, x0, lambda d: q_limit(d, owners)[0], 1e-7, affine)
-    return dists if trial is None else trial
+    memo = {}
+
+    def equations(x):
+        trial = _fill(dists, mixing, x)
+        key = tuple(p for k in owners for p in trial[k].values())
+        if key not in memo:
+            q = q_limit(trial, owners)[0]
+            memo[key] = [q[k][a] - q[k][sup[0]] for k, sup in mixing for a in sup[1:]]
+        return memo[key]
+
+    if affine is None:
+        x, fun = _hybrid_root(equations, x0)
+    else:
+        m, c = affine(dists, mixing)
+        x, fun = np.add(x0, np.linalg.lstsq(m, -(m @ x0 + c), rcond=None)[0]), None
+    if (not all(-1e-9 <= v <= 1.0 + 1e-9 for v in x)
+            or max(map(abs, equations(x) if fun is None else fun), default=0.0) > tol):
+        return None
+    return _fill(dists, mixing, x)
 
 
 def _fill(base, supports, x):
@@ -554,80 +581,28 @@ def _hybrid_root(fun, x0):
             r[-1][-1], q, qtf = w[-1], [col[:n] for col in qe], [col[n] for col in qe]
 
 
-def _root_support(base, supports, x0, q_of, tol, affine=None):
-    """Root the indifference conditions of ``supports`` by Powell's hybrid
-    method (:func:`_hybrid_root`), or, when ``affine(base, supports)`` gives
-    them as ``(M, c)`` with ``M x + c = 0``, at ``x0 + lstsq(M, -(M x0 + c))``.
-    Returns the filled strategy, or None when the root leaves [0, 1] or its
-    residual (through ``q_of``) exceeds ``tol``.  The hybrid method revisits
-    points and clips many to one strategy: each strategy is evaluated once."""
-    mixing = [(k, sup) for k, sup in supports if len(sup) > 1]
-    memo = {}
-
-    def equations(x):
-        dists = _fill(base, supports, x)
-        key = tuple(p for k, _ in mixing for p in dists[k].values())
-        if key not in memo:
-            q = q_of(dists)
-            memo[key] = [q[k][a] - q[k][sup[0]] for k, sup in mixing for a in sup[1:]]
-        return memo[key]
-
-    if affine is None:
-        x, fun = _hybrid_root(equations, x0)
-    else:
-        m, c = affine(base, supports)
-        x, fun = np.add(x0, np.linalg.lstsq(m, -(m @ x0 + c), rcond=None)[0]), None
-    if not all(-1e-9 <= v <= 1.0 + 1e-9 for v in x):
-        return None
-    if max((abs(v) for v in (equations(x) if fun is None else fun)), default=0.0) > tol:
-        return None
-    return _fill(base, supports, x)
-
-
-# the most support combinations enumeration tries: with the hybrid root (3^7,
-# seven 2-action keys), or with one linear solve each (``affine``)
+# the most support combinations enumeration tries, each polished as a stage
+# candidate is: with the hybrid root (3^7, seven 2-action keys), or with one
+# linear solve each (``affine``)
 ENUMERATION_BUDGET = 2187
 LINEAR_ENUMERATION_BUDGET = 20000
 
 
-def enumerate_support_equilibrium(keys, actions_of, q_fn, judge, affine=None):
-    """Deterministic support enumeration for small games.
-
-    Tries support combinations smallest-first; mixing supports are solved by
-    rooting their indifference conditions on the values of ``q_fn`` (with
-    ``affine``, see :func:`_root_support`), and every assignment goes to the
-    driver's verdict ``judge``.  Returns what ``judge`` gives for the first
-    assignment it passes, or None when none passes or the combination count
-    exceeds ``ENUMERATION_BUDGET`` (``LINEAR_ENUMERATION_BUDGET`` with
-    ``affine``).
-    """
-    budget = ENUMERATION_BUDGET if affine is None else LINEAR_ENUMERATION_BUDGET
-    per_key = []
-    for key in keys:
-        acts = actions_of(key)
-        subsets = []
-        for r in range(1, len(acts) + 1):
-            subsets.extend(itertools.combinations(acts, r))
-        per_key.append(subsets)
-    total = 1
-    for subs in per_key:
-        total *= len(subs)
-        if total > budget:
-            return None
-
-    base = {k: dict.fromkeys(actions_of(k), 0.0) for k in keys}
-    combos = sorted(itertools.product(*per_key),
-                    key=lambda c: (sum(len(s) for s in c), c))
-    for combo in combos:
-        supports = list(zip(keys, combo))
-        if any(len(s) > 1 for s in combo):
-            x0 = [1.0 / len(sup) for sup in combo for _ in sup[1:]]
-            assignment = _root_support(base, supports, x0, q_fn, 1e-8, affine)
-            if assignment is None:
-                continue
-        else:
-            assignment = _fill(base, supports, [])
-        found = judge(assignment)
+def enumerate_support_equilibrium(keys, actions_of, polish, judge, budget):
+    """Deterministic support enumeration for small games: support
+    combinations smallest-first, each as the strategy uniform on its
+    supports, through the stage candidates' ``polish`` (a None skips it) and
+    the driver's verdict ``judge``.  Returns what ``judge`` gives for the
+    first that passes, or None when none does or there are more than
+    ``budget`` combinations."""
+    per_key = [[s for r in range(1, len(acts) + 1) for s in itertools.combinations(acts, r)]
+               for acts in map(actions_of, keys)]
+    if math.prod(map(len, per_key)) > budget:
+        return None
+    for combo in sorted(itertools.product(*per_key), key=lambda c: (sum(map(len, c)), c)):
+        polished = polish({k: {a: 1.0 / len(sup) if a in sup else 0.0 for a in actions_of(k)}
+                           for k, sup in zip(keys, combo)})
+        found = None if polished is None else judge(polished)
         if found is not None:
             return found
     return None

@@ -21,6 +21,12 @@ def copy_conjecture(conj: Conjecture) -> Conjecture:
     return Conjecture(conj.owner, {i: dict(d) for i, d in conj.dists.items()})
 
 
+def mixing_keys(dists: dict, free) -> list:
+    """The keys of ``free`` at which ``dists`` plays two actions or more:
+    those whose indifference conditions the solver's polish roots."""
+    return [k for k in free if sum(p > 0.0 for p in dists[k].values()) > 1]
+
+
 def running_profile_y() -> BehaviorProfile:
     """Running example, depicted profile: 1 plays y; 2 plays l, l, r."""
     return BehaviorProfile({

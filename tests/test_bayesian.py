@@ -17,6 +17,7 @@ from cursedeq.bestresponse import support_gaps
 from cursedeq.partition import coarsest_valid_partition
 from cursedeq.solvers import SolverConfig
 from cursedeq.tree import validate_game
+from helpers import mixing_keys
 
 PINNED = Path(__file__).parent / "data" / "pinned_outputs.json"
 
@@ -209,21 +210,23 @@ def test_linear_root_agrees_with_newton(monkeypatch):
     """On two-player games (2-3 actions, 1-3 states per cell) each support
     that the polish and support enumeration try is rooted both ways: wherever
     hybr roots, the linear solve must root too and agree within 1e-12."""
-    real = solvers._root_support
+    real = solvers._polish
     compared = []
 
-    def both(base, supports, x0, q_of, tol, affine):
+    def both(dists, free, q_limit, tol, affine=None):
         assert affine is not None
-        linear = real(base, supports, x0, q_of, tol, affine)
-        hybr = real(base, supports, x0, q_of, tol, None)
+        linear = real(dists, free, q_limit, tol, affine)
+        if not mixing_keys(dists, free):
+            return linear
+        hybr = real(dists, free, q_limit, tol, None)
         if hybr is not None:
-            assert linear is not None, supports
+            assert linear is not None, dists
             assert max(abs(linear[k][a] - p) for k, d in hybr.items()
-                       for a, p in d.items()) <= 1e-12, supports
-            compared.append(supports)
+                       for a, p in d.items()) <= 1e-12, dists
+            compared.append(dists)
         return linear
 
-    monkeypatch.setattr(solvers, "_root_support", both)
+    monkeypatch.setattr(solvers, "_polish", both)
     # compare on the supports tried under a budget of 1,000 combinations (the
     # linear budget would add thousands of hybr roots, 11 s); it has its own tests
     monkeypatch.setattr(solvers, "LINEAR_ENUMERATION_BUDGET", 1000)
@@ -268,7 +271,7 @@ GAME_104 = {("1", 0): {"a": 1.0, "b": 0.0},
 def test_game_104_mixes_through_a_one_action_support(monkeypatch, solve):
     """Game 104's mixed equilibrium comes only from support enumeration,
     whose supports give ("1", 2) and ("2", 1) one action each: the linear
-    root must read them as played surely, not as the zero base."""
+    root must read them as played surely."""
     found = []
     enumerate_ = solvers.enumerate_support_equilibrium
     monkeypatch.setattr(solvers, "enumerate_support_equilibrium",

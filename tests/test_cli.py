@@ -245,6 +245,18 @@ def test_conjecture_command(tmp_path, capsys):
     assert capsys.readouterr().out == CONJECTURE_RUNNING_PURE
 
 
+@pytest.mark.parametrize("at, what", [("is:r", "nature's"), ("9:Z", "unknown")])
+def test_conjecture_at_a_non_player_info_set_is_a_usage_error(tmp_path, capsys, at, what):
+    """A conjecture is held at a player's info set: nature's set ``is:r``
+    and an unknown id are usage errors (exit 2) with a message, not a
+    traceback."""
+    game = tmp_path / "running.game"
+    game.write_text(bundled_game_text("running-example"), encoding="utf-8")
+    assert cli_main(["conjecture", str(game), "--at", at]) == 2
+    assert capsys.readouterr().err == (
+        f"{what} info set {at!r}: --at takes a player's info set\n")
+
+
 def test_experiment_command(tmp_path, capsys):
     spec = tmp_path / "exp.spec"
     spec.write_text("experiment two-stage-auction\nconcept sce\n", encoding="utf-8")

@@ -23,6 +23,7 @@ from cursedeq.bayesian import random_bayesian_game, solve_ce, solve_ice
 from cursedeq.partition import coarsest_valid_partition
 from cursedeq.solvers import (NonConvergenceError, SolverConfig, solve_causal_sce,
                               solve_chi_sce, solve_sce)
+from helpers import mixing_keys
 from randgames import random_game
 
 THREE = ("1", "2", "3")
@@ -110,23 +111,23 @@ def test_hybrid_root_steps_as_scipy_hybr(name):
 
 
 def test_hybrid_root_agrees_with_scipy_hybr(monkeypatch):
-    root_support = solvers._root_support
+    polish = solvers._polish
     accepted = []
 
-    def both(base, supports, x0, q_of, tol, affine=None):
-        got = root_support(base, supports, x0, q_of, tol, affine)
-        if affine is None:
+    def both(dists, free, q_limit, tol, affine=None):
+        got = polish(dists, free, q_limit, tol, affine)
+        if affine is None and mixing_keys(dists, free):
             with monkeypatch.context() as m:
                 m.setattr(solvers, "_hybrid_root", scipy_hybr)
-                want = root_support(base, supports, x0, q_of, tol)
-            assert (got is None) == (want is None), supports
+                want = polish(dists, free, q_limit, tol)
+            assert (got is None) == (want is None), dists
             if got is not None:
                 assert max(abs(got[k][a] - p) for k, d in want.items()
-                           for a, p in d.items()) <= 1e-12, supports
+                           for a, p in d.items()) <= 1e-12, dists
             accepted.append(got is not None)
         return got
 
-    monkeypatch.setattr(solvers, "_root_support", both)
+    monkeypatch.setattr(solvers, "_polish", both)
     config = SolverConfig(seed=7)
     for name in games.BUNDLED_DOCUMENTS:
         tree = games.bundled_game(name)
@@ -146,6 +147,39 @@ def test_hybrid_root_agrees_with_scipy_hybr(monkeypatch):
     assert static[90033] == GAME_90033
     # 195 systems, 28 of them rooted, when this test was written
     assert len(accepted) >= 190 and sum(accepted) >= 28
+
+
+def test_enumeration_roots_value_only_the_mixing_keys(monkeypatch):
+    """The CE and ICE of the 3-player game 90033 come from support
+    enumeration, whose combinations root through the stage polish: every
+    root evaluation asks the limit oracle for exactly the keys that mix, not
+    for every free key."""
+    polish, enumerate_ = solvers._polish, solvers.enumerate_support_equilibrium
+    asked, enumerating = [], []
+
+    def spy(dists, free, q_limit, *rest):
+        mixing = mixing_keys(dists, free)
+
+        def limit(trial, owners):
+            asked.append((list(owners), mixing, free, bool(enumerating)))
+            return q_limit(trial, owners)
+        return polish(dists, free, limit, *rest)
+
+    def enumerate_spy(*args):
+        enumerating.append(True)
+        try:
+            return enumerate_(*args)
+        finally:
+            enumerating.pop()
+
+    monkeypatch.setattr(solvers, "_polish", spy)
+    monkeypatch.setattr(solvers, "enumerate_support_equilibrium", enumerate_spy)
+    game = random_bayesian_game(random.Random(90033), n_states=2, n_players=3)
+    got = (repr(solve_ce(game, SolverConfig())), repr(solve_ice(game, SolverConfig())))
+    assert got == GAME_90033
+    assert all(owners == mixing for owners, mixing, _, _ in asked)
+    rooted = [(owners, free) for owners, _, free, enumeration in asked if enumeration]
+    assert rooted and any(len(owners) < len(free) for owners, free in rooted)
 
 
 def solve_tree(seed, nodes, players):
