@@ -3,7 +3,9 @@
 Numerical machinery for the symmetric affiliated-signals model: Monte Carlo
 estimation of the conditional-value tables, the first-price and Dutch
 bidding ODEs, the second-price and silent/canonical English quit rules, bid
-orderings, and the many-bidder winner's-payoff experiment.
+orderings, and the many-bidder winner's-payoff experiment.  Row sums, maxima
+and sorts of the signal matrix run over its columns, not along its short rows,
+where numpy pays per row; the winner's payoff is drawn and cleared in blocks.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ class SignalModel:
     sampler: object
     closed_forms: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.bidders < 2:
+            raise ValueError(f"model {self.name} needs at least 2 bidders, got {self.bidders}")
+
     def sample(self, rng: np.random.Generator, n: int):
         values, signals = self.sampler(rng, n)
         return np.asarray(values, dtype=float), np.asarray(signals, dtype=float)
@@ -41,7 +47,7 @@ def wallet_model(bidders: int = 2) -> SignalModel:
 
     def sampler(rng, n):
         x = rng.uniform(0.0, 1.0, size=(n, bidders))
-        return x.sum(axis=1), x
+        return _row_sum(x), x
 
     forms = {}
     if bidders == 2:
@@ -62,7 +68,7 @@ def mean_value_model(bidders: int) -> SignalModel:
 
     def sampler(rng, n):
         x = rng.uniform(0.0, 1.0, size=(n, k))
-        return x.mean(axis=1), x
+        return _row_sum(x) / k, x
 
     def v(x):
         return (x + (k - 1) * 0.5) / k
@@ -85,9 +91,9 @@ def mean_value_model(bidders: int) -> SignalModel:
 
     def v_stage(x, quits, floor):
         # quits: (m,) shared by every x, or (n, m) one row per sample
-        quits = np.asarray(quits, dtype=float)
+        quits = np.atleast_2d(np.asarray(quits, dtype=float))
         remaining = k - 1 - quits.shape[-1]
-        return (x + quits.sum(axis=-1) + remaining * (1.0 + floor) / 2.0) / k
+        return (x + _row_sum(quits) + remaining * (1.0 + floor) / 2.0) / k
 
     forms = {"v": v, "v_upper": v_upper, "v_lower": v_lower,
              "f_y1": f_y1, "F_y1": F_y1, "v_stage": v_stage}
@@ -147,10 +153,27 @@ def _signal_cells(x, lo, hi, g):
 
 
 def _highest_rival(signals: np.ndarray) -> np.ndarray:
-    """Each draw's highest signal among the rivals (columns 1 on), or 0 with
-    no rival; a maximum over columns, since one along short rows is slow."""
-    rivals = signals[:, 1:].T
-    return functools.reduce(np.maximum, rivals) if len(rivals) else np.zeros(len(signals))
+    """Each draw's highest signal among the rivals (columns 1 on, at least
+    one): a maximum over columns, the same bits as one along the rows."""
+    return functools.reduce(np.maximum, signals[:, 1:].T)
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Each row's sum, the columns added left to right from 0.0: ``sum(row)``
+    at every width, and ``x.sum(axis=1)`` below 8 (numpy sums 8 up pairwise)."""
+    return functools.reduce(np.add, x.T, np.zeros(len(x)))
+
+
+def _sorted_columns(x: np.ndarray) -> np.ndarray:
+    """``np.sort(x, axis=1).T`` as contiguous rows, by an insertion network of
+    w (w - 1) / 2 ``np.minimum``/``np.maximum`` comparators for w columns: the
+    same bits on finite input."""
+    cols = list(x.T)
+    for i in range(1, len(cols)):
+        for j in range(i, 0, -1):
+            a, b = cols[j - 1], cols[j]
+            cols[j - 1], cols[j] = np.minimum(a, b), np.maximum(a, b)
+    return np.array(cols)
 
 
 def estimate_conditionals(model: SignalModel, grid: np.ndarray,
@@ -389,17 +412,17 @@ def bid_canonical_english(model: SignalModel, observed_signals,
     rng = np.random.Generator(np.random.PCG64(oracle.seed + 17 * (k + 1)))
     values, signals = model.sample(rng, oracle.samples)
     x1 = signals[:, 0]
-    others = np.sort(signals[:, 1:], axis=1)
+    others = _sorted_columns(signals[:, 1:])
     h = (model.hi - model.lo) / len(grid)
     win = np.ones(len(values), dtype=bool)
     for j, y in enumerate(quits):
-        win &= np.abs(others[:, j] - y) <= h
+        win &= np.abs(others[j] - y) <= h
     bids = np.full(len(grid), np.nan)
     ses = np.full(len(grid), np.nan)
     for i, x in enumerate(grid):
         mask = win & (np.abs(x1 - x) <= h / 2)
         if k < model.bidders - 1:
-            mask &= others[:, k] >= x
+            mask &= others[k] >= x
         n = int(mask.sum())
         if n == 0:
             continue
@@ -420,17 +443,24 @@ class WinnerCurseRow:
     draws: int
 
 
+# rows drawn and cleared at a time for the winner's payoff: the columns fit L2
+BLOCK_ROWS = 8192
+
+
 def winner_curse_experiment(model_family, ks, oracle: OracleConfig | None = None
                             ) -> list[WinnerCurseRow]:
     """Simulate the constructed equilibrium per bidder count and average the
-    realized winner payoff, value minus clearing price."""
+    realized winner payoff, value minus clearing price.  The blocks of draws
+    come from one stream, so they are the draws of one whole-sample call."""
     oracle = oracle or OracleConfig()
     rows = []
     for k in ks:
         model = model_family(k)
         rng = np.random.Generator(np.random.PCG64(oracle.seed + k))
-        values, signals = model.sample(rng, oracle.samples)
-        payoffs = values - clearing_prices(model, signals)
+        payoffs = np.empty(oracle.samples)
+        for start in range(0, oracle.samples, BLOCK_ROWS):
+            values, signals = model.sample(rng, min(BLOCK_ROWS, oracle.samples - start))
+            payoffs[start:start + len(values)] = values - clearing_prices(model, signals)
         se = float(payoffs.std(ddof=1) / np.sqrt(len(payoffs)))
         rows.append(WinnerCurseRow(k, float(payoffs.mean()), se, len(payoffs)))
     return rows
@@ -440,12 +470,11 @@ def clearing_prices(model: SignalModel, signals: np.ndarray) -> np.ndarray:
     """Price paid by the winner when everyone follows the stage quit rules:
     the second-highest bidder's final-stage quit point given all lower quits."""
     forms = model.closed_forms
-    k = model.bidders
-    srt = np.sort(signals, axis=1)
-    second = srt[:, -2]
+    srt = _sorted_columns(signals)
+    second = srt[-2]
     if "v_stage" in forms:
-        return forms["v_stage"](second, srt[:, :-2], second)
-    if k == 2 and "v_lower" in forms:
+        return forms["v_stage"](second, srt[:-2].T, second)
+    if model.bidders == 2 and "v_lower" in forms:
         return np.asarray(forms["v_lower"](second, second), dtype=float)
     raise ValueError(f"model {model.name} lacks a stage-value form for simulation")
 

@@ -3,12 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cursedeq.auctions import (BidFunction, OracleConfig, _highest_rival, _signal_cells,
-                               bid_canonical_english, bid_second_price, bid_silent_english,
-                               clearing_prices, estimate_conditionals, mean_value_model,
-                               ode_residuals, solve_dutch, solve_first_price, uniform_grid,
-                               verify_orderings, wallet_model, winner_curse_experiment)
+from cursedeq.auctions import (BLOCK_ROWS, BidFunction, OracleConfig, _highest_rival,
+                               _row_sum, _signal_cells, _sorted_columns, bid_canonical_english,
+                               bid_second_price, bid_silent_english, clearing_prices,
+                               estimate_conditionals, mean_value_model, ode_residuals,
+                               solve_dutch, solve_first_price, uniform_grid, verify_orderings,
+                               wallet_model, winner_curse_experiment)
 
 ORACLE = OracleConfig(samples=100_000, seed=42)
 
@@ -262,7 +265,7 @@ def _stage_rule(k, x, quits, floor):
 
 
 def test_clearing_prices_match_per_sample_loop():
-    for k in range(2, 10):
+    for k in range(2, 13):
         model = mean_value_model(k)
         rng = np.random.Generator(np.random.PCG64(100 + k))
         _, signals = model.sample(rng, 20_000)
@@ -507,4 +510,67 @@ def test_highest_rival_matches_the_row_max(k):
     _, signals = mean_value_model(k).sample(np.random.Generator(np.random.PCG64(k)), 20_000)
     signals[::7, -1] = signals[::7, 1]
     assert np.array_equal(_highest_rival(signals), signals[:, 1:].max(axis=1))
-    assert np.array_equal(_highest_rival(signals[:, :1]), np.zeros(20_000))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+# few values, so rows tie often, with sums that round differently by order
+TIE_VALUES = (0.1, 0.2, 0.3, 0.7, 3.0, -2.5, 1e16, -1e16)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(1, 20), st.data())
+def test_row_helpers_match_the_row_reductions(width, n, data):
+    """The column-wise row sort is ``np.sort`` along the rows bit for bit;
+    the column-wise row sum is Python's left-to-right ``sum(row)`` at every
+    width, and numpy's row sum below 8 columns."""
+    cells = data.draw(st.lists(st.sampled_from(TIE_VALUES), min_size=width * n,
+                               max_size=width * n))
+    x = np.array(cells).reshape(n, width)
+    srt = _sorted_columns(x)
+    assert srt.shape == (width, n) and srt.flags.c_contiguous
+    assert np.array_equal(_bits(srt), _bits(np.sort(x, axis=1).T))
+    total = _row_sum(x)
+    assert np.array_equal(_bits(total), _bits([sum(row) for row in x.tolist()]))
+    if width < 8:
+        assert np.array_equal(_bits(total), _bits(x.sum(axis=1)))
+
+
+@pytest.mark.parametrize("family, k", [(wallet_model, 1), (mean_value_model, 1),
+                                       (mean_value_model, 0)])
+def test_signal_model_needs_two_bidders(family, k):
+    with pytest.raises(ValueError, match=f"model .*-{k} needs at least 2 bidders"):
+        family(k)
+    with pytest.raises(ValueError, match="needs at least 2 bidders"):
+        winner_curse_experiment(family, [k])
+
+
+def _one_shot_winner_payoff(k, oracle):
+    """The winner's payoff of k mean-value bidders from one draw of all
+    samples, with row sorts and row sums (the former experiment body)."""
+    rng = np.random.Generator(np.random.PCG64(oracle.seed + k))
+    x = rng.uniform(0.0, 1.0, size=(oracle.samples, k))
+    srt = np.sort(x, axis=1)
+    second = srt[:, -2]
+    prices = (second + srt[:, :-2].sum(axis=-1) + (1.0 + second) / 2.0) / k
+    payoffs = x.mean(axis=1) - prices
+    return float(payoffs.mean()), float(payoffs.std(ddof=1) / np.sqrt(len(payoffs)))
+
+
+@pytest.mark.parametrize("samples", [10_000, 10_001, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
+def test_blocked_winner_payoff_matches_one_shot(samples):
+    """Blocks of draws from one stream give the one-shot payoff, bit for bit
+    up to 7 bidders, whose rows numpy sums left to right as the blocks do;
+    from 8 up numpy sums pairwise, within 1e-15.  The last size leaves a
+    one-row tail block."""
+    oracle = OracleConfig(samples=samples, seed=11)
+    for k in range(2, 10):
+        row, = winner_curse_experiment(mean_value_model, [k], oracle)
+        mean, se = _one_shot_winner_payoff(k, oracle)
+        assert row.draws == samples
+        if k < 8:
+            assert (row.mean_payoff, row.se) == (mean, se), k
+        else:
+            assert abs(row.mean_payoff - mean) <= 1e-15 and abs(row.se - se) <= 1e-15, k
