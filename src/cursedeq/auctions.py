@@ -5,7 +5,11 @@ estimation of the conditional-value tables, the first-price and Dutch
 bidding ODEs, the second-price and silent/canonical English quit rules, bid
 orderings, and the many-bidder winner's-payoff experiment.  Row sums, maxima
 and sorts of the signal matrix run over its columns, not along its short rows,
-where numpy pays per row; the winner's payoff is drawn and cleared in blocks.
+where numpy pays per row; a sort is Bose and Nelson's network (9, 19 and 27
+comparators for 5, 8 and 9 columns).  The samplers draw by ``rng.random``, the
+bits of ``rng.uniform(0.0, 1.0)``.  The tables and the winner's payoff draw
+``BLOCK_ROWS`` rows at a time from one stream, the draws of one whole-sample
+call, so the tables keep about 43 bytes a draw at any bidder count.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ def wallet_model(bidders: int = 2) -> SignalModel:
     """Value equals the sum of independent uniform signals."""
 
     def sampler(rng, n):
-        x = rng.uniform(0.0, 1.0, size=(n, bidders))
+        x = rng.random((n, bidders))
         return _row_sum(x), x
 
     forms = {}
@@ -67,7 +71,7 @@ def mean_value_model(bidders: int) -> SignalModel:
     k = bidders
 
     def sampler(rng, n):
-        x = rng.uniform(0.0, 1.0, size=(n, k))
+        x = rng.random((n, k))
         return _row_sum(x) / k, x
 
     def v(x):
@@ -133,6 +137,10 @@ class ConditionalTables:
     source: str = "monte-carlo"
 
 
+# rows drawn at a time for the Monte Carlo tables and the winner's payoff
+BLOCK_ROWS = 8192
+
+
 def uniform_grid(model: SignalModel, g: int) -> np.ndarray:
     """Cell midpoints of a uniform partition of the signal support."""
     h = (model.hi - model.lo) / g
@@ -164,15 +172,35 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, x.T, np.zeros(len(x)))
 
 
+@functools.cache
+def _bose_nelson(w: int) -> tuple:
+    """Bose and Nelson's (1962) network on w places, comparators (i, j), i < j:
+    sort each half, then merge the sorted runs by merging their halves."""
+    if w < 2:
+        return ()
+    a = w // 2
+    pairs = [*_bose_nelson(a), *((i + a, j + a) for i, j in _bose_nelson(w - a))]
+
+    def merge(i, x, j, y):  # the sorted runs i..i+x-1 and j..j+y-1
+        if x == y == 1:
+            pairs.append((i, j))
+        elif x and y:
+            c, d = x // 2, (y + 1 - x % 2) // 2
+            merge(i, c, j, d)
+            merge(i + c, x - c, j + d, y - d)
+            merge(i + c, x - c, j, d)
+
+    merge(0, a, a, w - a)
+    return tuple(pairs)
+
+
 def _sorted_columns(x: np.ndarray) -> np.ndarray:
-    """``np.sort(x, axis=1).T`` as contiguous rows, by an insertion network of
-    w (w - 1) / 2 ``np.minimum``/``np.maximum`` comparators for w columns: the
-    same bits on finite input."""
+    """``np.sort(x, axis=1).T`` as contiguous rows, by Bose and Nelson's
+    network of ``np.minimum``/``np.maximum`` comparators over the columns:
+    the same bits on finite input."""
     cols = list(x.T)
-    for i in range(1, len(cols)):
-        for j in range(i, 0, -1):
-            a, b = cols[j - 1], cols[j]
-            cols[j - 1], cols[j] = np.minimum(a, b), np.maximum(a, b)
+    for i, j in _bose_nelson(len(cols)):
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
     return np.array(cols)
 
 
@@ -183,7 +211,8 @@ def estimate_conditionals(model: SignalModel, grid: np.ndarray,
 
     Closed forms are exact when the model carries them and requested;
     otherwise Monte Carlo with a hard conditioning window on the bidder's
-    own-signal grid cell and a Gaussian kernel for the density.
+    own-signal cell of the grid, which must be ``uniform_grid(model,
+    len(grid))``, and a Gaussian kernel for the density.
     """
     grid = np.asarray(grid, dtype=float)
     g = len(grid)
@@ -198,51 +227,65 @@ def estimate_conditionals(model: SignalModel, grid: np.ndarray,
             np.asarray(forms["F_y1"](grid, grid), dtype=float), zero,
             source="closed-form")
 
+    if not np.all(np.abs(grid - uniform_grid(model, g)) <= 1e-9 * (model.hi - model.lo)):
+        raise ValueError("Monte Carlo tables bin the draws into the cells of "
+                         "uniform_grid(model, len(grid)) and need that grid")
+    # kept per draw: value, highest rival signal y1, cell, the two conditioning
+    # masks and a kernel and a scratch column, drawn BLOCK_ROWS rows at a time
+    n_draws = oracle.samples
+    blocks = [slice(s, min(s + BLOCK_ROWS, n_draws)) for s in range(0, n_draws, BLOCK_ROWS)]
+    values, y1, kern, tmp = np.empty((4, n_draws))
+    cell, (lower, upper) = np.empty(n_draws, dtype=np.intp), np.empty((2, n_draws), dtype=bool)
     rng = np.random.Generator(np.random.PCG64(oracle.seed))
-    values, signals = model.sample(rng, oracle.samples)
-    x1 = signals[:, 0]
-    y1 = _highest_rival(signals)
-    cell = _signal_cells(x1, model.lo, model.hi, g)
+    for b in blocks:
+        values[b], signals = model.sample(rng, b.stop - b.start)
+        y1[b] = _highest_rival(signals)
+        cell[b] = _signal_cells(signals[:, 0], model.lo, model.hi, g)
+        x = grid[cell[b]]  # each draw's grid point
+        lower[b], upper[b] = y1[b] <= x, y1[b] >= x
+    count, cols = np.bincount(cell, minlength=g), {}
 
-    count = np.bincount(cell, minlength=g)
-    x = grid[cell]  # each draw's grid point
-    lower = y1 <= x
-    upper = y1 >= x
+    def sq_dev(w, m, sel=None):
+        """Per-cell sum of (w - m[cell]) ** 2 over the selected draws."""
+        for b in blocks:
+            d = w[b] - m[cell[b]]
+            d *= d
+            tmp[b] = d if sel is None else d * sel[b]
+        return np.bincount(cell, tmp, g)
 
-    def mean_se(weights, sel=slice(None)):
-        """Per-cell mean and two-pass standard error of the selected draws:
-        nan for no draw, an infinite SE for one."""
-        c, w = cell[sel], weights[sel]
-        n = np.bincount(c, minlength=g)
+    def mean_se(col, w, sel=None):
+        """Per-cell mean and two-pass SE of the selected draws, nan for none and
+        an infinite SE for one; a draw left out adds an exact +0.0 to a sum."""
+        n = count
+        if sel is not None:
+            tmp[:] = sel
+            n = np.bincount(cell, tmp, g)
         with np.errstate(divide="ignore", invalid="ignore"):
-            m = np.bincount(c, w, g) / n
-            se = np.sqrt(np.bincount(c, (w - m[c]) ** 2, g) / (n - 1)) / np.sqrt(n)
+            m = np.bincount(cell, w if sel is None else np.multiply(w, sel, out=tmp), g) / n
+            se = np.sqrt(sq_dev(w, m, sel) / (n - 1)) / np.sqrt(n)
         se[n == 0] = np.nan
         se[n == 1] = np.inf
-        return m, se
+        cols[col], cols[col + "_se"] = m, se
 
-    cols, ses = {}, {}
-    cols["v"], ses["v"] = mean_se(values)
-    cols["v_upper"], ses["v_upper"] = mean_se(values, lower)
-    cols["v_lower"], ses["v_lower"] = mean_se(values, upper)
-    cols["F_y1"], ses["F_y1"] = mean_se(lower.astype(float))
+    mean_se("v", values)
+    mean_se("v_upper", values, lower)
+    mean_se("v_lower", values, upper)
+    tmp[:] = lower
+    mean_se("F_y1", tmp)
     # Silverman's rule per cell
     with np.errstate(divide="ignore", invalid="ignore"):
         y_mean = np.bincount(cell, y1, g) / count
-        y_std = np.sqrt(np.bincount(cell, (y1 - y_mean[cell]) ** 2, g) / count)
-        bw = (1.06 * np.maximum(y_std, 1e-3) * count ** (-0.2))[cell]
-    kern = np.exp(-0.5 * ((y1 - x) / bw) ** 2) / (bw * np.sqrt(2 * np.pi))
-    cols["f_y1"], ses["f_y1"] = mean_se(kern)
+        bw = 1.06 * np.maximum(np.sqrt(sq_dev(y1, y_mean) / count), 1e-3) * count ** (-0.2)
+    for b in blocks:
+        x, w = grid[cell[b]], bw[cell[b]]
+        kern[b] = np.exp(-0.5 * ((y1[b] - x) / w) ** 2) / (w * np.sqrt(2 * np.pi))
+    mean_se("f_y1", kern)
     # per cell, in cell order: no draw at all, or none with y1 <= x (v_upper)
     # or y1 >= x (v_lower)
     flags = np.stack([count == 0, (count > 0) & np.isnan(cols["v_upper"]),
                       (count > 0) & np.isnan(cols["v_lower"])], axis=1)
-    names = ("all", "v_upper", "v_lower")
-    empty = [(names[j], int(i)) for i, j in zip(*np.nonzero(flags))]
-    return ConditionalTables(
-        grid, cols["v"], ses["v"], cols["v_upper"], ses["v_upper"],
-        cols["v_lower"], ses["v_lower"], cols["f_y1"], ses["f_y1"],
-        cols["F_y1"], ses["F_y1"], empty_cells=empty)
+    empty = [(("all", "v_upper", "v_lower")[j], int(i)) for i, j in zip(*np.nonzero(flags))]
+    return ConditionalTables(grid, **cols, empty_cells=empty)
 
 
 @dataclass
@@ -417,10 +460,11 @@ def bid_canonical_english(model: SignalModel, observed_signals,
     win = np.ones(len(values), dtype=bool)
     for j, y in enumerate(quits):
         win &= np.abs(others[j] - y) <= h
-    bids = np.full(len(grid), np.nan)
-    ses = np.full(len(grid), np.nan)
+    # the draws inside every quit's window, in draw order, once for all points
+    values, x1, others = values[win], x1[win], others[:, win]
+    bids, ses = np.full((2, len(grid)), np.nan)
     for i, x in enumerate(grid):
-        mask = win & (np.abs(x1 - x) <= h / 2)
+        mask = np.abs(x1 - x) <= h / 2
         if k < model.bidders - 1:
             mask &= others[k] >= x
         n = int(mask.sum())
@@ -441,10 +485,6 @@ class WinnerCurseRow:
     mean_payoff: float
     se: float
     draws: int
-
-
-# rows drawn and cleared at a time for the winner's payoff: the columns fit L2
-BLOCK_ROWS = 8192
 
 
 def winner_curse_experiment(model_family, ks, oracle: OracleConfig | None = None

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cursedeq.auctions import (BLOCK_ROWS, BidFunction, OracleConfig, _highest_rival,
-                               _row_sum, _signal_cells, _sorted_columns, bid_canonical_english,
-                               bid_second_price, bid_silent_english, clearing_prices,
+from cursedeq.auctions import (BLOCK_ROWS, BidFunction, OracleConfig, _bose_nelson,
+                               _highest_rival, _row_sum, _signal_cells, _sorted_columns,
+                               bid_canonical_english, bid_second_price, bid_silent_english,
+                               clearing_prices,
                                estimate_conditionals, mean_value_model, ode_residuals,
                                solve_dutch, solve_first_price, uniform_grid, verify_orderings,
                                wallet_model, winner_curse_experiment)
@@ -521,7 +523,7 @@ TIE_VALUES = (0.1, 0.2, 0.3, 0.7, 3.0, -2.5, 1e16, -1e16)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.integers(1, 12), st.integers(1, 20), st.data())
+@given(st.integers(1, 16), st.integers(1, 20), st.data())
 def test_row_helpers_match_the_row_reductions(width, n, data):
     """The column-wise row sort is ``np.sort`` along the rows bit for bit;
     the column-wise row sum is Python's left-to-right ``sum(row)`` at every
@@ -574,3 +576,156 @@ def test_blocked_winner_payoff_matches_one_shot(samples):
             assert (row.mean_payoff, row.se) == (mean, se), k
         else:
             assert abs(row.mean_payoff - mean) <= 1e-15 and abs(row.se - se) <= 1e-15, k
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_bose_nelson_sorts_every_zero_one_input(width):
+    """A comparator network sorts every input once it sorts every 0/1 input
+    (Knuth's 0-1 principle); Bose and Nelson's has 9, 19 and 27 comparators
+    for 5, 8 and 9 places."""
+    x = (np.arange(2 ** width)[:, None] >> np.arange(width)) & 1
+    assert np.array_equal(_sorted_columns(x.astype(float)).T, np.sort(x, axis=1))
+    assert all(0 <= i < j < width for i, j in _bose_nelson(width))
+    if width in (5, 8, 9):
+        assert len(_bose_nelson(width)) == {5: 9, 8: 19, 9: 27}[width]
+
+
+SAMPLER_MODELS = [wallet_model(2), wallet_model(3)] + [mean_value_model(k) for k in range(2, 10)]
+
+
+@pytest.mark.parametrize("model", SAMPLER_MODELS, ids=lambda m: m.name)
+def test_samplers_draw_the_uniform_bits(model):
+    _, signals = model.sample(np.random.Generator(np.random.PCG64(5)), 10_001)
+    want = np.random.Generator(np.random.PCG64(5)).uniform(0.0, 1.0, size=(10_001, model.bidders))
+    assert np.array_equal(_bits(signals), _bits(want))
+
+
+def _one_shot_tables(model, grid, oracle):
+    """The Monte Carlo tables from one draw of all samples, every per-cell sum
+    over the selected draws alone (the former whole-sample body)."""
+    g = len(grid)
+    rng = np.random.Generator(np.random.PCG64(oracle.seed))
+    values, signals = model.sample(rng, oracle.samples)
+    y1 = _highest_rival(signals)
+    cell = _signal_cells(signals[:, 0], model.lo, model.hi, g)
+    count = np.bincount(cell, minlength=g)
+    x = grid[cell]
+    lower, upper = y1 <= x, y1 >= x
+
+    def mean_se(weights, sel=slice(None)):
+        c, w = cell[sel], weights[sel]
+        n = np.bincount(c, minlength=g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = np.bincount(c, w, g) / n
+            se = np.sqrt(np.bincount(c, (w - m[c]) ** 2, g) / (n - 1)) / np.sqrt(n)
+        se[n == 0] = np.nan
+        se[n == 1] = np.inf
+        return m, se
+
+    cols = {}
+    cols["v"], cols["v_se"] = mean_se(values)
+    cols["v_upper"], cols["v_upper_se"] = mean_se(values, lower)
+    cols["v_lower"], cols["v_lower_se"] = mean_se(values, upper)
+    cols["F_y1"], cols["F_y1_se"] = mean_se(lower.astype(float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y_mean = np.bincount(cell, y1, g) / count
+        y_std = np.sqrt(np.bincount(cell, (y1 - y_mean[cell]) ** 2, g) / count)
+        bw = (1.06 * np.maximum(y_std, 1e-3) * count ** (-0.2))[cell]
+    kern = np.exp(-0.5 * ((y1 - x) / bw) ** 2) / (bw * np.sqrt(2 * np.pi))
+    cols["f_y1"], cols["f_y1_se"] = mean_se(kern)
+    flags = np.stack([count == 0, (count > 0) & np.isnan(cols["v_upper"]),
+                      (count > 0) & np.isnan(cols["v_lower"])], axis=1)
+    names = ("all", "v_upper", "v_lower")
+    return cols, [(names[j], int(i)) for i, j in zip(*np.nonzero(flags))]
+
+
+@pytest.mark.parametrize("samples", [10_000, 10_001, 2 * BLOCK_ROWS + 1])
+@pytest.mark.parametrize("model", SAMPLER_MODELS, ids=lambda m: m.name)
+def test_blocked_tables_match_one_shot(model, samples):
+    """Tables drawn and reduced in blocks, with the draws left out of a sum
+    adding +0.0, have the bits of the whole-sample tables: every column, so
+    every nan and inf, and the empty cells.  10,001 and 2 x BLOCK_ROWS + 1
+    samples end in a short tail block."""
+    for g in (1, 7, 200, 5_000):
+        oracle = OracleConfig(samples=samples, seed=g)
+        grid = uniform_grid(model, g)
+        tables = estimate_conditionals(model, grid, oracle, use_closed_forms=False)
+        cols, empty = _one_shot_tables(model, grid, oracle)
+        assert tables.empty_cells == empty, g
+        for col, ref in cols.items():
+            assert np.array_equal(_bits(getattr(tables, col)), _bits(ref)), (g, col)
+
+
+@pytest.mark.parametrize("model", [wallet_model(2), mean_value_model(3), mean_value_model(9)],
+                         ids=lambda m: m.name)
+def test_monte_carlo_tables_memory_per_draw(model):
+    """The tables keep a few columns a draw, not a draws x bidders matrix or
+    a temporary per pass: at most 56 traced bytes a draw at 1e6 draws
+    (74, 90 and 138 when built from one whole-sample draw)."""
+    grid = uniform_grid(model, 200)
+    oracle = OracleConfig(samples=1_000_000, seed=3)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        estimate_conditionals(model, grid, oracle, use_closed_forms=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * oracle.samples, peak / oracle.samples
+
+
+def test_monte_carlo_tables_need_the_uniform_grid():
+    """Monte Carlo bins the draws into the uniform cells of [lo, hi], so any
+    other grid would label a cell's draws with another point; closed forms
+    take any grid."""
+    model = wallet_model()
+    oracle = OracleConfig(seed=1)
+    grid = uniform_grid(model, 50)
+    for bad in (np.linspace(0.0, 1.0, 50), grid[::-1], grid + 1e-6, np.full(50, np.nan)):
+        with pytest.raises(ValueError, match=re.escape("uniform_grid(model, len(grid))")):
+            estimate_conditionals(model, bad, oracle, use_closed_forms=False)
+        with pytest.raises(ValueError, match="uniform_grid"):
+            estimate_conditionals(wallet_model(3), bad, oracle)
+    near = estimate_conditionals(model, grid + 1e-12, oracle, use_closed_forms=False)
+    assert not near.empty_cells and np.isfinite(near.v_upper).all()
+    closed = estimate_conditionals(model, np.linspace(0.0, 1.0, 50), oracle)
+    assert np.array_equal(closed.v, np.linspace(0.0, 1.0, 50) + 0.5)
+
+
+def _full_scan_canonical(model, quits, grid, oracle):
+    """The Monte Carlo stage-k bids with a fresh mask over every draw per
+    grid point (the former body)."""
+    k = len(quits)
+    rng = np.random.Generator(np.random.PCG64(oracle.seed + 17 * (k + 1)))
+    values, signals = model.sample(rng, oracle.samples)
+    x1 = signals[:, 0]
+    others = np.sort(signals[:, 1:], axis=1).T
+    h = (model.hi - model.lo) / len(grid)
+    win = np.ones(len(values), dtype=bool)
+    for j, y in enumerate(quits):
+        win &= np.abs(others[j] - y) <= h
+    bids, ses = np.full(len(grid), np.nan), np.full(len(grid), np.nan)
+    for i, x in enumerate(grid):
+        mask = win & (np.abs(x1 - x) <= h / 2)
+        if k < model.bidders - 1:
+            mask &= others[k] >= x
+        n = int(mask.sum())
+        if n:
+            bids[i] = float(values[mask].mean())
+            ses[i] = float(values[mask].std(ddof=1) / np.sqrt(n)) if n > 1 else np.inf
+    return bids, ses
+
+
+@pytest.mark.parametrize("bidders", [3, 10])
+def test_canonical_monte_carlo_matches_full_scan(bidders):
+    """Drawing the quit window once, in draw order, leaves every mean and SE
+    bit for bit as a full scan per grid point gives them."""
+    model = wallet_model(bidders)
+    grid = uniform_grid(model, 200)
+    oracle = OracleConfig(seed=4)
+    tables = estimate_conditionals(model, grid, oracle)
+    for quits in ([], [0.3], [0.2, 0.5]):
+        bf = bid_canonical_english(model, quits, tables, oracle)
+        bids, ses = _full_scan_canonical(model, quits, grid, oracle)
+        assert np.array_equal(_bits(bf.bids), _bits(bids)), quits
+        assert np.array_equal(_bits(bf.se), _bits(ses)), quits
